@@ -1,78 +1,58 @@
-"""Compare the compiled and pure-numpy kernel paths.
+"""Time the two hot paths on their own and print absolute times.
 
-Run as a script; prints a small table.  The two hot loops are the Jacobi
-eigensolver sweeps and the scalar phase-chain evaluation.  Set
-RQET_PURE_NUMPY=1 to confirm the fallback selection from the
-environment instead of the in-process toggle used here.
+Run from the repository root as `python benchmarks/bench_kernels.py`.
+The hot paths are the blocked phase chain (`rqet._kernels.phase_chain`)
+at 5^7 and 5^8 random phases on 21 points, and the Hermitian eigensolve
+(`rqet.hermitian_eig`) at dimension 64.  Each row is the best of a few
+repeats on one BLAS thread.  For end-to-end times see perfbench/.
 """
 
 from __future__ import annotations
 
+import os
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"
+
+import sys
 import time
+from pathlib import Path
 
 import numpy as np
 
-from rqet._kernels import (HAS_NUMBA, _jacobi_sweeps_numpy, _phase_chain_numpy,
-                           numba_active)
+sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
 
-if HAS_NUMBA:
-    from rqet._kernels import _jacobi_sweeps_jit, _phase_chain_jit
-
-
-def _hermitian(rng: np.random.Generator, n: int) -> np.ndarray:
-    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
-    return (Z + Z.conj().T) / 2
+from rqet import hermitian_eig  # noqa: E402
+from rqet._kernels import phase_chain  # noqa: E402
 
 
-def bench_jacobi(n: int = 64, repeats: int = 5) -> None:
+def best_of(fn, repeats: int) -> float:
+    best = float("inf")
+    for _ in range(repeats):
+        t0 = time.perf_counter()
+        fn()
+        best = min(best, time.perf_counter() - t0)
+    return best
+
+
+def bench_eig(n: int = 64, repeats: int = 20) -> None:
     rng = np.random.default_rng(0)
-    H = _hermitian(rng, n)
-    thresh = 1e-14 * max(1.0, float(np.linalg.norm(H, "fro")))
-
-    def run(kernel) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            A = H.copy()
-            V = np.eye(n, dtype=np.complex128)
-            t0 = time.perf_counter()
-            kernel(A, V, thresh, 100)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t_np = run(_jacobi_sweeps_numpy)
-    print(f"jacobi  dim={n:3d}   numpy {t_np * 1e3:9.2f} ms", end="")
-    if HAS_NUMBA:
-        _jacobi_sweeps_jit(H.copy(), np.eye(n, dtype=np.complex128), thresh, 100)  # warm up
-        t_jit = run(_jacobi_sweeps_jit)
-        print(f"   numba {t_jit * 1e3:9.2f} ms   speedup {t_np / t_jit:6.1f}x")
-    else:
-        print("   (numba unavailable)")
+    Z = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    H = (Z + Z.conj().T) / 2
+    t = best_of(lambda: hermitian_eig(H), repeats)
+    print(f"hermitian_eig  dim={n:<8d} {t * 1e3:9.3f} ms")
 
 
-def bench_chain(n_phases: int = 5 ** 7, n_points: int = 21, repeats: int = 3) -> None:
+def bench_chain(n_phases: int, n_points: int = 21, repeats: int = 3) -> None:
     rng = np.random.default_rng(1)
     phases = rng.uniform(-np.pi, np.pi, n_phases)
     xs = np.linspace(-1.0, 1.0, n_points)
-
-    def run(kernel) -> float:
-        best = float("inf")
-        for _ in range(repeats):
-            t0 = time.perf_counter()
-            kernel(phases, xs)
-            best = min(best, time.perf_counter() - t0)
-        return best
-
-    t_np = run(_phase_chain_numpy)
-    print(f"chain   len={n_phases}  numpy {t_np * 1e3:9.2f} ms", end="")
-    if HAS_NUMBA:
-        _phase_chain_jit(phases[:10], xs)  # warm up
-        t_jit = run(_phase_chain_jit)
-        print(f"   numba {t_jit * 1e3:9.2f} ms   speedup {t_np / t_jit:6.1f}x")
-    else:
-        print("   (numba unavailable)")
+    t = best_of(lambda: phase_chain(phases, xs), repeats)
+    print(f"phase_chain    len={n_phases:<8d} {t * 1e3:9.3f} ms   ({n_points} points)")
 
 
 if __name__ == "__main__":
-    print(f"active path: {'numba' if numba_active() else 'numpy'}")
-    bench_jacobi()
-    bench_chain()
+    print(f"python {sys.version.split()[0]}, numpy {np.__version__}, 1 BLAS thread")
+    bench_eig()
+    bench_chain(5 ** 7)
+    bench_chain(5 ** 8)

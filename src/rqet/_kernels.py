@@ -1,190 +1,55 @@
-"""Hot numeric kernels with a numba fast path and a pure-numpy fallback.
+"""The package's one hot scalar loop: a long reflection-form 2x2 chain.
 
-Two inner loops dominate the package's runtime: cyclic Jacobi sweeps for
-the Hermitian eigensolver and the long 2x2 product chain that evaluates a
-reflection-form phase sequence at many scalar points.  Both are compiled
-with numba when it is importable; setting RQET_PURE_NUMPY=1 forces the
-numpy implementations instead.  benchmarks/bench_kernels.py compares the
-two paths.
+`phase_chain` evaluates the top-left entry of
+prod_i exp(i*phi_i*Z) R(x) at many points.  The product is split into
+blocks of about sqrt(N) phases; the blocks are multiplied out side by
+side (one numpy step per position inside a block, vectorized across the
+blocks and the points), then folded together in order, then the leftover
+tail phases are multiplied in one at a time.  That is about 3*sqrt(N)
+Python-level steps instead of N, and no complex temporary grows with
+the length of the phase list.  The grouping differs from a left-to-right
+loop, so results agree with it to rounding, not bit for bit.
 """
 
 from __future__ import annotations
 
 import math
-import os
 
 import numpy as np
 
-try:
-    from numba import njit
 
-    HAS_NUMBA = True
-except ImportError:  # pragma: no cover - exercised only without numba
-    HAS_NUMBA = False
-
-_FORCE_NUMPY = os.environ.get("RQET_PURE_NUMPY", "").strip().lower() in {"1", "true", "yes"}
-
-
-def numba_active() -> bool:
-    """True when the compiled kernel path is in use."""
-    return HAS_NUMBA and not _FORCE_NUMPY
-
-
-# ----------------------------------------------------------------- Jacobi
-
-def _jacobi_sweeps_numpy(A: np.ndarray, V: np.ndarray, thresh: float, max_sweeps: int) -> int:
-    """Cyclic Jacobi sweeps on Hermitian A, accumulating eigenvectors in V.
-
-    Mutates A toward diagonal form and returns the number of sweeps run.
-    The caller decides convergence from the remaining off-diagonal mass.
-    """
-    n = A.shape[0]
-    for sweep in range(max_sweeps):
-        # sum only off-diagonal entries; subtracting Frobenius sums cancels badly
-        off = math.sqrt(float(np.sum(np.abs(A - np.diag(np.diag(A))) ** 2)))
-        if off <= thresh:
-            return sweep
-        for p in range(n - 1):
-            for q in range(p + 1, n):
-                beta = A[p, q]
-                m = abs(beta)
-                if m == 0.0:
-                    continue
-                phase = np.exp(-1j * math.atan2(beta.imag, beta.real))
-                tau = (A[p, p].real - A[q, q].real) / (2.0 * m)
-                if tau >= 0.0:
-                    t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                else:
-                    t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                c = 1.0 / math.sqrt(1.0 + t * t)
-                s = t * c
-                # 2x2 unitary on the (p, q) plane: [[c, -s], [s*phase, c*phase]]
-                col_p = A[:, p] * c + A[:, q] * (s * phase)
-                col_q = A[:, p] * (-s) + A[:, q] * (c * phase)
-                A[:, p], A[:, q] = col_p, col_q
-                row_p = A[p, :] * c + A[q, :] * (s * phase).conjugate()
-                row_q = A[p, :] * (-s) + A[q, :] * (c * phase).conjugate()
-                A[p, :], A[q, :] = row_p, row_q
-                vec_p = V[:, p] * c + V[:, q] * (s * phase)
-                vec_q = V[:, p] * (-s) + V[:, q] * (c * phase)
-                V[:, p], V[:, q] = vec_p, vec_q
-    return max_sweeps
-
-
-# ------------------------------------------------------------ phase chain
-
-def _phase_chain_numpy(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each point of xs."""
-    m00 = np.ones(len(xs), dtype=np.complex128)
-    m01 = np.zeros(len(xs), dtype=np.complex128)
-    m10 = np.zeros(len(xs), dtype=np.complex128)
-    m11 = np.ones(len(xs), dtype=np.complex128)
-    w = np.sqrt(np.maximum(0.0, 1.0 - xs * xs))
-    for phi in phases:
-        ep = complex(math.cos(phi), math.sin(phi))
-        em = ep.conjugate()
-        p00 = ep * xs
-        p01 = ep * w
-        p10 = em * w
-        p11 = -em * xs
-        n00 = m00 * p00 + m01 * p10
-        n01 = m00 * p01 + m01 * p11
-        n10 = m10 * p00 + m11 * p10
-        n11 = m10 * p01 + m11 * p11
-        m00, m01, m10, m11 = n00, n01, n10, n11
-    return m00
-
-
-if HAS_NUMBA:
-
-    @njit(cache=True)
-    def _jacobi_sweeps_jit(A, V, thresh, max_sweeps):  # pragma: no cover - compiled
-        n = A.shape[0]
-        for sweep in range(max_sweeps):
-            off = 0.0
-            for i in range(n):
-                for j in range(n):
-                    if i != j:
-                        off += abs(A[i, j]) ** 2
-            if math.sqrt(off) <= thresh:
-                return sweep
-            for p in range(n - 1):
-                for q in range(p + 1, n):
-                    beta = A[p, q]
-                    m = abs(beta)
-                    if m == 0.0:
-                        continue
-                    ang = math.atan2(beta.imag, beta.real)
-                    phase = complex(math.cos(ang), -math.sin(ang))
-                    tau = (A[p, p].real - A[q, q].real) / (2.0 * m)
-                    if tau >= 0.0:
-                        t = 1.0 / (tau + math.sqrt(1.0 + tau * tau))
-                    else:
-                        t = -1.0 / (-tau + math.sqrt(1.0 + tau * tau))
-                    c = 1.0 / math.sqrt(1.0 + t * t)
-                    s = t * c
-                    sp = s * phase
-                    cp = c * phase
-                    for k in range(n):
-                        akp = A[k, p]
-                        akq = A[k, q]
-                        A[k, p] = akp * c + akq * sp
-                        A[k, q] = -akp * s + akq * cp
-                    spc = sp.conjugate()
-                    cpc = cp.conjugate()
-                    for k in range(n):
-                        apk = A[p, k]
-                        aqk = A[q, k]
-                        A[p, k] = apk * c + aqk * spc
-                        A[q, k] = -apk * s + aqk * cpc
-                    for k in range(n):
-                        vkp = V[k, p]
-                        vkq = V[k, q]
-                        V[k, p] = vkp * c + vkq * sp
-                        V[k, q] = -vkp * s + vkq * cp
-        return max_sweeps
-
-    @njit(cache=True)
-    def _phase_chain_jit(phases, xs):  # pragma: no cover - compiled
-        npts = xs.shape[0]
-        out = np.empty(npts, dtype=np.complex128)
-        for k in range(npts):
-            x = xs[k]
-            w = math.sqrt(max(0.0, 1.0 - x * x))
-            m00 = complex(1.0, 0.0)
-            m01 = complex(0.0, 0.0)
-            m10 = complex(0.0, 0.0)
-            m11 = complex(1.0, 0.0)
-            for i in range(phases.shape[0]):
-                phi = phases[i]
-                ep = complex(math.cos(phi), math.sin(phi))
-                em = ep.conjugate()
-                p00 = ep * x
-                p01 = ep * w
-                p10 = em * w
-                p11 = -em * x
-                n00 = m00 * p00 + m01 * p10
-                n01 = m00 * p01 + m01 * p11
-                n10 = m10 * p00 + m11 * p10
-                n11 = m10 * p01 + m11 * p11
-                m00, m01, m10, m11 = n00, n01, n10, n11
-            out[k] = m00
-        return out
-
-else:  # pragma: no cover - exercised only without numba
-    _jacobi_sweeps_jit = None
-    _phase_chain_jit = None
-
-
-def jacobi_sweeps(A: np.ndarray, V: np.ndarray, thresh: float, max_sweeps: int) -> int:
-    if numba_active():
-        return int(_jacobi_sweeps_jit(A, V, thresh, max_sweeps))
-    return _jacobi_sweeps_numpy(A, V, thresh, max_sweeps)
+def _times_factor(c0, c1, ep, em, x, w):
+    """Row (c0, c1) times the factor [[ep x, ep w], [em w, -em x]]."""
+    a, b = c0 * ep, c1 * em
+    return a * x + b * w, a * w - b * x
 
 
 def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each point of xs."""
     phases = np.ascontiguousarray(phases, dtype=np.float64)
-    xs = np.ascontiguousarray(xs, dtype=np.float64)
-    if numba_active():
-        return _phase_chain_jit(phases, xs)
-    return _phase_chain_numpy(phases, xs)
+    x = np.ascontiguousarray(xs, dtype=np.float64)
+    w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    k = max(1, math.isqrt(len(phases)))
+    nb = len(phases) // k
+    blocks = phases[: nb * k].reshape(nb, k)
+
+    # one 2x2 product per block and point; factor j of every block at once
+    m00 = np.ones((nb, len(x)), dtype=np.complex128)
+    m01 = np.zeros_like(m00)
+    m10 = np.zeros_like(m00)
+    m11 = np.ones_like(m00)
+    for j in range(k):
+        ep = np.exp(1j * blocks[:, j])[:, None]
+        em = ep.conj()
+        m00, m01 = _times_factor(m00, m01, ep, em, x, w)
+        m10, m11 = _times_factor(m10, m11, ep, em, x, w)
+
+    # only the top row of the running product is needed from here on
+    r0 = np.ones(len(x), dtype=np.complex128)
+    r1 = np.zeros_like(r0)
+    for b in range(nb):
+        r0, r1 = r0 * m00[b] + r1 * m10[b], r0 * m01[b] + r1 * m11[b]
+    for phi in phases[nb * k :]:
+        ep = complex(math.cos(phi), math.sin(phi))
+        r0, r1 = _times_factor(r0, r1, ep, ep.conjugate(), x, w)
+    return r0

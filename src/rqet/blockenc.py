@@ -14,8 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import (hermitian_eig, matrix_function_hermitian, operator_norm,
-                     require_hermitian, require_square)
+from .linalg import (Spectrum, hermitian_eig, matrix_function_hermitian,
+                     operator_norm, require_hermitian, require_square)
 
 _NORM_SLACK = 1e-12
 _UNITARITY_TOL = 1e-12
@@ -61,10 +61,15 @@ def _check_unitary(U: np.ndarray, what: str) -> None:
 def dilate_hermitian(A: np.ndarray) -> BlockEncoding:
     """Hermitian dilation [[A, B], [B, -A]] with B = sqrt(I - A^2)."""
     A = require_hermitian(A)
-    w, _ = hermitian_eig(A)
+    return _dilate_spectrum(A, hermitian_eig(A))
+
+
+def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
+    """dilate_hermitian for a Hermitian A whose spectrum is already solved."""
+    w, V = spectrum
     if float(np.abs(w).max()) > 1.0 + _NORM_SLACK:
         raise DomainError(f"operator norm {np.abs(w).max():.12f} exceeds 1")
-    B = matrix_function_hermitian(A, lambda t: np.sqrt(np.maximum(0.0, 1.0 - t * t)))
+    B = (V * np.sqrt(np.maximum(0.0, 1.0 - w * w))) @ V.conj().T
     B = (B + B.conj().T) / 2
     U = np.block([[A, B], [B, -A]])
     _check_unitary(U, "Hermitian dilation")

@@ -6,7 +6,7 @@ polynomial against the admissibility tests), perturb (coherent phase
 noise sweep).  Exit codes: 0 success, 2 bad input, 3 domain
 precondition violated, 4 numeric failure (including a run that ends
 above its tolerance).  RQET_TOL overrides the default angle-comparison
-tolerance; RQET_PURE_NUMPY=1 forces the numpy kernel path.
+tolerance of the phases subcommand.
 """
 
 from __future__ import annotations

@@ -17,9 +17,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import BlockEncoding, dilate_hermitian, extract, rotation_diagonal
+from .blockenc import BlockEncoding, _dilate_spectrum, extract, rotation_diagonal
 from .errors import DomainError, InputError
-from .linalg import hermitian_eig, matrix_sign, operator_norm, require_hermitian
+from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
 from .poly import pade, poly_eval
 from .qsp import canonicalize_angles, pade_phases, reflection_upper_left
 
@@ -294,13 +294,11 @@ def scalar_grid(delta: float, n_points: int = 21) -> np.ndarray:
     return np.concatenate((neg, pos))
 
 
-def _check_gap(A: np.ndarray, delta: float) -> np.ndarray:
-    w, _ = hermitian_eig(A)
+def _check_gap(w: np.ndarray, delta: float) -> None:
     bad = (np.abs(w) < delta - 1e-9) | (np.abs(w) > 1.0 + 1e-9)
     if bad.any():
         raise DomainError("eigenvalues outside +-[delta, 1]: "
                           + ", ".join(f"{v:.6g}" for v in w[bad]))
-    return w
 
 
 def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
@@ -320,7 +318,9 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     if mode not in ("recursive", "flattened", "scalar"):
         raise InputError(f"unknown mode {mode!r}")
     A = require_hermitian(A)
-    w = _check_gap(A, delta)
+    spectrum = hermitian_eig(A)  # shared by the gap check, the target and the dilation
+    w = spectrum.eigenvalues
+    _check_gap(w, delta)
     n = sign_iterations(delta, eps, l) if levels is None else levels
     if n < 0:
         raise InputError("levels must be nonnegative")
@@ -328,7 +328,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         raise DomainError(f"{n} levels exceed the matrix-mode depth cap "
                           f"{max_matrix_depth}; use scalar mode or raise the cap")
     base = pade_phases(l)
-    target = matrix_sign(A)
+    target = _sign_of(spectrum)
     report = IterationReport(mode, delta, eps, l)
 
     if n == 0:
@@ -337,7 +337,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         if mode == "scalar":
             pts = np.unique(np.concatenate((scalar_grid(delta), w)))
             return ScalarSignTable(pts, pts.astype(np.complex128)), report
-        return dilate_hermitian(A), report
+        return _dilate_spectrum(A, spectrum), report
 
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
@@ -355,7 +355,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
                 flat = compose_phases(flat, base)
         return table, report
 
-    be0 = dilate_hermitian(A)
+    be0 = _dilate_spectrum(A, spectrum)
     be = be0
     flat = base
     for k in range(1, n + 1):

@@ -266,6 +266,9 @@ def chebyshev_reflection_phases(q: int) -> np.ndarray:
     return canonicalize_angles(out)
 
 
+_PHASE_CACHE: dict[int, np.ndarray] = {}
+
+
 def pade_phases(l: int) -> np.ndarray:
     """Reflection phases for any admissible (even) family member.
 
@@ -273,19 +276,28 @@ def pade_phases(l: int) -> np.ndarray:
     larger even members factor their deflated remainder with the
     iterative root finder instead.  Odd members fail the domination
     condition and have no complementary partner, so they are rejected
-    up front with the witness from the condition check.
+    up front with the witness from the condition check.  The first
+    successful derivation for each l is cached; every call returns a
+    fresh copy, and a failed derivation is not cached.
     """
+    cached = _PHASE_CACHE.get(l)
+    if cached is not None:
+        return cached.copy()
     if l < 1:
         raise DomainError("family index must be a positive integer")
     if l % 2 == 1:
         raise DomainError(f"odd family member {l} admits no complementary "
                           "polynomial; its square dips below 1 outside [-1, 1]")
     if l in (2, 4):
-        return analytic_pade_phases(l)
-    f = pade(l)
-    deflate_pade_square(l)  # exactness guard on the shared factorization
-    h = complementary_poly(f, analytic_if_possible=False)
-    return rotation_to_reflection(find_phases_rotation(f, h))
+        phases = analytic_pade_phases(l)
+    else:
+        f = pade(l)
+        deflate_pade_square(l)  # exactness guard on the shared factorization
+        h = complementary_poly(f, analytic_if_possible=False)
+        phases = rotation_to_reflection(find_phases_rotation(f, h))
+    phases.flags.writeable = False
+    _PHASE_CACHE[l] = phases
+    return phases.copy()
 
 
 def analytic_pade_phases(l: int) -> np.ndarray:

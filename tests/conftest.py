@@ -1,16 +1,4 @@
 import numpy as np
-import pytest
-
-from rqet._kernels import jacobi_sweeps, phase_chain
-
-
-@pytest.fixture(scope="session", autouse=True)
-def warm_kernels():
-    # first call pays the JIT compile cost; keep it out of timed tests
-    A = np.eye(2, dtype=np.complex128)
-    A[0, 1] = A[1, 0] = 0.1
-    jacobi_sweeps(A, np.eye(2, dtype=np.complex128), 1e-14, 10)
-    phase_chain(np.array([0.1, 0.2]), np.array([0.0, 0.5]))
 
 
 def hermitian_with_spectrum(seed: int, eigenvalues) -> tuple[np.ndarray, np.ndarray]:

@@ -163,20 +163,6 @@ def test_perturb_bad_grid():
     assert r.returncode == 2
 
 
-def test_pure_numpy_env_matches(tmp_path):
-    a, b = tmp_path / "jit.csv", tmp_path / "np.csv"
-    r1 = run_cli(["sign-run", "--seed", "9", "--dim", "3", "--gap", "0.5",
-                  "--epsilon", "1e-6", "--out", str(a)])
-    r2 = run_cli(["sign-run", "--seed", "9", "--dim", "3", "--gap", "0.5",
-                  "--epsilon", "1e-6", "--out", str(b)],
-                 env_extra={"RQET_PURE_NUMPY": "1"})
-    assert r1.returncode == 0 and r2.returncode == 0
-    ja, jb = a.read_text(), b.read_text()
-    for la, lb in zip(ja.strip().split("\n")[1:], jb.strip().split("\n")[1:]):
-        ea, eb = float(la.split(",")[1]), float(lb.split(",")[1])
-        assert abs(ea - eb) < 1e-12
-
-
 def test_rqet_tol_env_rejected_when_invalid():
     r = run_cli(["phases", "--pade-l", "2"], env_extra={"RQET_TOL": "banana"})
     assert r.returncode == 2

@@ -40,12 +40,31 @@ def test_jacobi_degenerate_spectrum():
 
 
 def test_jacobi_tiny_offdiagonal_converges():
-    # diagonal dominated by one large entry; the off-diagonal mass check
-    # must not drown in rounding noise from the big diagonal
+    # diagonal dominated by one large entry; the tiny eigenvalues must
+    # not drown in rounding noise from the big diagonal
     A = np.diag([1e-4, 1e-8, 1e-21, 3e-5]).astype(complex)
     A[0, 1] = A[1, 0] = 1e-22
     w, V = hermitian_eig(A)
     assert np.abs(np.sort(w) - np.sort(np.linalg.eigvalsh(A))).max() < 1e-18
+
+
+def test_diagonal_input_eigenvalues_exact():
+    # scalar-mode sign runs insert these eigenvalues into their point grid,
+    # so a diagonal matrix must give back its diagonal bit for bit
+    for seed in range(200):
+        rng = np.random.default_rng(seed)
+        d = int(rng.integers(1, 65))
+        v = rng.uniform(0.05, 1.0, d) * np.where(rng.uniform(size=d) < 0.5, -1.0, 1.0)
+        assert np.array_equal(hermitian_eig(np.diag(v).astype(complex)).eigenvalues, np.sort(v))
+
+
+def test_eigensolver_failure_is_numeric_error(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        hermitian_eig(np.eye(2, dtype=complex))
 
 
 def test_rejects_non_hermitian():

@@ -4,9 +4,10 @@ import pytest
 from rqet import (DomainError, NumericError, analytic_pade_phases,
                   canonicalize_angles, chebyshev_reflection_phases,
                   complementary_poly, find_phases_rotation, load_phases,
-                  pade, pade_phases, poly_eval, polynomial,
+                  pade, pade_phases, poly_eval, polynomial, qsp,
                   qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
+from rqet._kernels import phase_chain
 
 
 def cheb_poly(q):
@@ -69,6 +70,29 @@ def test_closed_form_route_matches_general():
         a = np.sort(canonicalize_angles(analytic_pade_phases(l)))
         b = np.sort(canonicalize_angles(pade_phases(l)))
         assert np.abs(a - b).max() < 1e-12
+
+
+def test_pade_phases_copy_does_not_touch_cache():
+    first = pade_phases(2)
+    expected = first.copy()
+    first[:] = 0.0
+    assert np.array_equal(pade_phases(2), expected)
+
+
+def test_pade_phases_derived_once(monkeypatch):
+    calls = []
+    original = qsp.find_phases_rotation
+
+    def counting(f, h):
+        calls.append(f.degree)
+        return original(f, h)
+
+    monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
+    monkeypatch.setattr(qsp, "find_phases_rotation", counting)
+    first = pade_phases(2)
+    second = pade_phases(2)
+    assert calls == [5]
+    assert np.array_equal(first, second)
 
 
 def test_pade_phases_rejects_odd():
@@ -158,3 +182,14 @@ def test_phase_chain_matches_direct_product():
     fast = reflection_upper_left(phases, xs)
     slow = np.array([qsp_reflection_eval(phases, float(x))[0, 0] for x in xs])
     assert np.abs(fast - slow).max() < 1e-13
+
+
+@pytest.mark.parametrize("length", [1, 2, 3, 24, 25, 26, 125, 5 ** 5])
+def test_blocked_phase_chain_matches_reflection_product(length):
+    # 25 fills whole blocks of isqrt(N) phases; 26, 125 and 5^5 leave tail phases
+    rng = np.random.default_rng(length)
+    phases = rng.uniform(-np.pi, np.pi, length)
+    xs = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
+    fast = phase_chain(phases, xs)
+    slow = np.array([qsp_reflection_eval(phases, float(x))[0, 0] for x in xs])
+    assert np.abs(fast - slow).max() < 1e-12
