@@ -21,8 +21,7 @@ from .qsp import (analytic_pade_phases, canonicalize_angles,
                   find_phases_rotation, load_phases, pade_phases,
                   qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
-from .qsvt import (FilterResult, PreparationResult, QsvtEncoding,
-                   encode_for_qsvt, filtering_operator, preparation_projector,
-                   project_state, qsvt_assemble, restricted_block, run_polar)
+from .qsvt import (FilterResult, PreparationResult, filtering_operator,
+                   preparation_projector, project_state, run_polar)
 
 __version__ = "0.1.0"

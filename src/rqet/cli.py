@@ -19,15 +19,14 @@ import sys
 import numpy as np
 
 from . import __version__
+from .blockenc import dilate_hermitian
 from .errors import DomainError, InputError, NumericError
 from .linalg import load_matrix, operator_norm
 from .poly import check_qet_conditions, load_poly, pade
-from .qet import (coherent_perturb, compose_phases, distinct_nonzero_angles,
-                  flatten_sign_phases, query_count, run_sign)
-from .qsp import canonicalize_angles, pade_phases, save_phases
+from .qet import (coherent_perturb, distinct_nonzero_angles,
+                  flatten_sign_phases, qet_assemble, query_count, run_sign)
+from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
-from .blockenc import dilate_hermitian, extract
-from .qet import qet_assemble
 
 _MAX_PADE = 8
 
@@ -219,10 +218,7 @@ def _cmd_perturb(args) -> int:
     if args.iters < 1:
         raise InputError("--iters must be at least 1")
     A, meta = _load_or_generate(args, hermitian=True)
-    base = pade_phases(args.pade_l)
-    flat = base
-    for _ in range(args.iters - 1):
-        flat = compose_phases(flat, base)
+    flat = flatten_sign_phases(args.pade_l, args.iters)
     be = dilate_hermitian(A)
     reference = qet_assemble(be, flat)
     X_ref = reference[:be.system_dim, :be.system_dim]

@@ -14,7 +14,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, InputError, NumericError, read_json
 
 MAX_DIM = 64
 HERMITICITY_TOL = 1e-12
@@ -29,6 +29,8 @@ def require_square(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
+    if not np.isfinite(M).all():
+        raise DomainError("matrix has a NaN or infinite entry")
     return M
 
 
@@ -132,17 +134,9 @@ def unitarity_check(U: np.ndarray, tol: float = 1e-10) -> bool:
 
 # ------------------------------------------------------------------- file io
 
-def _reject_constant(name: str):
-    raise InputError(f"non-finite value {name!r} in matrix file")
-
-
 def load_matrix(path: str) -> np.ndarray:
     """Read a matrix from JSON: rows, cols, and row-major [re, im] entries."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"not valid JSON: {path}: {exc}") from exc
+    doc = read_json(path, "matrix")
     if not isinstance(doc, dict) or not {"rows", "cols", "entries"} <= set(doc):
         raise InputError(f"matrix file {path} needs keys rows, cols, entries")
     rows, cols = doc["rows"], doc["cols"]

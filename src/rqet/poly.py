@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, InputError, NumericError, read_json
 
 TRIM_TOL = 1e-14
 PARITY_TOL = 1e-12
@@ -278,16 +278,8 @@ def roots_in_u(q: ComplexPolynomial | np.ndarray, analytic_if_possible: bool = T
 
 # ------------------------------------------------------------------- file io
 
-def _reject_constant(name: str):
-    raise InputError(f"non-finite value {name!r} in polynomial file")
-
-
 def load_poly(path: str) -> ComplexPolynomial:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"not valid JSON: {path}: {exc}") from exc
+    doc = read_json(path, "polynomial")
     if not isinstance(doc, dict) or not {"coeffs", "parity"} <= set(doc):
         raise InputError(f"polynomial file {path} needs keys coeffs, parity")
     pairs = doc["coeffs"]

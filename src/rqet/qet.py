@@ -33,36 +33,20 @@ def template_daggers(q: int) -> np.ndarray:
     return (j % 2) != (q % 2)
 
 
-@dataclass(frozen=True)
-class QetPlan:
-    """Reflection-form phase list plus the oracle dagger pattern it implies."""
-
-    phases: np.ndarray
-    daggers: np.ndarray
-
-    @property
-    def degree(self) -> int:
-        return len(self.phases)
-
-
-def plan_from_phases(phases: np.ndarray) -> QetPlan:
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.ndim != 1 or len(phases) == 0:
-        raise InputError("phase list must be a nonempty 1-d array")
-    return QetPlan(phases, template_daggers(len(phases)))
-
-
 def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     """Alternating product of ancilla rotations and oracle calls.
 
     Slot j (1-based, leftmost first) contributes
     exp(i phase_j (2P - I)) followed by the oracle or its adjoint per the
     dagger template, so the final slot always carries the plain oracle.
+    Over a general dilation the same product acts on singular values.
     """
-    plan = plan_from_phases(phases)
+    phases = np.asarray(phases, dtype=np.float64)
+    if phases.ndim != 1 or len(phases) == 0:
+        raise InputError("phase list must be a nonempty 1-d array")
     U, Ud = be.unitary, be.unitary.conj().T
     out = np.eye(be.total_dim, dtype=np.complex128)
-    for phi, dag in zip(plan.phases, plan.daggers):
+    for phi, dag in zip(phases, template_daggers(len(phases))):
         diag = rotation_diagonal(phi, be.ancilla_dim, be.system_dim, be.reference_index)
         out = (out * diag[None, :]) @ (Ud if dag else U)
     return out
@@ -130,7 +114,11 @@ def distinct_nonzero_angles(phases: np.ndarray, tol: float = _ANGLE_TOL) -> int:
     vals = np.sort(vals[np.abs(vals) > tol])
     if len(vals) == 0:
         return 0
-    return 1 + int(np.count_nonzero(np.diff(vals) > tol))
+    count = 1 + int(np.count_nonzero(np.diff(vals) > tol))
+    # the lowest and highest clusters are one cluster if they meet across +-pi
+    if count > 1 and vals[0] + 2.0 * np.pi - vals[-1] <= tol:
+        count -= 1
+    return count
 
 
 def check_flattened_structure(phases: np.ndarray, base: np.ndarray, tol: float = _ANGLE_TOL) -> bool:
@@ -363,8 +351,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         if mode == "recursive":
             be = qet_recursive_step(be, base)
         else:
-            be = BlockEncoding(qet_assemble(be0, flat), be0.system_dim,
-                               be0.ancilla_dim, be0.reference_index, be0.alpha)
+            be = qet_recursive_step(be0, flat)
         err = operator_norm(extract(be) - target)
         ms = (time.perf_counter() - t0) * 1e3
         report.rows.append(IterationRow(k, err, error_bound(delta, k, l),

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._kernels import phase_chain
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, InputError, NumericError, read_json
 from .poly import (ComplexPolynomial, conj_poly, deflate_pade_square, pade,
                    poly_eval, polynomial, roots_in_u)
 
@@ -316,16 +316,8 @@ def analytic_pade_phases(l: int) -> np.ndarray:
 
 # ------------------------------------------------------------------- file io
 
-def _reject_constant(name: str):
-    raise InputError(f"non-finite value {name!r} in phase file")
-
-
 def load_phases(path: str) -> tuple[str, np.ndarray]:
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh, parse_constant=_reject_constant)
-        except json.JSONDecodeError as exc:
-            raise InputError(f"not valid JSON: {path}: {exc}") from exc
+    doc = read_json(path, "phase")
     if not isinstance(doc, dict) or not {"form", "angles"} <= set(doc):
         raise InputError(f"phase file {path} needs keys form, angles")
     form = doc["form"]

@@ -1,12 +1,13 @@
 """Singular-value transformation drivers: polar factor, eigenspace filters.
 
-The same phased product that drives eigenvalues of a Hermitian matrix
-drives singular values of a general one once the rotations alternate
-between the left and right projectors.  With the sign-iteration phases
-this converges to the unitary polar factor.  Conditioning the sign
-unitary on an extra ancilla between a pair of quarter Y rotations turns
-it into a projector onto a chosen eigenspace, which is the preparation
-primitive.
+The phased product of the eigenvalue transform also drives the singular
+values of a general matrix once its oracle is the general dilation.
+Both sides of the encoded block are the same top-block subspace, so the
+one ancilla rotation serves every slot and nothing alternates between
+left and right projectors.  With the sign-iteration phases the product
+converges to the unitary polar factor.  Conditioning the sign unitary on
+an extra ancilla between a pair of quarter Y rotations turns it into a
+projector onto a chosen eigenspace, which is the preparation primitive.
 """
 
 from __future__ import annotations
@@ -16,90 +17,17 @@ import time
 
 import numpy as np
 
-from .blockenc import BlockEncoding, dilate_general
+from .blockenc import BlockEncoding, dilate_general, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, operator_norm, polar_oracle,
                      require_hermitian, require_square)
-from .poly import pade, poly_eval
+from .poly import pade
 from .qet import (IterationReport, IterationRow, compose_phases,
-                  distinct_nonzero_angles, error_bound, query_count,
-                  run_sign, sign_iterations, template_daggers)
+                  distinct_nonzero_angles, error_bound, qet_recursive_step,
+                  query_count, run_sign, sign_iterations)
 from .qsp import pade_phases
 
-_PROJ_TOL = 1e-12
 _STEP_TOL = 1e-10
-
-
-@dataclass(frozen=True)
-class QsvtEncoding:
-    """Unitary with the target matrix in the corner the projectors select."""
-
-    unitary: np.ndarray
-    proj_left: np.ndarray
-    proj_right: np.ndarray
-
-
-def _check_projector(P: np.ndarray, what: str) -> np.ndarray:
-    P = require_square(np.asarray(P, dtype=np.complex128))
-    if np.abs(P - P.conj().T).max() > _PROJ_TOL or np.abs(P @ P - P).max() > _PROJ_TOL:
-        raise DomainError(f"{what} is not a Hermitian idempotent")
-    return P
-
-
-def _coordinate_indices(P: np.ndarray, what: str) -> np.ndarray:
-    d = np.real(np.diag(P))
-    on = np.abs(d - 1.0) <= 1e-9
-    off = np.abs(d) <= 1e-9
-    if not np.all(on | off) or np.abs(P - np.diag(np.diag(P))).max() > _PROJ_TOL:
-        raise DomainError(f"{what} must be a coordinate projector to address a block")
-    return np.flatnonzero(on)
-
-
-def encode_for_qsvt(A: np.ndarray) -> QsvtEncoding:
-    """General dilation of A with top-block projectors on both sides."""
-    be = dilate_general(A)
-    d = be.system_dim
-    proj = np.diag(np.concatenate((np.ones(d), np.zeros(d)))).astype(np.complex128)
-    return QsvtEncoding(be.unitary, proj, proj)
-
-
-def restricted_block(enc: QsvtEncoding) -> np.ndarray:
-    """The matrix the encoding carries: rows from the left projector,
-    columns from the right one."""
-    rows = _coordinate_indices(enc.proj_left, "left projector")
-    cols = _coordinate_indices(enc.proj_right, "right projector")
-    return enc.unitary[np.ix_(rows, cols)]
-
-
-def _projector_rotation(phi: float, P: np.ndarray) -> np.ndarray:
-    return np.exp(1j * phi) * P + np.exp(-1j * phi) * (np.eye(P.shape[0]) - P)
-
-
-def qsvt_assemble(enc: QsvtEncoding, phases: np.ndarray) -> np.ndarray:
-    """Alternating phased product acting on singular values.
-
-    Odd length only: an even product ends on the adjoint oracle and maps
-    the right space to itself, which encodes a different (even) function
-    class this driver does not use.  Rotations next to the plain oracle
-    use the left projector, those next to the adjoint the right one.
-    """
-    phases = np.asarray(phases, dtype=np.float64)
-    if phases.ndim != 1 or len(phases) == 0:
-        raise InputError("phase list must be a nonempty 1-d array")
-    if len(phases) % 2 == 0:
-        raise DomainError("phase list must have odd length for a singular-value transform")
-    PL = _check_projector(enc.proj_left, "left projector")
-    PR = _check_projector(enc.proj_right, "right projector")
-    U, Ud = enc.unitary, enc.unitary.conj().T
-    out = np.eye(U.shape[0], dtype=np.complex128)
-    for phi, dag in zip(phases, template_daggers(len(phases))):
-        rot = _projector_rotation(phi, PR if dag else PL)
-        out = out @ rot @ (Ud if dag else U)
-    return out
-
-
-def qsvt_step(enc: QsvtEncoding, phases: np.ndarray) -> QsvtEncoding:
-    return QsvtEncoding(qsvt_assemble(enc, phases), enc.proj_left, enc.proj_right)
 
 
 def _gram_update(X: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -125,6 +53,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     Requires all singular values in [delta, 1].  Each step is checked
     against both Gram-side closed forms of the iteration polynomial; the
     reported error is against an independently computed polar factor.
+    Returns (encoding, report); extract(encoding) is the final iterate.
     """
     A = require_square(np.asarray(A, dtype=np.complex128))
     gram = A.conj().T @ A
@@ -142,7 +71,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
         raise DomainError(f"{n} levels exceed the depth cap {max_depth}")
     base = pade_phases(l)
     report = IterationReport("polar", delta, eps, l)
-    enc = encode_for_qsvt(A)
+    enc = dilate_general(A)
     if n == 0:
         report.rows.append(IterationRow(0, operator_norm(A - unitary_factor),
                                         error_bound(delta, 0, l), 1, 0, 0.0))
@@ -151,8 +80,8 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     flat = base
     for k in range(1, n + 1):
         t0 = time.perf_counter()
-        enc = qsvt_step(enc, base)
-        X = restricted_block(enc)
+        enc = qet_recursive_step(enc, base)
+        X = extract(enc)
         via_right, via_left = _gram_update(X_prev, l)
         dev = max(float(np.abs(X - via_right).max()), float(np.abs(X - via_left).max()))
         if dev > _STEP_TOL:

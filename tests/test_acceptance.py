@@ -17,7 +17,7 @@ from rqet import (analytic_pade_phases, canonicalize_angles,
                   filtering_operator, flatten_sign_phases, matrix_sign,
                   operator_norm, pade, poly_eval, polar_oracle, polynomial,
                   preparation_projector, qet_assemble, query_count,
-                  recovery_cost, reflection_upper_left, restricted_block,
+                  recovery_cost, reflection_upper_left,
                   run_polar, run_sign)
 from conftest import hermitian_with_spectrum
 
@@ -156,7 +156,7 @@ def test_criterion_09_polar_decomposition():
     A = (U * sv[None, :]) @ V.conj().T
     enc, rep = run_polar(A, 0.5, 4.233e-4, levels=3)
     U_ref, _ = polar_oracle(A)
-    err = operator_norm(restricted_block(enc) - U_ref)
+    err = operator_norm(extract(enc) - U_ref)
     bound = 0.75 ** 27
     # the per-step 1e-10 agreement between both update forms is enforced
     # inside run_polar; reaching this line means it held

@@ -5,7 +5,8 @@ import pytest
 
 from rqet import (DomainError, InputError, NumericError, hermitian_eig,
                   load_matrix, matrix_function_hermitian, matrix_sign,
-                  operator_norm, polar_oracle, save_matrix, unitarity_check)
+                  operator_norm, polar_oracle, run_polar, run_sign,
+                  save_matrix, unitarity_check)
 from conftest import hermitian_with_spectrum
 
 
@@ -139,6 +140,20 @@ def test_polar_oracle_rejects_singular():
     M[0, 0] = 1.0
     with pytest.raises(DomainError):
         polar_oracle(M)
+
+
+def test_non_finite_entries_are_domain_errors():
+    # a NaN fails every comparison, so the Hermiticity test alone cannot catch it
+    with pytest.raises(DomainError):
+        hermitian_eig(np.array([[np.nan]]))
+    A = np.diag([0.6, -0.7]).astype(complex)
+    A[0, 0] = np.inf
+    with pytest.raises(DomainError):
+        run_sign(A, 0.5, 1e-6)
+    B = np.diag([0.6, 0.7]).astype(complex)
+    B[1, 0] = np.nan
+    with pytest.raises(DomainError):
+        run_polar(B, 0.5, 1e-6)
 
 
 def test_matrix_json_roundtrip(tmp_path):

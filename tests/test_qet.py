@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, InputError, ScalarSignTable,
                   analytic_pade_phases, canonicalize_angles,
@@ -10,7 +11,7 @@ from rqet import (DomainError, InputError, ScalarSignTable,
                   pade, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
-from rqet.qet import plan_from_phases, scalar_grid, template_daggers
+from rqet.qet import scalar_grid, template_daggers
 from conftest import hermitian_with_spectrum
 
 
@@ -26,8 +27,9 @@ def test_template_daggers_pattern():
 
 
 def test_plan_rejects_empty():
+    be = dilate_hermitian(np.diag([0.5, -0.5]).astype(complex))
     with pytest.raises(InputError):
-        plan_from_phases(np.array([]))
+        qet_assemble(be, np.array([]))
 
 
 @pytest.mark.parametrize("q", [2, 3, 4, 5, 6, 7])
@@ -241,3 +243,26 @@ def test_scalar_sign_iterate_matches_numpy_iteration():
         y = float(np.real(poly_eval(p, y)))
     assert scalar_sign_iterate(0.3, 2, 3) == y
     assert abs(scalar_sign_iterate(0.3, 2, 1) - 0.52966125) < 1e-15
+
+
+def test_distinct_angles_merge_across_pi_seam():
+    assert distinct_nonzero_angles(np.array([np.pi - 1e-12, -np.pi + 1e-12])) == 1
+    assert distinct_nonzero_angles(np.array([np.pi - 1e-12, -np.pi + 1e-12, 0.5])) == 2
+
+
+# Angles are k pi/40 plus a jitter far below the clustering tolerance,
+# so every true cluster gap is either ~1e-11 or at least pi/40.
+_jittered_grid_angle = st.tuples(st.integers(-40, 40), st.floats(-1e-11, 1e-11))
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(_jittered_grid_angle, min_size=1, max_size=12),
+       st.data())
+def test_distinct_angles_invariant_under_2pi_shift(angles, data):
+    phases = np.array([k * np.pi / 40 + jit for k, jit in angles])
+    residues = {k % 80 for k, _ in angles} - {0}
+    assert distinct_nonzero_angles(phases) == len(residues)
+    i = data.draw(st.integers(0, len(phases) - 1))
+    shifted = phases.copy()
+    shifted[i] += data.draw(st.sampled_from([-2.0 * np.pi, 2.0 * np.pi]))
+    assert distinct_nonzero_angles(shifted) == len(residues)

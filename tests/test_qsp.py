@@ -1,10 +1,11 @@
 import numpy as np
 import pytest
 
-from rqet import (DomainError, NumericError, analytic_pade_phases,
-                  canonicalize_angles, chebyshev_reflection_phases,
-                  complementary_poly, find_phases_rotation, load_phases,
-                  pade, pade_phases, poly_eval, polynomial, qsp,
+from rqet import (DomainError, InputError, NumericError,
+                  analytic_pade_phases, canonicalize_angles,
+                  chebyshev_reflection_phases, complementary_poly,
+                  find_phases_rotation, load_phases, load_poly, pade,
+                  pade_phases, poly_eval, polynomial, qsp,
                   qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from rqet._kernels import phase_chain
@@ -173,6 +174,18 @@ def test_phases_json_roundtrip(tmp_path):
     form, back = load_phases(str(path))
     assert form == "reflection"
     assert np.abs(back - phases).max() == 0.0
+
+
+@pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])
+def test_poly_and_phase_files_reject_non_finite(tmp_path, constant):
+    poly_path = tmp_path / "p.json"
+    poly_path.write_text(f'{{"coeffs": [[0.0, 0.0], [{constant}, 0.0]], "parity": "odd"}}')
+    with pytest.raises(InputError, match="non-finite value"):
+        load_poly(str(poly_path))
+    phase_path = tmp_path / "ph.json"
+    phase_path.write_text(f'{{"form": "reflection", "angles": [0.5, {constant}]}}')
+    with pytest.raises(InputError, match="non-finite value"):
+        load_phases(str(phase_path))
 
 
 def test_phase_chain_matches_direct_product():

@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from rqet import (DomainError, NumericError, analytic_pade_phases,
-                  encode_for_qsvt, filtering_operator, matrix_sign,
+                  dilate_general, extract, filtering_operator, matrix_sign,
                   operator_norm, polar_oracle, preparation_projector,
-                  project_state, qsvt_assemble, restricted_block, run_polar)
-from rqet.qsvt import qsvt_step
+                  project_state, qet_recursive_step, run_polar)
 from conftest import hermitian_with_spectrum
 
 
@@ -20,21 +19,12 @@ def random_with_singulars(seed, sv):
 
 def test_encode_block_is_input():
     A = random_with_singulars(1, [0.6, 0.9])
-    enc = encode_for_qsvt(A)
-    assert np.abs(restricted_block(enc) - A).max() < 1e-12
-
-
-def test_qsvt_rejects_even_length():
-    A = random_with_singulars(2, [0.7, 0.8])
-    enc = encode_for_qsvt(A)
-    with pytest.raises(DomainError):
-        qsvt_assemble(enc, np.zeros(4))
+    assert np.abs(extract(dilate_general(A)) - A).max() < 1e-12
 
 
 def test_single_qsvt_step_transforms_singulars():
     A = random_with_singulars(3, [0.55, 0.75, 0.95])
-    enc = qsvt_step(encode_for_qsvt(A), analytic_pade_phases(2))
-    X = restricted_block(enc)
+    X = extract(qet_recursive_step(dilate_general(A), analytic_pade_phases(2)))
     U, s, Vh = np.linalg.svd(A)
     p = lambda x: (15 * x - 10 * x ** 3 + 3 * x ** 5) / 8
     ref = (U * p(s)[None, :]) @ Vh
@@ -43,8 +33,7 @@ def test_single_qsvt_step_transforms_singulars():
 
 def test_hermitian_input_reduces_to_eigen_case():
     A, Q = hermitian_with_spectrum(5, [0.6, -0.8, 0.95])
-    enc = qsvt_step(encode_for_qsvt(A), analytic_pade_phases(2))
-    X = restricted_block(enc)
+    X = extract(qet_recursive_step(dilate_general(A), analytic_pade_phases(2)))
     w, V = np.linalg.eigh(A)
     p = lambda x: (15 * x - 10 * x ** 3 + 3 * x ** 5) / 8
     ref = (V * p(w)[None, :]) @ V.conj().T
@@ -56,7 +45,7 @@ def test_run_polar_converges():
     enc, rep = run_polar(A, 0.5, 1e-8)
     U_ref, _ = polar_oracle(A)
     assert rep.converged
-    assert operator_norm(restricted_block(enc) - U_ref) < 1e-8
+    assert operator_norm(extract(enc) - U_ref) < 1e-8
     for row in rep.rows:
         assert row.error <= row.bound
 
