@@ -9,6 +9,12 @@ tail phases are multiplied in one at a time.  That is about 3*sqrt(N)
 Python-level steps instead of N, and no complex temporary grows with
 the length of the phase list.  The grouping differs from a left-to-right
 loop, so results agree with it to rounding, not bit for bit.
+
+Only the top row of each block is multiplied out: a product of k
+factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]] with
+s = (-1)^(k+1).  Conjugation commutes with complex rounding, and
+u - v == -(v - u), so the bottom row read off the top one is bit for
+bit the row a full multiply gives.
 """
 
 from __future__ import annotations
@@ -33,16 +39,13 @@ def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     nb = len(phases) // k
     blocks = phases[: nb * k].reshape(nb, k)
 
-    # one 2x2 product per block and point; factor j of every block at once
+    # top row of one 2x2 product per block and point; factor j of every block at once
     m00 = np.ones((nb, len(x)), dtype=np.complex128)
     m01 = np.zeros_like(m00)
-    m10 = np.zeros_like(m00)
-    m11 = np.ones_like(m00)
     for j in range(k):
         ep = np.exp(1j * blocks[:, j])[:, None]
-        em = ep.conj()
-        m00, m01 = _times_factor(m00, m01, ep, em, x, w)
-        m10, m11 = _times_factor(m10, m11, ep, em, x, w)
+        m00, m01 = _times_factor(m00, m01, ep, ep.conj(), x, w)
+    m10, m11 = (m01.conj(), -m00.conj()) if k % 2 else (-m01.conj(), m00.conj())
 
     # only the top row of the running product is needed from here on
     r0 = np.ones(len(x), dtype=np.complex128)

@@ -24,6 +24,7 @@ from .poly import pade, poly_eval
 from .qsp import canonicalize_angles, pade_phases, reflection_upper_left
 
 _ANGLE_TOL = 1e-9
+MAX_PHASES = 5 ** 10  # longest flattened list a driver builds: 78 MB of float64
 
 
 def template_daggers(q: int) -> np.ndarray:
@@ -66,41 +67,34 @@ def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     sign of the rotation that follows, carried into the next junction.
     Merged junction angles are canonicalized; the operator is unchanged
     because the rotations are 2pi-periodic in the phase.
+
+    The parities always close: the template ends on a plain slot, so no
+    carry is left, and the substituted daggers equal the full template.
     """
     outer = np.asarray(outer, dtype=np.float64)
     inner = np.asarray(inner, dtype=np.float64)
     if outer.ndim != 1 or inner.ndim != 1 or len(outer) == 0 or len(inner) == 0:
         raise InputError("phase lists must be nonempty 1-d arrays")
-    out_dag = template_daggers(len(outer))
-    in_dag = template_daggers(len(inner))
-    segments: list[np.ndarray] = []
-    dags: list[np.ndarray] = []
-    carry = 0.0
-    for a, dag in zip(outer, out_dag):
-        head = a + carry
-        if not dag:
-            seg = np.concatenate(([head + inner[0]], inner[1:]))
-            dags.append(in_dag)
-            carry = 0.0
-        else:
-            seg = np.concatenate(([head], -inner[:0:-1]))
-            dags.append(~in_dag[::-1])
-            carry = -inner[0]
-        segments.append(seg)
-    if abs(carry) > 1e-12:
-        raise DomainError("inner phase list leaves a dangling rotation after the last adjoint slot; "
-                          "its leading phase must vanish for adjoint substitution to close")
-    composed = canonicalize_angles(np.concatenate(segments))
-    if not np.array_equal(np.concatenate(dags), template_daggers(len(composed))):
-        raise DomainError("composed dagger pattern does not match the template; "
-                          "the two lists have incompatible parities")
-    return composed
+    dag = template_daggers(len(outer))
+    carry = np.where(np.concatenate(([False], dag[:-1])), -inner[0], 0.0)
+    head = np.where(dag, outer + carry, outer + carry + inner[0])
+    body = np.where(dag[:, None], -inner[:0:-1], inner[1:])
+    return canonicalize_angles(np.column_stack((head, body)).reshape(-1))
+
+
+def _check_phase_count(levels: int, l: int) -> None:
+    """Refuse a flattened list longer than MAX_PHASES before building it."""
+    count = query_count(levels, l)
+    if count > MAX_PHASES:
+        raise DomainError(f"{levels} levels need {count} phases (~{8 * count / 1e6:,.0f} MB "
+                          f"per float64 list), over the cap of {MAX_PHASES}")
 
 
 def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
     """Single phase list for `levels` nested sign-iteration steps."""
     if levels < 1:
         raise InputError("levels must be at least 1")
+    _check_phase_count(levels, l)
     base = pade_phases(l)
     flat = base
     for _ in range(levels - 1):
@@ -298,7 +292,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     level from one composed phase list, "scalar" evaluates the flattened
     product on the eigenvalues plus a 21-point grid.  Matrix modes
     refuse depths past max_matrix_depth because the flattened check
-    grows as 5^n; the scalar path has no such cap.
+    grows as 5^n; every mode refuses lists longer than MAX_PHASES.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -315,6 +309,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     if mode != "scalar" and n > max_matrix_depth:
         raise DomainError(f"{n} levels exceed the matrix-mode depth cap "
                           f"{max_matrix_depth}; use scalar mode or raise the cap")
+    _check_phase_count(n, l)
     base = pade_phases(l)
     target = _sign_of(spectrum)
     report = IterationReport(mode, delta, eps, l)
@@ -327,10 +322,9 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             return ScalarSignTable(pts, pts.astype(np.complex128)), report
         return _dilate_spectrum(A, spectrum), report
 
+    flat = base
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
-        flat = base
-        table = None
         for k in range(1, n + 1):
             t0 = time.perf_counter()
             vals = reflection_upper_left(flat, pts)
@@ -338,14 +332,12 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             ms = (time.perf_counter() - t0) * 1e3
             report.rows.append(IterationRow(k, err, error_bound(delta, k, l),
                                             query_count(k, l), distinct_nonzero_angles(flat), ms))
-            table = ScalarSignTable(pts, vals)
             if k < n:
                 flat = compose_phases(flat, base)
-        return table, report
+        return ScalarSignTable(pts, vals), report
 
     be0 = _dilate_spectrum(A, spectrum)
     be = be0
-    flat = base
     for k in range(1, n + 1):
         t0 = time.perf_counter()
         if mode == "recursive":

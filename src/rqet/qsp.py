@@ -18,8 +18,8 @@ from numpy.polynomial import polynomial as P
 
 from ._kernels import phase_chain
 from .errors import DomainError, InputError, NumericError, read_json
-from .poly import (ComplexPolynomial, conj_poly, deflate_pade_square, pade,
-                   poly_eval, polynomial, roots_in_u)
+from .poly import (ComplexPolynomial, deflate_pade_square, pade, poly_eval,
+                   polynomial, roots_in_u)
 
 _ZERO_TOL = 1e-12        # coefficients zeroed during the reduction
 _IDENTITY_TOL = 1e-9

@@ -22,9 +22,9 @@ from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
-from .qet import (IterationReport, IterationRow, compose_phases,
-                  distinct_nonzero_angles, error_bound, qet_recursive_step,
-                  query_count, run_sign, sign_iterations)
+from .qet import (IterationReport, IterationRow, _check_phase_count,
+                  compose_phases, distinct_nonzero_angles, error_bound,
+                  qet_recursive_step, query_count, run_sign, sign_iterations)
 from .qsp import pade_phases
 
 _STEP_TOL = 1e-10
@@ -69,6 +69,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
         raise InputError("levels must be nonnegative")
     if n > max_depth:
         raise DomainError(f"{n} levels exceed the depth cap {max_depth}")
+    _check_phase_count(n, l)
     base = pade_phases(l)
     report = IterationReport("polar", delta, eps, l)
     enc = dilate_general(A)

@@ -8,7 +8,6 @@ wall-clock cap measured around the computational core.
 import time
 
 import numpy as np
-import pytest
 
 from rqet import (analytic_pade_phases, canonicalize_angles,
                   check_flattened_structure, check_qet_conditions,

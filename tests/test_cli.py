@@ -3,9 +3,6 @@ import os
 import subprocess
 import sys
 
-import numpy as np
-import pytest
-
 from rqet import save_matrix
 from rqet.cli import main
 from conftest import hermitian_with_spectrum
@@ -181,3 +178,19 @@ def test_main_callable_directly(capsys):
     assert code == 0
     captured = capsys.readouterr()
     assert json.loads(captured.out)["query_count"] == 5
+
+
+def test_over_cap_runs_fail_before_composing(monkeypatch, capsys):
+    # 5^12 phases would take ~2 GB per list; nothing may be built
+    def refuse(*_):
+        raise AssertionError("compose_phases called past the phase cap")
+
+    monkeypatch.setattr("rqet.qet.compose_phases", refuse)
+    code = main(["sign-run", "--seed", "1", "--dim", "2", "--gap", "0.1",
+                 "--epsilon", "1e-10", "--mode", "scalar", "--iters", "12"])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert "244140625 phases" in err and "1,953 MB" in err
+    assert main(["phases", "--pade-l", "2", "--iters", "11"]) == 3
+    assert main(["polar-run", "--seed", "1", "--dim", "2",
+                 "--iters", "11", "--max-depth", "11"]) == 3

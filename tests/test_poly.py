@@ -4,7 +4,7 @@ from math import comb
 import numpy as np
 import pytest
 
-from rqet import (DomainError, InputError, NumericError, check_qet_conditions,
+from rqet import (DomainError, InputError, check_qet_conditions,
                   deflate_pade_square, load_poly, pade, poly_eval, polynomial,
                   roots_in_u, save_poly)
 from rqet.poly import _durand_kerner, _roots_cubic, _roots_quadratic, _roots_quartic

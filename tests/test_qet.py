@@ -7,11 +7,11 @@ from rqet import (DomainError, InputError, ScalarSignTable,
                   check_flattened_structure, chebyshev_reflection_phases,
                   coherent_perturb, complexity_estimate, compose_phases,
                   dilate_hermitian, distinct_nonzero_angles, error_bound,
-                  extract, flatten_sign_phases, matrix_sign, operator_norm,
+                  extract, flatten_sign_phases, hermitian_eig, operator_norm,
                   pade, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
-from rqet.qet import scalar_grid, template_daggers
+from rqet.qet import MAX_PHASES, _check_phase_count, scalar_grid, template_daggers
 from conftest import hermitian_with_spectrum
 
 
@@ -66,6 +66,50 @@ def test_compose_associative_and_faithful():
     nested = qet_recursive_step(qet_recursive_step(qet_recursive_step(be, base), base), base)
     assert operator_norm(Ua - nested.unitary) < 1e-12
     assert operator_norm(Ub - nested.unitary) < 1e-12
+
+
+def _compose_slot_loop(outer, inner):
+    """Reference: substitute the inner list slot by slot, carrying the
+    adjoint's flipped leading rotation into the next junction."""
+    segments, carry = [], 0.0
+    for a, dag in zip(outer, template_daggers(len(outer))):
+        if dag:
+            segments.append(np.concatenate(([a + carry], -inner[:0:-1])))
+            carry = -inner[0]
+        else:
+            segments.append(np.concatenate(([a + carry + inner[0]], inner[1:])))
+            carry = 0.0
+    return canonicalize_angles(np.concatenate(segments))
+
+
+_phase_list = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=9).map(np.array)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_phase_list, _phase_list)
+def test_compose_matches_slot_loop(outer, inner):
+    assert np.array_equal(compose_phases(outer, inner), _compose_slot_loop(outer, inner))
+
+
+def test_compose_parities_close_for_all_lengths():
+    # any outer/inner lengths compose, and the flat product is the nested one
+    rng = np.random.default_rng(3)
+    A, _ = hermitian_with_spectrum(5, [0.7, -0.4])
+    be = dilate_hermitian(A)
+    for q_out in range(1, 8):
+        for q_in in range(1, 8):
+            outer = rng.uniform(-np.pi, np.pi, q_out)
+            inner = rng.uniform(-np.pi, np.pi, q_in)
+            flat = qet_assemble(be, compose_phases(outer, inner))
+            nested = qet_assemble(qet_recursive_step(be, inner), outer)
+            assert operator_norm(flat - nested) < 1e-12, (q_out, q_in)
+
+
+def test_phase_cap_admits_five_to_the_tenth():
+    assert query_count(10, 2) == MAX_PHASES
+    _check_phase_count(10, 2)
+    with pytest.raises(DomainError, match="48828125 phases"):
+        _check_phase_count(11, 2)
 
 
 def test_compose_scalar_against_iterate():
@@ -266,3 +310,23 @@ def test_distinct_angles_invariant_under_2pi_shift(angles, data):
     shifted = phases.copy()
     shifted[i] += data.draw(st.sampled_from([-2.0 * np.pi, 2.0 * np.pi]))
     assert distinct_nonzero_angles(shifted) == len(residues)
+
+
+_gapped_eigenvalue = st.tuples(st.floats(0.3, 1.0), st.booleans()).map(
+    lambda t: t[0] if t[1] else -t[0])
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.lists(_gapped_eigenvalue, min_size=1, max_size=4), st.integers(1, 3),
+       st.sampled_from([2, 4, 6, 8]), st.integers(0, 2 ** 16))
+def test_run_sign_modes_agree_on_random_spectra(eigenvalues, levels, l, seed):
+    A, _ = hermitian_with_spectrum(seed, eigenvalues)
+    rec, _ = run_sign(A, 0.3, 1e-8, l, mode="recursive", levels=levels)
+    flat, _ = run_sign(A, 0.3, 1e-8, l, mode="flattened", levels=levels)
+    table, _ = run_sign(A, 0.3, 1e-8, l, mode="scalar", levels=levels)
+    w, V = hermitian_eig(A)
+    at = np.searchsorted(table.points, w)
+    assert np.array_equal(table.points[at], w)
+    via_scalar = (V * table.values[at][None, :]) @ V.conj().T
+    assert operator_norm(extract(flat) - extract(rec)) < 1e-10
+    assert operator_norm(via_scalar - extract(rec)) < 1e-10

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from rqet import (DomainError, NumericError, analytic_pade_phases,
+from rqet import (DomainError, analytic_pade_phases,
                   dilate_general, extract, filtering_operator, matrix_sign,
                   operator_norm, polar_oracle, preparation_projector,
                   project_state, qet_recursive_step, run_polar)
