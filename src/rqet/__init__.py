@@ -16,10 +16,9 @@ from .qet import (IterationReport, ScalarSignTable, check_flattened_structure,
                   qet_assemble, qet_recursive_step, query_count,
                   recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
-from .qsp import (analytic_pade_phases, canonicalize_angles,
-                  chebyshev_reflection_phases, complementary_poly,
-                  find_phases_rotation, load_phases, pade_phases,
-                  qsp_reflection_eval, qsp_rotation_eval,
+from .qsp import (canonicalize_angles, chebyshev_reflection_phases,
+                  complementary_poly, find_phases_rotation, load_phases,
+                  pade_phases, qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from .qsvt import (FilterResult, PreparationResult, filtering_operator,
                    preparation_projector, project_state, run_polar)

@@ -3,19 +3,23 @@
 A matrix with operator norm at most 1 embeds in the top-left block of a
 unitary twice its size.  The Hermitian dilation [[A, B], [B, -A]] with
 B = sqrt(I - A^2) also squares to the identity, which is what the
-eigenvalue-transformation product relies on.  alpha is carried for
-bookkeeping and stays 1 at this scale.
+eigenvalue-transformation product relies on.  The layout is fixed: the
+encoded matrix is the top-left block, the ancilla is one qubit and the
+scale alpha is 1, so an encoding carries only its unitary and the
+system dimension.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import (Spectrum, hermitian_eig, matrix_function_hermitian,
-                     operator_norm, require_hermitian, require_square)
+from .linalg import (Spectrum, _unitarity_deviation, hermitian_eig,
+                     matrix_function_hermitian, operator_norm,
+                     require_hermitian, require_square)
 
 _NORM_SLACK = 1e-12
 _UNITARITY_TOL = 1e-12
@@ -25,9 +29,9 @@ _UNITARITY_TOL = 1e-12
 class BlockEncoding:
     unitary: np.ndarray
     system_dim: int
-    ancilla_dim: int
-    reference_index: int
-    alpha: float = 1.0
+    ancilla_dim: ClassVar[int] = 2
+    reference_index: ClassVar[int] = 0   # the encoded block is the top-left one
+    alpha: ClassVar[float] = 1.0
 
     @property
     def total_dim(self) -> int:
@@ -35,25 +39,25 @@ class BlockEncoding:
 
 
 def extract(be: BlockEncoding) -> np.ndarray:
-    """The encoded matrix: alpha times the reference block of the unitary."""
-    d, r = be.system_dim, be.reference_index
-    return be.alpha * be.unitary[r * d : (r + 1) * d, r * d : (r + 1) * d]
+    """The encoded matrix: a copy of the top-left block of the unitary."""
+    d = be.system_dim
+    return be.unitary[:d, :d].copy()
 
 
 def ancilla_rotation(be: BlockEncoding, phi: float) -> np.ndarray:
-    """exp(i phi (2 P_ref - I)) on the ancilla, identity on the system."""
-    return np.diag(rotation_diagonal(phi, be.ancilla_dim, be.system_dim, be.reference_index))
+    """exp(i phi (2 P_top - I)) on the ancilla, identity on the system."""
+    return np.diag(rotation_diagonal(phi, be.system_dim))
 
 
-def rotation_diagonal(phi: float, ancilla_dim: int, system_dim: int, reference_index: int) -> np.ndarray:
-    """Diagonal of the ancilla reflection rotation, as a vector."""
-    diag = np.full(ancilla_dim * system_dim, np.exp(-1j * phi), dtype=np.complex128)
-    diag[reference_index * system_dim : (reference_index + 1) * system_dim] = np.exp(1j * phi)
+def rotation_diagonal(phi: float, system_dim: int) -> np.ndarray:
+    """Diagonal of the ancilla reflection rotation: e^{i phi} on the top block."""
+    diag = np.full(2 * system_dim, np.exp(-1j * phi), dtype=np.complex128)
+    diag[:system_dim] = np.exp(1j * phi)
     return diag
 
 
 def _check_unitary(U: np.ndarray, what: str) -> None:
-    dev = float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())
+    dev = _unitarity_deviation(U)
     if dev > _UNITARITY_TOL:
         raise NumericError(f"{what} failed the unitarity check by {dev:.3e}")
 
@@ -73,7 +77,7 @@ def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
     B = (B + B.conj().T) / 2
     U = np.block([[A, B], [B, -A]])
     _check_unitary(U, "Hermitian dilation")
-    return BlockEncoding(U, A.shape[0], 2, 0, 1.0)
+    return BlockEncoding(U, A.shape[0])
 
 
 def dilate_general(A: np.ndarray) -> BlockEncoding:
@@ -87,4 +91,4 @@ def dilate_general(A: np.ndarray) -> BlockEncoding:
                                      lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
     U = np.block([[A, left], [right, -A.conj().T]])
     _check_unitary(U, "general dilation")
-    return BlockEncoding(U, A.shape[0], 2, 0, 1.0)
+    return BlockEncoding(U, A.shape[0])

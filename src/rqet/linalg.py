@@ -18,6 +18,8 @@ from .errors import DomainError, InputError, NumericError, read_json
 
 MAX_DIM = 64
 HERMITICITY_TOL = 1e-12
+_SIGN_ZERO_TOL = 1e-12   # eigenvalues this close to zero, relative to the norm, have no sign
+_RESIDUAL_TOL = 1e-10    # unitarity and polar-factorization residuals
 
 
 class Spectrum(NamedTuple):
@@ -34,12 +36,12 @@ def require_square(M: np.ndarray) -> np.ndarray:
     return M
 
 
-def require_hermitian(M: np.ndarray, tol: float = HERMITICITY_TOL) -> np.ndarray:
-    """Square and Hermitian within tol, else a domain error naming the entry."""
+def require_hermitian(M: np.ndarray) -> np.ndarray:
+    """Square and Hermitian within HERMITICITY_TOL, else a domain error naming the entry."""
     M = require_square(M)
     dev = np.abs(M - M.conj().T)
     worst = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[worst] > tol:
+    if dev[worst] > HERMITICITY_TOL:
         i, j = int(worst[0]), int(worst[1])
         raise DomainError(
             f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {dev[worst]:.3e}"
@@ -65,15 +67,10 @@ def hermitian_eig(M: np.ndarray) -> Spectrum:
 
 
 def matrix_function_hermitian(M: np.ndarray, f: Callable) -> np.ndarray:
-    """Apply a scalar function to a Hermitian matrix through its spectrum."""
+    """Apply a vectorized scalar function to a Hermitian matrix through its spectrum."""
     w, V = hermitian_eig(M)
     with np.errstate(all="ignore"):
-        try:
-            fw = np.asarray(f(w), dtype=np.complex128)
-            if fw.shape != w.shape:
-                raise TypeError
-        except TypeError:
-            fw = np.array([complex(f(v)) for v in w], dtype=np.complex128)
+        fw = np.asarray(f(w), dtype=np.complex128)
     if not np.all(np.isfinite(fw)):
         bad = w[~np.isfinite(fw)][0]
         raise DomainError(f"function is undefined at eigenvalue {bad!r}")
@@ -91,16 +88,16 @@ def operator_norm(M: np.ndarray) -> float:
     return math.sqrt(max(0.0, float(w[-1])))
 
 
-def matrix_sign(M: np.ndarray, zero_tol: float = 1e-12) -> np.ndarray:
-    """Spectral sign oracle; rejects eigenvalues within zero_tol of zero."""
-    return _sign_of(hermitian_eig(M), zero_tol)
+def matrix_sign(M: np.ndarray) -> np.ndarray:
+    """Spectral sign oracle; rejects eigenvalues within _SIGN_ZERO_TOL of zero."""
+    return _sign_of(hermitian_eig(M))
 
 
-def _sign_of(spectrum: Spectrum, zero_tol: float = 1e-12) -> np.ndarray:
+def _sign_of(spectrum: Spectrum) -> np.ndarray:
     """The sign oracle of an already solved spectrum."""
     w, V = spectrum
     scale = max(1.0, float(np.abs(w).max()))
-    if np.any(np.abs(w) <= zero_tol * scale):
+    if np.any(np.abs(w) <= _SIGN_ZERO_TOL * scale):
         raise DomainError("sign is undefined: an eigenvalue sits at zero within tolerance")
     return (V * np.sign(w)) @ V.conj().T
 
@@ -119,17 +116,19 @@ def polar_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         raise DomainError(f"polar factor is ill-conditioned: smallest singular value {sigma[0]:.3e}")
     P = (V * sigma) @ V.conj().T
     U = M @ ((V * (1.0 / sigma)) @ V.conj().T)
-    n = M.shape[0]
-    if np.abs(U.conj().T @ U - np.eye(n)).max() > 1e-10 or np.abs(U @ P - M).max() > 1e-10:
-        raise NumericError("polar factorization residual exceeded 1e-10")
+    if _unitarity_deviation(U) > _RESIDUAL_TOL or np.abs(U @ P - M).max() > _RESIDUAL_TOL:
+        raise NumericError(f"polar factorization residual exceeded {_RESIDUAL_TOL:g}")
     return U, P
 
 
-def unitarity_check(U: np.ndarray, tol: float = 1e-10) -> bool:
-    """True when U^dag U = I entrywise within tol."""
-    U = require_square(U)
-    dev = np.abs(U.conj().T @ U - np.eye(U.shape[0]))
-    return float(dev.max()) <= tol
+def _unitarity_deviation(U: np.ndarray) -> float:
+    """Largest entry of |U^dag U - I|."""
+    return float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())
+
+
+def unitarity_check(U: np.ndarray) -> bool:
+    """True when U^dag U = I entrywise within 1e-10."""
+    return _unitarity_deviation(require_square(U)) <= _RESIDUAL_TOL
 
 
 # ------------------------------------------------------------------- file io

@@ -21,6 +21,8 @@ from .errors import DomainError, InputError, NumericError, read_json
 
 TRIM_TOL = 1e-14
 PARITY_TOL = 1e-12
+_OUTER_LIMIT = 10.0     # right end of the domination window checked outside [-1, 1]
+_DK_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -106,18 +108,16 @@ def pade(l: int) -> ComplexPolynomial:
     return polynomial(coeffs, "odd")
 
 
-def check_qet_conditions(p: ComplexPolynomial, grid_size: int = 10_000,
-                         outer_limit: float = 10.0) -> ConditionReport:
+def check_qet_conditions(p: ComplexPolynomial, grid_size: int = 10_000) -> ConditionReport:
     """Grid check of the realizability conditions for a candidate polynomial.
 
-    Inside: |p| <= 1 + 1e-9 on [-1, 1].  Outside: |p| >= 1 - 1e-9 on
-    [1, outer_limit].  For even degree additionally |p(ix) p*(ix)| >= 1 - 1e-9
-    on [0, outer_limit].  The witness records the first failing point.
+    Inside: |p| <= 1 + 1e-9 on [-1, 1].  Outside: |p| >= 1 - 1e-9 on the
+    window [1, 10].  For even degree additionally |p(ix) p*(ix)| >= 1 - 1e-9
+    on [0, 10].  Only grid_size is a setting; the [1, 10] window is fixed.
+    The witness records the first failing point.
     """
     if grid_size < 1000:
         raise InputError(f"grid_size must be at least 1000, got {grid_size}")
-    if outer_limit <= 1.0:
-        raise InputError(f"outer_limit must exceed 1, got {outer_limit}")
     degree_ok = p.degree >= 1 and abs(p.coeffs[-1]) > TRIM_TOL
     want = "odd" if p.degree % 2 else "even"
     parity_ok = p.parity == want and _infer_parity(p.coeffs) == want
@@ -131,7 +131,7 @@ def check_qet_conditions(p: ComplexPolynomial, grid_size: int = 10_000,
     if not bounded_inside and witness is None:
         witness = ("bounded_inside", float(xs[bad[0]]), float(vals[bad[0]]))
 
-    xo = np.linspace(1.0, outer_limit, grid_size)
+    xo = np.linspace(1.0, _OUTER_LIMIT, grid_size)
     vo = np.abs(poly_eval(p, xo))
     bad = np.nonzero(vo < 1.0 - tol)[0]
     dominating_outside = len(bad) == 0
@@ -140,7 +140,7 @@ def check_qet_conditions(p: ComplexPolynomial, grid_size: int = 10_000,
 
     even_axis_ok = True
     if p.degree % 2 == 0:
-        xa = np.linspace(0.0, outer_limit, grid_size)
+        xa = np.linspace(0.0, _OUTER_LIMIT, grid_size)
         va = np.abs(poly_eval(p, 1j * xa) * poly_eval(conj_poly(p), 1j * xa))
         bad = np.nonzero(va < 1.0 - tol)[0]
         even_axis_ok = len(bad) == 0
@@ -224,12 +224,12 @@ def _roots_quartic(c: np.ndarray) -> np.ndarray:
     return out - shift
 
 
-def _durand_kerner(c: np.ndarray, max_iter: int = 500) -> np.ndarray:
+def _durand_kerner(c: np.ndarray) -> np.ndarray:
     c = c / c[-1]
     n = len(c) - 1
     scale = max(1.0, float(np.abs(c).max()))
     roots = (0.4 + 0.9j) ** np.arange(1, n + 1)  # perturbed unit-circle starts
-    for _ in range(max_iter):
+    for _ in range(_DK_MAX_ITER):
         vals = P.polyval(roots, c)
         # rounding noise in polyval floors the reachable step size, so
         # convergence is judged on residuals, not on step stagnation
@@ -244,11 +244,11 @@ def _durand_kerner(c: np.ndarray, max_iter: int = 500) -> np.ndarray:
             return roots
     if np.abs(P.polyval(roots, c)).max() <= 1e-10 * scale:
         return roots
-    raise NumericError(f"root iteration did not settle in {max_iter} steps "
+    raise NumericError(f"root iteration did not settle in {_DK_MAX_ITER} steps "
                        f"(last residual {np.abs(P.polyval(roots, c)).max():.3e})")
 
 
-def roots_in_u(q: ComplexPolynomial | np.ndarray, analytic_if_possible: bool = True) -> np.ndarray:
+def roots_in_u(q: ComplexPolynomial | np.ndarray) -> np.ndarray:
     """All roots of a polynomial: closed forms through degree 4, else iterative.
 
     Every returned root is validated against |q(root)| <= 1e-10 relative to
@@ -259,13 +259,13 @@ def roots_in_u(q: ComplexPolynomial | np.ndarray, analytic_if_possible: bool = T
     deg = len(c) - 1
     if deg < 1:
         raise DomainError("constant polynomial has no roots to return")
-    if analytic_if_possible and deg == 1:
+    if deg == 1:
         roots = np.array([-c[0] / c[1]])
-    elif analytic_if_possible and deg == 2:
+    elif deg == 2:
         roots = _roots_quadratic(c)
-    elif analytic_if_possible and deg == 3:
+    elif deg == 3:
         roots = _roots_cubic(c)
-    elif analytic_if_possible and deg == 4:
+    elif deg == 4:
         roots = _roots_quartic(c)
     else:
         roots = _durand_kerner(c)

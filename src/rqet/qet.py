@@ -48,15 +48,14 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     U, Ud = be.unitary, be.unitary.conj().T
     out = np.eye(be.total_dim, dtype=np.complex128)
     for phi, dag in zip(phases, template_daggers(len(phases))):
-        diag = rotation_diagonal(phi, be.ancilla_dim, be.system_dim, be.reference_index)
+        diag = rotation_diagonal(phi, be.system_dim)
         out = (out * diag[None, :]) @ (Ud if dag else U)
     return out
 
 
 def qet_recursive_step(be: BlockEncoding, phases: np.ndarray) -> BlockEncoding:
     """One nesting level: the assembled unitary becomes the next oracle."""
-    return BlockEncoding(qet_assemble(be, phases), be.system_dim,
-                         be.ancilla_dim, be.reference_index, be.alpha)
+    return BlockEncoding(qet_assemble(be, phases), be.system_dim)
 
 
 def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -102,6 +101,16 @@ def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
     return flat
 
 
+def _levels(n: int, base: np.ndarray):
+    """Yield (k, flat_k) for k = 1..n, where flat_k is the flattened list
+    of k nested steps; each list is composed only when its level is reached."""
+    flat = base
+    for k in range(1, n + 1):
+        if k > 1:
+            flat = compose_phases(flat, base)
+        yield k, flat
+
+
 def distinct_nonzero_angles(phases: np.ndarray, tol: float = _ANGLE_TOL) -> int:
     """Number of distinct nonzero values in a canonicalized phase list."""
     vals = canonicalize_angles(np.asarray(phases, dtype=np.float64))
@@ -115,7 +124,7 @@ def distinct_nonzero_angles(phases: np.ndarray, tol: float = _ANGLE_TOL) -> int:
     return count
 
 
-def check_flattened_structure(phases: np.ndarray, base: np.ndarray, tol: float = _ANGLE_TOL) -> bool:
+def check_flattened_structure(phases: np.ndarray, base: np.ndarray) -> bool:
     """Verify the run-length structure of a flattened list against its base.
 
     In blocks the length of the base list, positions 1..end must equal the
@@ -133,9 +142,9 @@ def check_flattened_structure(phases: np.ndarray, base: np.ndarray, tol: float =
     for m in range(len(phases) // L):
         block = phases[L * m : L * (m + 1)]
         tail = block[1:]
-        if not (np.abs(tail - fwd).max() <= tol or np.abs(tail - rev).max() <= tol):
+        if not (np.abs(tail - fwd).max() <= _ANGLE_TOL or np.abs(tail - rev).max() <= _ANGLE_TOL):
             return False
-        if np.abs(junction_ok - block[0]).min() > tol:
+        if np.abs(junction_ok - block[0]).min() > _ANGLE_TOL:
             return False
     return True
 
@@ -245,16 +254,19 @@ class IterationReport:
     def converged(self) -> bool:
         return self.final_error <= self.eps
 
+    def add(self, k: int, error: float, flat: np.ndarray, t0: float) -> None:
+        """Append the row of level k, timed from t0 to now; the
+        distinct-angle count of its flattened list is taken after the clock."""
+        ms = (time.perf_counter() - t0) * 1e3
+        self.rows.append(IterationRow(k, error, error_bound(self.delta, k, self.l),
+                                      query_count(k, self.l), distinct_nonzero_angles(flat), ms))
+
     def to_csv(self) -> str:
         lines = ["n,error,bound,queries,distinct_angles,wall_time_ms"]
         for r in self.rows:
             lines.append(f"{r.n},{r.error:.17g},{r.bound:.17g},{r.queries},"
                          f"{r.distinct_angles},{r.wall_time_ms:.17g}")
         return "\n".join(lines) + "\n"
-
-    def write_csv(self, path: str) -> None:
-        with open(path, "w", encoding="utf-8") as fh:
-            fh.write(self.to_csv())
 
 
 @dataclass(frozen=True)
@@ -264,16 +276,10 @@ class ScalarSignTable:
     points: np.ndarray
     values: np.ndarray
 
-    @property
-    def errors(self) -> np.ndarray:
-        return np.abs(self.values - np.sign(self.points))
 
-
-def scalar_grid(delta: float, n_points: int = 21) -> np.ndarray:
+def scalar_grid(delta: float) -> np.ndarray:
     """Symmetric test grid in +-[delta, 1]: 10 negative, 11 positive points."""
-    neg = np.linspace(-1.0, -delta, n_points // 2)
-    pos = np.linspace(delta, 1.0, n_points - n_points // 2)
-    return np.concatenate((neg, pos))
+    return np.concatenate((np.linspace(-1.0, -delta, 10), np.linspace(delta, 1.0, 11)))
 
 
 def _check_gap(w: np.ndarray, delta: float) -> None:
@@ -322,32 +328,21 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             return ScalarSignTable(pts, pts.astype(np.complex128)), report
         return _dilate_spectrum(A, spectrum), report
 
-    flat = base
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
-        for k in range(1, n + 1):
+        for k, flat in _levels(n, base):
             t0 = time.perf_counter()
             vals = reflection_upper_left(flat, pts)
-            err = float(np.abs(vals - np.sign(pts)).max())
-            ms = (time.perf_counter() - t0) * 1e3
-            report.rows.append(IterationRow(k, err, error_bound(delta, k, l),
-                                            query_count(k, l), distinct_nonzero_angles(flat), ms))
-            if k < n:
-                flat = compose_phases(flat, base)
+            report.add(k, float(np.abs(vals - np.sign(pts)).max()), flat, t0)
         return ScalarSignTable(pts, vals), report
 
     be0 = _dilate_spectrum(A, spectrum)
     be = be0
-    for k in range(1, n + 1):
+    for k, flat in _levels(n, base):
         t0 = time.perf_counter()
         if mode == "recursive":
             be = qet_recursive_step(be, base)
         else:
             be = qet_recursive_step(be0, flat)
-        err = operator_norm(extract(be) - target)
-        ms = (time.perf_counter() - t0) * 1e3
-        report.rows.append(IterationRow(k, err, error_bound(delta, k, l),
-                                        query_count(k, l), distinct_nonzero_angles(flat), ms))
-        if k < n:
-            flat = compose_phases(flat, base)
+        report.add(k, operator_norm(extract(be) - target), flat, t0)
     return be, report

@@ -98,7 +98,7 @@ def _divide_out(coeffs: np.ndarray, root: complex) -> tuple[np.ndarray, complex]
     return quotient, acc
 
 
-def complementary_poly(f: ComplexPolynomial, analytic_if_possible: bool = True) -> ComplexPolynomial:
+def complementary_poly(f: ComplexPolynomial) -> ComplexPolynomial:
     """Complementary polynomial h with f f* + (1 - x^2) h h* = 1.
 
     Works over u = x^2: peel one structural (1 - u) factor off 1 - f f*,
@@ -146,7 +146,7 @@ def complementary_poly(f: ComplexPolynomial, analytic_if_possible: bool = True) 
 
     selected = []
     if len(pu) > 1:
-        roots = roots_in_u(pu, analytic_if_possible=analytic_if_possible)
+        roots = roots_in_u(pu)
         pair_tol = 1e-7 * max(1.0, float(np.abs(roots).max()))
         complex_roots = [r for r in roots if abs(r.imag) > pair_tol]
         real_roots = sorted((r.real for r in roots if abs(r.imag) <= pair_tol))
@@ -272,13 +272,13 @@ _PHASE_CACHE: dict[int, np.ndarray] = {}
 def pade_phases(l: int) -> np.ndarray:
     """Reflection phases for any admissible (even) family member.
 
-    l in {2, 4} takes the closed-form route of analytic_pade_phases; the
-    larger even members factor their deflated remainder with the
-    iterative root finder instead.  Odd members fail the domination
-    condition and have no complementary partner, so they are rejected
-    up front with the witness from the condition check.  The first
-    successful derivation for each l is cached; every call returns a
-    fresh copy, and a failed derivation is not cached.
+    The deflated remainder of 1 - p_l^2 has degree l in u = x^2, and
+    roots_in_u picks the route by that degree: the quadratic or quartic
+    formula for l in {2, 4}, the iterative root finder for l >= 6.  Odd
+    members fail the domination condition and have no complementary
+    partner, so they are rejected up front.  The first successful
+    derivation for each l is cached; every call returns a fresh copy,
+    and a failed derivation is not cached.
     """
     cached = _PHASE_CACHE.get(l)
     if cached is not None:
@@ -288,30 +288,12 @@ def pade_phases(l: int) -> np.ndarray:
     if l % 2 == 1:
         raise DomainError(f"odd family member {l} admits no complementary "
                           "polynomial; its square dips below 1 outside [-1, 1]")
-    if l in (2, 4):
-        phases = analytic_pade_phases(l)
-    else:
-        f = pade(l)
-        deflate_pade_square(l)  # exactness guard on the shared factorization
-        h = complementary_poly(f, analytic_if_possible=False)
-        phases = rotation_to_reflection(find_phases_rotation(f, h))
+    f = pade(l)
+    deflate_pade_square(l)  # exactness guard on the shared factorization
+    phases = rotation_to_reflection(find_phases_rotation(f, complementary_poly(f)))
     phases.flags.writeable = False
     _PHASE_CACHE[l] = phases
     return phases.copy()
-
-
-def analytic_pade_phases(l: int) -> np.ndarray:
-    """Reflection phases for family member l in {2, 4}, closed form only.
-
-    The factorization goes through exact deflation and the quadratic or
-    quartic formula, so no iterative root finder runs on this path.
-    """
-    if l not in (2, 4):
-        raise DomainError(f"closed-form phases exist for l in {{2, 4}}, got {l}")
-    f = pade(l)
-    deflate_pade_square(l)  # exactness guard on the shared factorization
-    h = complementary_poly(f, analytic_if_possible=True)
-    return rotation_to_reflection(find_phases_rotation(f, h))
 
 
 # ------------------------------------------------------------------- file io

@@ -22,12 +22,12 @@ from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
-from .qet import (IterationReport, IterationRow, _check_phase_count,
-                  compose_phases, distinct_nonzero_angles, error_bound,
-                  qet_recursive_step, query_count, run_sign, sign_iterations)
+from .qet import (IterationReport, IterationRow, _check_phase_count, _levels,
+                  error_bound, qet_recursive_step, run_sign, sign_iterations)
 from .qsp import pade_phases
 
 _STEP_TOL = 1e-10
+_PREP_DEPTH = 8   # depth cap of the two filters inside preparation_projector
 
 
 def _gram_update(X: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -78,8 +78,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
                                         error_bound(delta, 0, l), 1, 0, 0.0))
         return enc, report
     X_prev = A
-    flat = base
-    for k in range(1, n + 1):
+    for k, flat in _levels(n, base):
         t0 = time.perf_counter()
         enc = qet_recursive_step(enc, base)
         X = extract(enc)
@@ -87,13 +86,8 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
         dev = max(float(np.abs(X - via_right).max()), float(np.abs(X - via_left).max()))
         if dev > _STEP_TOL:
             raise NumericError(f"transform step disagrees with the Gram closed forms by {dev:.3e}")
-        err = operator_norm(X - unitary_factor)
-        ms = (time.perf_counter() - t0) * 1e3
-        report.rows.append(IterationRow(k, err, error_bound(delta, k, l),
-                                        query_count(k, l), distinct_nonzero_angles(flat), ms))
+        report.add(k, operator_norm(X - unitary_factor), flat, t0)
         X_prev = X
-        if k < n:
-            flat = compose_phases(flat, base)
     return enc, report
 
 
@@ -111,7 +105,7 @@ class FilterResult:
 
 
 def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2,
-                       levels: int | None = None, max_matrix_depth: int = 4) -> FilterResult:
+                       max_matrix_depth: int = 4) -> FilterResult:
     """Approximate projector onto the positive eigenspace of A.
 
     Runs the sign iteration, conditions its unitary on a fresh ancilla,
@@ -122,7 +116,7 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2,
     """
     A = require_hermitian(A)
     be, report = run_sign(A, delta, eps, l, mode="recursive",
-                          levels=levels, max_matrix_depth=max_matrix_depth)
+                          max_matrix_depth=max_matrix_depth)
     if not isinstance(be, BlockEncoding):
         raise NumericError("sign run did not return a block encoding")
     dim = be.total_dim
@@ -146,15 +140,14 @@ class PreparationResult:
     minus_report: IterationReport
 
 
-def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2,
-                          max_matrix_depth: int = 8) -> PreparationResult:
+def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -> PreparationResult:
     """Projector onto the unique zero eigenvector of a gapped A.
 
     Shifts A by half the gap each way, rescales into norm 1, and filters
     the positive eigenspace of both shifts.  The shifted matrices have
     gap delta/(2 + delta), and each filter gets half the error budget.
-    The depth cap default is looser than the sign driver's because the
-    shrunken gap typically needs an extra level or two at desk scale.
+    The filters' depth cap is 8, looser than the sign driver's 4, because
+    the shrunken gap typically needs an extra level or two at desk scale.
     """
     A = require_hermitian(A)
     if not (0.0 < delta < 1.0):
@@ -173,8 +166,8 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2,
     d = A.shape[0]
     plus = (A + (delta / 2.0) * np.eye(d)) / scale
     minus = -(A - (delta / 2.0) * np.eye(d)) / scale
-    f_plus = filtering_operator(plus, eff_gap, eps_each, l, max_matrix_depth=max_matrix_depth)
-    f_minus = filtering_operator(minus, eff_gap, eps_each, l, max_matrix_depth=max_matrix_depth)
+    f_plus = filtering_operator(plus, eff_gap, eps_each, l, max_matrix_depth=_PREP_DEPTH)
+    f_minus = filtering_operator(minus, eff_gap, eps_each, l, max_matrix_depth=_PREP_DEPTH)
     P0 = f_plus.projector @ f_minus.projector
     return PreparationResult(P0, eff_gap, eps_each, f_plus.report, f_minus.report)
 

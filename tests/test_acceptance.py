@@ -9,15 +9,14 @@ import time
 
 import numpy as np
 
-from rqet import (analytic_pade_phases, canonicalize_angles,
-                  check_flattened_structure, check_qet_conditions,
-                  chebyshev_reflection_phases, coherent_perturb,
-                  dilate_hermitian, distinct_nonzero_angles, extract,
-                  filtering_operator, flatten_sign_phases, matrix_sign,
-                  operator_norm, pade, poly_eval, polar_oracle, polynomial,
-                  preparation_projector, qet_assemble, query_count,
-                  recovery_cost, reflection_upper_left,
-                  run_polar, run_sign)
+from rqet import (canonicalize_angles, check_flattened_structure,
+                  check_qet_conditions, chebyshev_reflection_phases,
+                  coherent_perturb, dilate_hermitian, distinct_nonzero_angles,
+                  extract, filtering_operator, flatten_sign_phases,
+                  matrix_sign, operator_norm, pade, pade_phases, poly_eval,
+                  polar_oracle, polynomial, preparation_projector,
+                  qet_assemble, query_count, recovery_cost,
+                  reflection_upper_left, run_polar, run_sign)
 from conftest import hermitian_with_spectrum
 
 
@@ -28,7 +27,7 @@ def verdict(k: int, ok: bool, detail: str) -> None:
 
 def test_criterion_01_analytic_phase_reproduction():
     t0 = time.perf_counter()
-    phases = analytic_pade_phases(2)
+    phases = pade_phases(2)
     xs = np.linspace(-1.0, 1.0, 201)
     realized = reflection_upper_left(phases, xs)
     target = np.real(poly_eval(pade(2), xs))
@@ -104,7 +103,7 @@ def test_criterion_05_flattened_recursive_equivalence():
 
 
 def test_criterion_06_eight_angle_structure():
-    base = analytic_pade_phases(2)
+    base = pade_phases(2)
     allowed = np.concatenate((canonicalize_angles(base),
                               canonicalize_angles(-base), [0.0]))
     ok = True
@@ -184,7 +183,7 @@ def test_criterion_10_filtering_and_preparation():
 def test_criterion_11_coherent_error_and_recovery_cost():
     A, _ = hermitian_with_spectrum(108, [0.55, -0.7, 0.9])
     be = dilate_hermitian(A)
-    base = analytic_pade_phases(2)
+    base = pade_phases(2)
     ref = qet_assemble(be, base)
     errs = {}
     for d in (1e-3, 5e-4, 2.5e-4):

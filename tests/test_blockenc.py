@@ -30,6 +30,15 @@ def test_dilate_hermitian_random():
     assert np.abs(be.unitary @ be.unitary - np.eye(8)).max() < 1e-11
 
 
+def test_extract_is_a_copy():
+    A, _ = hermitian_with_spectrum(5, [0.6, -0.3])
+    be = dilate_hermitian(A)
+    before = be.unitary.copy()
+    X = extract(be)
+    X[:] = 0.0
+    assert np.array_equal(be.unitary, before)
+
+
 def test_dilate_rejects_large_norm():
     with pytest.raises(DomainError):
         dilate_hermitian(1.5 * np.eye(2, dtype=complex))

@@ -180,8 +180,8 @@ def test_roots_in_u_pade2():
 
 def test_roots_in_u_iterative_matches_analytic():
     q = deflate_pade_square(4)
-    a = list(roots_in_u(q, analytic_if_possible=True))
-    b = list(roots_in_u(q, analytic_if_possible=False))
+    a = list(roots_in_u(q))
+    b = list(_durand_kerner(q.coeffs))
     # greedy pair-match: lexicographic sorting is unstable for conjugate
     # pairs whose real parts agree to rounding
     for v in a:

@@ -3,12 +3,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, InputError, ScalarSignTable,
-                  analytic_pade_phases, canonicalize_angles,
-                  check_flattened_structure, chebyshev_reflection_phases,
-                  coherent_perturb, complexity_estimate, compose_phases,
-                  dilate_hermitian, distinct_nonzero_angles, error_bound,
-                  extract, flatten_sign_phases, hermitian_eig, operator_norm,
-                  pade, poly_eval, qet_assemble, qet_recursive_step,
+                  canonicalize_angles, check_flattened_structure,
+                  chebyshev_reflection_phases, coherent_perturb,
+                  complexity_estimate, compose_phases, dilate_hermitian,
+                  distinct_nonzero_angles, error_bound, extract,
+                  flatten_sign_phases, hermitian_eig, operator_norm, pade,
+                  pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
 from rqet.qet import MAX_PHASES, _check_phase_count, scalar_grid, template_daggers
@@ -48,14 +48,14 @@ def test_chebyshev_operator_oracle(q):
 def test_single_level_matches_polynomial(gapped8):
     A, Q = gapped8
     be = dilate_hermitian(A)
-    X = extract(qet_recursive_step(be, analytic_pade_phases(2)))
+    X = extract(qet_recursive_step(be, pade_phases(2)))
     w, V = np.linalg.eigh(A)
     ref = (V * np.real(poly_eval(pade(2), w))[None, :]) @ V.conj().T
     assert operator_norm(X - ref) < 1e-11
 
 
 def test_compose_associative_and_faithful():
-    base = analytic_pade_phases(2)
+    base = pade_phases(2)
     c2 = compose_phases(base, base)
     c3a = compose_phases(c2, base)
     c3b = compose_phases(base, c2)
@@ -113,7 +113,7 @@ def test_phase_cap_admits_five_to_the_tenth():
 
 
 def test_compose_scalar_against_iterate():
-    base = analytic_pade_phases(2)
+    base = pade_phases(2)
     flat = compose_phases(base, base)
     from rqet import reflection_upper_left
     xs = np.linspace(-1, 1, 41)
@@ -133,7 +133,7 @@ def test_flattened_length_and_query_count():
 
 @pytest.mark.parametrize("n", [2, 3, 4])
 def test_eight_angle_structure(n):
-    base = analytic_pade_phases(2)
+    base = pade_phases(2)
     flat = flatten_sign_phases(2, n)
     assert distinct_nonzero_angles(flat) <= 8
     # every nonzero angle comes from the base list up to sign
@@ -146,7 +146,7 @@ def test_eight_angle_structure(n):
 
 
 def test_structure_rejects_shuffled_list():
-    base = analytic_pade_phases(2)
+    base = pade_phases(2)
     flat = flatten_sign_phases(2, 2).copy()
     flat[3], flat[4] = flat[4], flat[3]
     assert not check_flattened_structure(flat, base)
@@ -260,7 +260,7 @@ def test_scalar_headline_regime():
 
 
 def test_coherent_perturb_first_order():
-    base = analytic_pade_phases(2)
+    base = pade_phases(2)
     A, _ = hermitian_with_spectrum(23, [0.55, -0.7, 0.9])
     be = dilate_hermitian(A)
     ref = qet_assemble(be, base)

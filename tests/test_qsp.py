@@ -2,10 +2,9 @@ import numpy as np
 import pytest
 
 from rqet import (DomainError, InputError, NumericError,
-                  analytic_pade_phases, canonicalize_angles,
-                  chebyshev_reflection_phases, complementary_poly,
-                  find_phases_rotation, load_phases, load_poly, pade,
-                  pade_phases, poly_eval, polynomial, qsp,
+                  canonicalize_angles, chebyshev_reflection_phases,
+                  complementary_poly, find_phases_rotation, load_phases,
+                  load_poly, pade, pade_phases, poly_eval, polynomial, qsp,
                   qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from rqet._kernels import phase_chain
@@ -42,13 +41,13 @@ def test_signal_rejects_out_of_range():
 
 
 def test_analytic_pade_phases_multiset():
-    got = np.sort(canonicalize_angles(analytic_pade_phases(2)))
+    got = np.sort(canonicalize_angles(pade_phases(2)))
     ref = np.sort(canonicalize_angles(analytic_reference_set()))
     assert np.abs(got - ref).max() < 1e-12
 
 
 def test_analytic_phases_realize_polynomial():
-    phases = analytic_pade_phases(2)
+    phases = pade_phases(2)
     xs = np.linspace(-1, 1, 201)
     f = reflection_upper_left(phases, xs)
     ref = np.real(poly_eval(pade(2), xs))
@@ -64,13 +63,6 @@ def test_phase_pipeline_round_trip_even_pade(l):
     f = reflection_upper_left(phases, xs)
     ref = np.real(poly_eval(pade(l), xs))
     assert np.abs(f - ref).max() < 1e-9
-
-
-def test_closed_form_route_matches_general():
-    for l in (2, 4):
-        a = np.sort(canonicalize_angles(analytic_pade_phases(l)))
-        b = np.sort(canonicalize_angles(pade_phases(l)))
-        assert np.abs(a - b).max() < 1e-12
 
 
 def test_pade_phases_copy_does_not_touch_cache():
@@ -101,11 +93,20 @@ def test_pade_phases_rejects_odd():
         pade_phases(3)
 
 
-def test_analytic_pade_phases_rejects_unsupported():
-    with pytest.raises(DomainError):
-        analytic_pade_phases(3)
-    with pytest.raises(DomainError):
-        analytic_pade_phases(6)
+def test_closed_form_route_for_l2_and_l4(monkeypatch):
+    # the deflated remainder has degree l, so l in {2, 4} must never
+    # reach the iterative root finder, and l = 6 must
+    expected = {l: pade_phases(l) for l in (2, 4)}
+
+    def refuse(*_):
+        raise NumericError("iterative root finder called")
+
+    monkeypatch.setattr("rqet.poly._durand_kerner", refuse)
+    monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
+    for l in (2, 4):
+        assert np.array_equal(pade_phases(l), expected[l])
+    with pytest.raises(NumericError, match="iterative root finder called"):
+        pade_phases(6)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7])
@@ -168,7 +169,7 @@ def test_find_phases_requires_degree_gap():
 
 
 def test_phases_json_roundtrip(tmp_path):
-    phases = analytic_pade_phases(2)
+    phases = pade_phases(2)
     path = tmp_path / "ph.json"
     save_phases(str(path), "reflection", phases)
     form, back = load_phases(str(path))

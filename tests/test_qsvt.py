@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from rqet import (DomainError, analytic_pade_phases,
-                  dilate_general, extract, filtering_operator, matrix_sign,
-                  operator_norm, polar_oracle, preparation_projector,
-                  project_state, qet_recursive_step, run_polar)
+from rqet import (DomainError, dilate_general, extract, filtering_operator,
+                  matrix_sign, operator_norm, pade_phases, polar_oracle,
+                  preparation_projector, project_state, qet_recursive_step,
+                  run_polar)
 from conftest import hermitian_with_spectrum
 
 
@@ -24,7 +24,7 @@ def test_encode_block_is_input():
 
 def test_single_qsvt_step_transforms_singulars():
     A = random_with_singulars(3, [0.55, 0.75, 0.95])
-    X = extract(qet_recursive_step(dilate_general(A), analytic_pade_phases(2)))
+    X = extract(qet_recursive_step(dilate_general(A), pade_phases(2)))
     U, s, Vh = np.linalg.svd(A)
     p = lambda x: (15 * x - 10 * x ** 3 + 3 * x ** 5) / 8
     ref = (U * p(s)[None, :]) @ Vh
@@ -33,7 +33,7 @@ def test_single_qsvt_step_transforms_singulars():
 
 def test_hermitian_input_reduces_to_eigen_case():
     A, Q = hermitian_with_spectrum(5, [0.6, -0.8, 0.95])
-    X = extract(qet_recursive_step(dilate_general(A), analytic_pade_phases(2)))
+    X = extract(qet_recursive_step(dilate_general(A), pade_phases(2)))
     w, V = np.linalg.eigh(A)
     p = lambda x: (15 * x - 10 * x ** 3 + 3 * x ** 5) / 8
     ref = (V * p(w)[None, :]) @ V.conj().T
