@@ -1,8 +1,7 @@
 """Analytic phase factors for the iterated matrix-sign transform, with
 dense block-encoding drivers and independent cross-checks."""
 
-from .blockenc import (BlockEncoding, ancilla_rotation, dilate_general,
-                       dilate_hermitian, extract)
+from .blockenc import BlockEncoding, dilate_general, dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, load_matrix, matrix_function_hermitian,
                      matrix_sign, operator_norm, polar_oracle, save_matrix,
@@ -17,10 +16,10 @@ from .qet import (IterationReport, ScalarSignTable, check_flattened_structure,
                   recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
 from .qsp import (canonicalize_angles, chebyshev_reflection_phases,
-                  complementary_poly, find_phases_rotation, load_phases,
-                  pade_phases, qsp_reflection_eval, qsp_rotation_eval,
+                  complementary_poly, find_phases_rotation, pade_phases,
+                  qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from .qsvt import (FilterResult, PreparationResult, filtering_operator,
-                   preparation_projector, project_state, run_polar)
+                   preparation_projector, run_polar)
 
 __version__ = "0.1.0"

@@ -44,11 +44,6 @@ def extract(be: BlockEncoding) -> np.ndarray:
     return be.unitary[:d, :d].copy()
 
 
-def ancilla_rotation(be: BlockEncoding, phi: float) -> np.ndarray:
-    """exp(i phi (2 P_top - I)) on the ancilla, identity on the system."""
-    return np.diag(rotation_diagonal(phi, be.system_dim))
-
-
 def rotation_diagonal(phi: float, system_dim: int) -> np.ndarray:
     """Diagonal of the ancilla reflection rotation: e^{i phi} on the top block."""
     diag = np.full(2 * system_dim, np.exp(-1j * phi), dtype=np.complex128)

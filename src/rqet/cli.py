@@ -19,12 +19,12 @@ import sys
 import numpy as np
 
 from . import __version__
-from .blockenc import dilate_hermitian
+from .blockenc import dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import load_matrix, operator_norm
 from .poly import check_qet_conditions, load_poly, pade
-from .qet import (coherent_perturb, distinct_nonzero_angles,
-                  flatten_sign_phases, qet_assemble, query_count, run_sign)
+from .qet import (_check_dense_cost, coherent_perturb, distinct_nonzero_angles,
+                  flatten_sign_phases, qet_recursive_step, query_count, run_sign)
 from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
 
@@ -164,8 +164,7 @@ def _cmd_sign_run(args) -> int:
     _require_even_pade(args.pade_l)
     A, meta = _load_or_generate(args, hermitian=True)
     result, report = run_sign(A, args.gap, args.epsilon, args.pade_l,
-                              mode=args.mode, levels=args.iters,
-                              max_matrix_depth=args.max_depth)
+                              mode=args.mode, levels=args.iters)
     _emit(report.to_csv(), args.out)
     summary = {
         "command": "sign-run",
@@ -183,8 +182,7 @@ def _cmd_sign_run(args) -> int:
 def _cmd_polar_run(args) -> int:
     _require_even_pade(args.pade_l)
     A, meta = _load_or_generate(args, hermitian=False)
-    _, report = run_polar(A, args.gap, args.epsilon, args.pade_l,
-                          levels=args.iters, max_depth=args.max_depth)
+    _, report = run_polar(A, args.gap, args.epsilon, args.pade_l, levels=args.iters)
     _emit(report.to_csv(), args.out)
     summary = {
         "command": "polar-run",
@@ -198,7 +196,7 @@ def _cmd_polar_run(args) -> int:
     return 0 if report.converged else 4
 
 
-def _parse_grid(spec: str) -> np.ndarray:
+def _parse_grid(spec: str) -> tuple[float, float, int]:
     parts = spec.split(":")
     if len(parts) != 3:
         raise InputError("--delta-grid must look like lo:hi:count")
@@ -208,9 +206,7 @@ def _parse_grid(spec: str) -> np.ndarray:
         raise InputError(f"bad --delta-grid {spec!r}") from exc
     if not (0.0 < lo <= hi) or count < 1:
         raise InputError("--delta-grid needs 0 < lo <= hi and count >= 1")
-    if count == 1:
-        return np.array([lo])
-    return np.geomspace(lo, hi, count)
+    return lo, hi, count
 
 
 def _cmd_perturb(args) -> int:
@@ -218,14 +214,16 @@ def _cmd_perturb(args) -> int:
     if args.iters < 1:
         raise InputError("--iters must be at least 1")
     A, meta = _load_or_generate(args, hermitian=True)
+    lo, hi, count = _parse_grid(args.delta_grid)
+    # the reference, the zero perturbation and each grid value: (2l+1)^n slots apiece
+    _check_dense_cost((count + 2) * query_count(args.iters, args.pade_l), A.shape[0])
     flat = flatten_sign_phases(args.pade_l, args.iters)
     be = dilate_hermitian(A)
-    reference = qet_assemble(be, flat)
-    X_ref = reference[:be.system_dim, :be.system_dim]
+    X_ref = extract(qet_recursive_step(be, flat))
     rows = ["delta,error"]
-    for d in np.concatenate(([0.0], _parse_grid(args.delta_grid))):
+    for d in np.concatenate(([0.0], np.geomspace(lo, hi, count))):
         noisy = coherent_perturb(flat, float(d))
-        X = qet_assemble(be, noisy)[:be.system_dim, :be.system_dim]
+        X = extract(qet_recursive_step(be, noisy))
         rows.append(f"{float(d):.17g},{operator_norm(X - X_ref):.17g}")
     _emit("\n".join(rows) + "\n", args.out)
     summary = {"command": "perturb", "levels": args.iters,
@@ -267,7 +265,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--pade-l", type=int, default=2, dest="pade_l")
     p.add_argument("--iters", type=int, help="override the derived level count")
     p.add_argument("--mode", choices=("recursive", "flattened", "scalar"), default="recursive")
-    p.add_argument("--max-depth", type=int, default=4, dest="max_depth")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_sign_run)
 
@@ -276,7 +273,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--epsilon", type=float, default=1e-8)
     p.add_argument("--pade-l", type=int, default=2, dest="pade_l")
     p.add_argument("--iters", type=int, help="override the derived level count")
-    p.add_argument("--max-depth", type=int, default=4, dest="max_depth")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_polar_run)
 

@@ -25,6 +25,7 @@ from .qsp import canonicalize_angles, pade_phases, reflection_upper_left
 
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # longest flattened list a driver builds: 78 MB of float64
+DENSE_BUDGET = 2 ** 32  # slots x max(2d, 32)^3; the largest admitted run takes ~1-4 s on one core
 
 
 def template_daggers(q: int) -> np.ndarray:
@@ -87,6 +88,17 @@ def _check_phase_count(levels: int, l: int) -> None:
     if count > MAX_PHASES:
         raise DomainError(f"{levels} levels need {count} phases (~{8 * count / 1e6:,.0f} MB "
                           f"per float64 list), over the cap of {MAX_PHASES}")
+
+
+def _check_dense_cost(slots: int, dim: int) -> None:
+    """Refuse a dense run of `slots` phased-product slots on a d = dim
+    system whose cost estimate exceeds DENSE_BUDGET; the floor of 32 on
+    the dilation size stands for the per-slot Python overhead."""
+    cost = slots * max(2 * dim, 32) ** 3
+    if cost > DENSE_BUDGET:
+        raise DomainError(f"{slots} dense slots at dimension {dim} cost an estimated "
+                          f"2^{math.log2(cost):.1f} (slots x max(2d, 32)^3), over the "
+                          f"budget of 2^{math.log2(DENSE_BUDGET):.0f}")
 
 
 def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
@@ -184,7 +196,7 @@ def complexity_estimate(delta: float, eps: float, l: int = 2) -> tuple[float, fl
     """Query bound (2l+1) (delta^-2 ln(1/eps))^nu and the exponent nu.
 
     nu = log_(l+1)(2l+1) drops toward 1 as l grows; l = 2 gives
-    log_3 5 - 1, about 0.465, for the gap-dependence exponent 2 nu.
+    log_3 5, about 1.465, for the gap-dependence exponent 2 nu.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError("spectral gap must lie strictly between 0 and 1")
@@ -290,15 +302,14 @@ def _check_gap(w: np.ndarray, delta: float) -> None:
 
 
 def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
-             mode: str = "recursive", levels: int | None = None,
-             max_matrix_depth: int = 4):
+             mode: str = "recursive", levels: int | None = None):
     """Drive the sign iteration to tolerance and report per level.
 
     mode "recursive" nests block encodings, "flattened" rebuilds each
     level from one composed phase list, "scalar" evaluates the flattened
-    product on the eigenvalues plus a 21-point grid.  Matrix modes
-    refuse depths past max_matrix_depth because the flattened check
-    grows as 5^n; every mode refuses lists longer than MAX_PHASES.
+    product on the eigenvalues plus a 21-point grid.  Every mode refuses
+    lists longer than MAX_PHASES; flattened mode, whose dense slots grow
+    as (2l+1)^n, also refuses runs over DENSE_BUDGET.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -312,10 +323,9 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     n = sign_iterations(delta, eps, l) if levels is None else levels
     if n < 0:
         raise InputError("levels must be nonnegative")
-    if mode != "scalar" and n > max_matrix_depth:
-        raise DomainError(f"{n} levels exceed the matrix-mode depth cap "
-                          f"{max_matrix_depth}; use scalar mode or raise the cap")
     _check_phase_count(n, l)
+    if mode == "flattened":
+        _check_dense_cost(sum(query_count(k, l) for k in range(1, n + 1)), A.shape[0])
     base = pade_phases(l)
     target = _sign_of(spectrum)
     report = IterationReport(mode, delta, eps, l)

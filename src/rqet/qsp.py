@@ -17,7 +17,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._kernels import phase_chain
-from .errors import DomainError, InputError, NumericError, read_json
+from .errors import DomainError, InputError, NumericError
 from .poly import (ComplexPolynomial, deflate_pade_square, pade, poly_eval,
                    polynomial, roots_in_u)
 
@@ -297,21 +297,6 @@ def pade_phases(l: int) -> np.ndarray:
 
 
 # ------------------------------------------------------------------- file io
-
-def load_phases(path: str) -> tuple[str, np.ndarray]:
-    doc = read_json(path, "phase")
-    if not isinstance(doc, dict) or not {"form", "angles"} <= set(doc):
-        raise InputError(f"phase file {path} needs keys form, angles")
-    form = doc["form"]
-    if form not in ("rotation", "reflection"):
-        raise InputError(f"form must be rotation or reflection, got {form!r}")
-    angles = doc["angles"]
-    if not isinstance(angles, list) or not angles:
-        raise InputError("angles must be a non-empty list")
-    if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in angles):
-        raise InputError("angles must all be finite numbers")
-    return form, np.asarray(angles, dtype=np.float64)
-
 
 def save_phases(path: str, form: str, angles: np.ndarray) -> None:
     if form not in ("rotation", "reflection"):

@@ -27,7 +27,6 @@ from .qet import (IterationReport, IterationRow, _check_phase_count, _levels,
 from .qsp import pade_phases
 
 _STEP_TOL = 1e-10
-_PREP_DEPTH = 8   # depth cap of the two filters inside preparation_projector
 
 
 def _gram_update(X: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
@@ -47,7 +46,7 @@ def _gram_update(X: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
-              levels: int | None = None, max_depth: int = 4):
+              levels: int | None = None):
     """Iterate the singular-value sign transform toward the polar factor.
 
     Requires all singular values in [delta, 1].  Each step is checked
@@ -67,8 +66,6 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     n = sign_iterations(delta, eps, l) if levels is None else levels
     if n < 0:
         raise InputError("levels must be nonnegative")
-    if n > max_depth:
-        raise DomainError(f"{n} levels exceed the depth cap {max_depth}")
     _check_phase_count(n, l)
     base = pade_phases(l)
     report = IterationReport("polar", delta, eps, l)
@@ -104,8 +101,7 @@ class FilterResult:
     report: IterationReport
 
 
-def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2,
-                       max_matrix_depth: int = 4) -> FilterResult:
+def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> FilterResult:
     """Approximate projector onto the positive eigenspace of A.
 
     Runs the sign iteration, conditions its unitary on a fresh ancilla,
@@ -115,8 +111,7 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2,
     only when the iterate is far from a true sign.
     """
     A = require_hermitian(A)
-    be, report = run_sign(A, delta, eps, l, mode="recursive",
-                          max_matrix_depth=max_matrix_depth)
+    be, report = run_sign(A, delta, eps, l, mode="recursive")
     if not isinstance(be, BlockEncoding):
         raise NumericError("sign run did not return a block encoding")
     dim = be.total_dim
@@ -146,8 +141,6 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -
     Shifts A by half the gap each way, rescales into norm 1, and filters
     the positive eigenspace of both shifts.  The shifted matrices have
     gap delta/(2 + delta), and each filter gets half the error budget.
-    The filters' depth cap is 8, looser than the sign driver's 4, because
-    the shrunken gap typically needs an extra level or two at desk scale.
     """
     A = require_hermitian(A)
     if not (0.0 < delta < 1.0):
@@ -166,28 +159,8 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -
     d = A.shape[0]
     plus = (A + (delta / 2.0) * np.eye(d)) / scale
     minus = -(A - (delta / 2.0) * np.eye(d)) / scale
-    f_plus = filtering_operator(plus, eff_gap, eps_each, l, max_matrix_depth=_PREP_DEPTH)
-    f_minus = filtering_operator(minus, eff_gap, eps_each, l, max_matrix_depth=_PREP_DEPTH)
+    f_plus = filtering_operator(plus, eff_gap, eps_each, l)
+    f_minus = filtering_operator(minus, eff_gap, eps_each, l)
     P0 = f_plus.projector @ f_minus.projector
     return PreparationResult(P0, eff_gap, eps_each, f_plus.report, f_minus.report)
 
-
-def project_state(P: np.ndarray, state: np.ndarray) -> tuple[np.ndarray, float]:
-    """Apply a (possibly approximate) projector and renormalize.
-
-    Returns the post-selected state and the success probability, the
-    squared norm of the projected vector for a normalized input.
-    """
-    P = require_square(np.asarray(P, dtype=np.complex128))
-    v = np.asarray(state, dtype=np.complex128).reshape(-1)
-    if v.shape[0] != P.shape[0]:
-        raise InputError("state dimension does not match the projector")
-    nrm = float(np.linalg.norm(v))
-    if nrm == 0.0:
-        raise InputError("state vector is zero")
-    v = v / nrm
-    out = P @ v
-    prob = float(np.real(np.vdot(out, out)))
-    if prob < 1e-300:
-        raise DomainError("state has no overlap with the projected subspace")
-    return out / np.sqrt(prob), prob

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
-from rqet import (DomainError, ancilla_rotation, dilate_general,
-                  dilate_hermitian, extract, unitarity_check)
+from rqet import (DomainError, dilate_general, dilate_hermitian, extract,
+                  unitarity_check)
+from rqet.blockenc import rotation_diagonal
 from conftest import hermitian_with_spectrum
 
 
@@ -67,7 +68,7 @@ def test_dilate_general_nonhermitian():
 def test_ancilla_rotation_structure():
     A, _ = hermitian_with_spectrum(4, [0.5, -0.5])
     be = dilate_hermitian(A)
-    R = ancilla_rotation(be, np.pi / 3)
+    R = np.diag(rotation_diagonal(np.pi / 3, be.system_dim))
     assert unitarity_check(R)
     d = be.system_dim
     assert np.abs(np.diag(R)[:d] - np.exp(1j * np.pi / 3)).max() < 1e-15
@@ -77,5 +78,5 @@ def test_ancilla_rotation_structure():
 def test_ancilla_rotation_pi_gives_global_minus():
     A, _ = hermitian_with_spectrum(6, [0.4, -0.4])
     be = dilate_hermitian(A)
-    R = ancilla_rotation(be, np.pi)
+    R = np.diag(rotation_diagonal(np.pi, be.system_dim))
     assert np.abs(R + np.eye(be.total_dim)).max() < 1e-12

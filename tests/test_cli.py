@@ -192,5 +192,17 @@ def test_over_cap_runs_fail_before_composing(monkeypatch, capsys):
     err = capsys.readouterr().err
     assert "244140625 phases" in err and "1,953 MB" in err
     assert main(["phases", "--pade-l", "2", "--iters", "11"]) == 3
-    assert main(["polar-run", "--seed", "1", "--dim", "2",
-                 "--iters", "11", "--max-depth", "11"]) == 3
+    assert main(["polar-run", "--seed", "1", "--dim", "2", "--iters", "11"]) == 3
+
+
+def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):
+    # 11 x 5^10 slots at d = 64 would take about 15 h; nothing may be built
+    def refuse(*_):
+        raise AssertionError("dense work started before the input checks")
+
+    monkeypatch.setattr("rqet.qet.qet_assemble", refuse)
+    monkeypatch.setattr("rqet.qet.compose_phases", refuse)
+    assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "4",
+                 "--delta-grid", "nope"]) == 2
+    assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "10"]) == 3
+    assert "107421875 dense slots" in capsys.readouterr().err

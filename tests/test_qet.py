@@ -11,7 +11,8 @@ from rqet import (DomainError, InputError, ScalarSignTable,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
-from rqet.qet import MAX_PHASES, _check_phase_count, scalar_grid, template_daggers
+from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, scalar_grid,
+                      template_daggers)
 from conftest import hermitian_with_spectrum
 
 
@@ -224,13 +225,35 @@ def test_run_sign_rejects_bad_gap(gapped8):
         run_sign(A, 0.75, 1e-8)
 
 
-def test_run_sign_depth_cap(gapped8):
+def test_run_sign_depth_cap(gapped8, monkeypatch):
     A, _ = gapped8
-    with pytest.raises(DomainError):
-        run_sign(A, 0.5, 1e-14, mode="recursive")
-    # scalar mode has no cap
+    # no depth cap: recursive n = 5 runs and converges
+    _, rep = run_sign(A, 0.5, 1e-11, mode="recursive")
+    assert rep.rows[-1].n == 5 and rep.converged
     _, rep = run_sign(A, 0.5, 1e-14, mode="scalar")
     assert rep.rows[-1].n == 5
+
+    # flattened n = 5 at d = 64 is 5 + 25 + ... + 3125 = 3905 slots, over
+    # the dense budget; nothing may be composed or assembled
+    def refuse(*_):
+        raise AssertionError("dense work started over the budget")
+
+    monkeypatch.setattr("rqet.qet.qet_assemble", refuse)
+    monkeypatch.setattr("rqet.qet.compose_phases", refuse)
+    vals = np.linspace(0.5, 1.0, 64) * np.resize([1.0, -1.0], 64)
+    A64, _ = hermitian_with_spectrum(7, vals)
+    with pytest.raises(DomainError, match="3905 dense slots"):
+        run_sign(A64, 0.5, 1e-14, mode="flattened")
+
+
+def test_dense_budget_boundary():
+    # max(2d, 32)^3 is 2^21 at d = 64 and 2^15 for every d <= 16
+    _check_dense_cost(2048, 64)
+    with pytest.raises(DomainError, match="2049 dense slots"):
+        _check_dense_cost(2049, 64)
+    _check_dense_cost(131_072, 8)
+    with pytest.raises(DomainError, match="131073 dense slots"):
+        _check_dense_cost(131_073, 8)
 
 
 def test_run_sign_zero_levels(gapped8):

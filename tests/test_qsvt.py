@@ -3,8 +3,7 @@ import pytest
 
 from rqet import (DomainError, dilate_general, extract, filtering_operator,
                   matrix_sign, operator_norm, pade_phases, polar_oracle,
-                  preparation_projector, project_state, qet_recursive_step,
-                  run_polar)
+                  preparation_projector, qet_recursive_step, run_polar)
 from conftest import hermitian_with_spectrum
 
 
@@ -57,9 +56,10 @@ def test_run_polar_rejects_small_singular():
 
 
 def test_run_polar_depth_cap():
+    # no depth cap: n = 5 runs and converges
     A = random_with_singulars(9, [0.6, 0.9])
-    with pytest.raises(DomainError):
-        run_polar(A, 0.5, 1e-14, max_depth=4)
+    _, rep = run_polar(A, 0.5, 1e-12)
+    assert rep.rows[-1].n == 5 and rep.converged
 
 
 def test_filtering_projects_positive_eigenspace():
@@ -101,23 +101,3 @@ def test_preparation_rejects_two_inner_eigenvalues():
     with pytest.raises(DomainError):
         preparation_projector(A, 0.5, 1e-6)
 
-
-def test_project_state_probability():
-    vals = [0.0, 0.7, -0.9]
-    A, Q = hermitian_with_spectrum(22, vals)
-    res = preparation_projector(A, 0.5, 1e-6)
-    rng = np.random.default_rng(0)
-    s = rng.standard_normal(3) + 1j * rng.standard_normal(3)
-    s /= np.linalg.norm(s)
-    out, prob = project_state(res.projector, s)
-    overlap = abs(np.vdot(Q[:, 0], s)) ** 2
-    assert abs(prob - overlap) < 1e-5
-    assert abs(np.linalg.norm(out) - 1.0) < 1e-12
-    # output aligns with the zero eigenvector up to phase
-    assert abs(abs(np.vdot(Q[:, 0], out)) - 1.0) < 1e-5
-
-
-def test_project_state_rejects_orthogonal():
-    P = np.diag([1.0, 0.0]).astype(complex)
-    with pytest.raises(DomainError):
-        project_state(P, np.array([0.0, 1.0]))
