@@ -11,9 +11,9 @@ from .poly import (ComplexPolynomial, check_qet_conditions,
                    polynomial, roots_in_u, save_poly)
 from .qet import (IterationReport, ScalarSignTable, check_flattened_structure,
                   coherent_perturb, complexity_estimate, compose_phases,
-                  distinct_nonzero_angles, error_bound, flatten_sign_phases,
-                  qet_assemble, qet_recursive_step, query_count,
-                  recovery_cost, run_sign, scalar_sign_iterate,
+                  distinct_angles, distinct_nonzero_angles, error_bound,
+                  flatten_sign_phases, qet_assemble, qet_recursive_step,
+                  query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
 from .qsp import (canonicalize_angles, chebyshev_reflection_phases,
                   complementary_poly, find_phases_rotation, pade_phases,

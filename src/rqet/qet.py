@@ -24,7 +24,7 @@ from .poly import pade, poly_eval
 from .qsp import canonicalize_angles, pade_phases, reflection_upper_left
 
 _ANGLE_TOL = 1e-9
-MAX_PHASES = 5 ** 10  # longest flattened list a driver builds: 78 MB of float64
+MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
 DENSE_BUDGET = 2 ** 32  # slots x max(2d, 32)^3; the largest admitted run takes ~1-4 s on one core
 
 
@@ -83,11 +83,20 @@ def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
 
 
 def _check_phase_count(levels: int, l: int) -> None:
-    """Refuse a flattened list longer than MAX_PHASES before building it."""
+    """Refuse a run of more than MAX_PHASES oracle queries, (2l+1)^levels.
+
+    This caps the queries of every run as well as the length of any
+    flattened list that is built.  Counts past float64's exact integers
+    (2^53) are stated as powers, so no level count can overflow the message.
+    """
     count = query_count(levels, l)
-    if count > MAX_PHASES:
-        raise DomainError(f"{levels} levels need {count} phases (~{8 * count / 1e6:,.0f} MB "
-                          f"per float64 list), over the cap of {MAX_PHASES}")
+    if count <= MAX_PHASES:
+        return
+    if count < 2 ** 53:
+        need = f"{count} phases (~{8 * count / 1e6:,.0f} MB"
+    else:
+        need = f"{2 * l + 1}^{levels} phases (~2^{math.log2(8 * count) - math.log2(1e6):.1f} MB"
+    raise DomainError(f"{levels} levels need {need} per float64 list), over the cap of {MAX_PHASES}")
 
 
 def _check_dense_cost(slots: int, dim: int) -> None:
@@ -96,7 +105,8 @@ def _check_dense_cost(slots: int, dim: int) -> None:
     the dilation size stands for the per-slot Python overhead."""
     cost = slots * max(2 * dim, 32) ** 3
     if cost > DENSE_BUDGET:
-        raise DomainError(f"{slots} dense slots at dimension {dim} cost an estimated "
+        count = slots if slots < 2 ** 53 else f"2^{math.log2(slots):.1f}"
+        raise DomainError(f"{count} dense slots at dimension {dim} cost an estimated "
                           f"2^{math.log2(cost):.1f} (slots x max(2d, 32)^3), over the "
                           f"budget of 2^{math.log2(DENSE_BUDGET):.0f}")
 
@@ -113,16 +123,6 @@ def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
     return flat
 
 
-def _levels(n: int, base: np.ndarray):
-    """Yield (k, flat_k) for k = 1..n, where flat_k is the flattened list
-    of k nested steps; each list is composed only when its level is reached."""
-    flat = base
-    for k in range(1, n + 1):
-        if k > 1:
-            flat = compose_phases(flat, base)
-        yield k, flat
-
-
 def distinct_nonzero_angles(phases: np.ndarray, tol: float = _ANGLE_TOL) -> int:
     """Number of distinct nonzero values in a canonicalized phase list."""
     vals = canonicalize_angles(np.asarray(phases, dtype=np.float64))
@@ -134,6 +134,31 @@ def distinct_nonzero_angles(phases: np.ndarray, tol: float = _ANGLE_TOL) -> int:
     if count > 1 and vals[0] + 2.0 * np.pi - vals[-1] <= tol:
         count -= 1
     return count
+
+
+def distinct_angles(l: int, levels: int) -> int:
+    """Distinct nonzero angles of the flattened list of `levels` nested
+    steps, counted from the base list without building the flattened one.
+
+    Proof.  compose_phases(outer, base) writes, per outer slot, a junction
+    head and then a body block.  Every head equals its outer angle (up to
+    one rounding) except the first, which gains base[0]; every body block
+    is the base tail or its reversed negation, and both kinds occur once
+    the outer list has more than one slot.  By induction, level n >= 2
+    holds every value of tail and -tail, heads repeating level n - 1's
+    values, and a first head of n * base[0].  base[0] is 0 at l = 2 and
+    below 2e-12 in magnitude for l <= 8, so within the phase cap that head
+    stays far inside the angle tolerance of zero, and the count is that of
+    base and -base together.  Level 1 is the base list; level 0 has none.
+    """
+    if levels < 0:
+        raise InputError("levels must be nonnegative")
+    if levels == 0:
+        return 0
+    base = pade_phases(l)
+    if levels == 1:
+        return distinct_nonzero_angles(base)
+    return distinct_nonzero_angles(np.concatenate((base, -base)))
 
 
 def check_flattened_structure(phases: np.ndarray, base: np.ndarray) -> bool:
@@ -266,12 +291,10 @@ class IterationReport:
     def converged(self) -> bool:
         return self.final_error <= self.eps
 
-    def add(self, k: int, error: float, flat: np.ndarray, t0: float) -> None:
-        """Append the row of level k, timed from t0 to now; the
-        distinct-angle count of its flattened list is taken after the clock."""
-        ms = (time.perf_counter() - t0) * 1e3
+    def add(self, k: int, error: float, ms: float) -> None:
+        """Append the row of level k, whose construction took `ms`."""
         self.rows.append(IterationRow(k, error, error_bound(self.delta, k, self.l),
-                                      query_count(k, self.l), distinct_nonzero_angles(flat), ms))
+                                      query_count(k, self.l), distinct_angles(self.l, k), ms))
 
     def to_csv(self) -> str:
         lines = ["n,error,bound,queries,distinct_angles,wall_time_ms"]
@@ -307,9 +330,12 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
 
     mode "recursive" nests block encodings, "flattened" rebuilds each
     level from one composed phase list, "scalar" evaluates the flattened
-    product on the eigenvalues plus a 21-point grid.  Every mode refuses
-    lists longer than MAX_PHASES; flattened mode, whose dense slots grow
-    as (2l+1)^n, also refuses runs over DENSE_BUDGET.
+    product on the eigenvalues plus a 21-point grid.  Only the last two
+    build lists; recursive mode counts distinct angles by distinct_angles.
+    Every mode refuses runs of more than MAX_PHASES queries; flattened
+    mode, whose dense slots grow as (2l+1)^n, also refuses runs over
+    DENSE_BUDGET.  A row's wall_time_ms covers the level's construction
+    (compose, assemble or evaluate), not its error check.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -338,21 +364,27 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             return ScalarSignTable(pts, pts.astype(np.complex128)), report
         return _dilate_spectrum(A, spectrum), report
 
+    flat = base
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
-        for k, flat in _levels(n, base):
+        for k in range(1, n + 1):
             t0 = time.perf_counter()
+            if k > 1:
+                flat = compose_phases(flat, base)
             vals = reflection_upper_left(flat, pts)
-            report.add(k, float(np.abs(vals - np.sign(pts)).max()), flat, t0)
+            ms = (time.perf_counter() - t0) * 1e3
+            report.add(k, float(np.abs(vals - np.sign(pts)).max()), ms)
         return ScalarSignTable(pts, vals), report
 
-    be0 = _dilate_spectrum(A, spectrum)
-    be = be0
-    for k, flat in _levels(n, base):
+    be0 = be = _dilate_spectrum(A, spectrum)
+    for k in range(1, n + 1):
         t0 = time.perf_counter()
         if mode == "recursive":
             be = qet_recursive_step(be, base)
         else:
+            if k > 1:
+                flat = compose_phases(flat, base)
             be = qet_recursive_step(be0, flat)
-        report.add(k, operator_norm(extract(be) - target), flat, t0)
+        ms = (time.perf_counter() - t0) * 1e3
+        report.add(k, operator_norm(extract(be) - target), ms)
     return be, report

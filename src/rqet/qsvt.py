@@ -22,7 +22,7 @@ from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
-from .qet import (IterationReport, IterationRow, _check_phase_count, _levels,
+from .qet import (IterationReport, IterationRow, _check_phase_count,
                   error_bound, qet_recursive_step, run_sign, sign_iterations)
 from .qsp import pade_phases
 
@@ -75,15 +75,16 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
                                         error_bound(delta, 0, l), 1, 0, 0.0))
         return enc, report
     X_prev = A
-    for k, flat in _levels(n, base):
+    for k in range(1, n + 1):
         t0 = time.perf_counter()
         enc = qet_recursive_step(enc, base)
+        ms = (time.perf_counter() - t0) * 1e3
         X = extract(enc)
         via_right, via_left = _gram_update(X_prev, l)
         dev = max(float(np.abs(X - via_right).max()), float(np.abs(X - via_left).max()))
         if dev > _STEP_TOL:
             raise NumericError(f"transform step disagrees with the Gram closed forms by {dev:.3e}")
-        report.add(k, operator_norm(X - unitary_factor), flat, t0)
+        report.add(k, operator_norm(X - unitary_factor), ms)
         X_prev = X
     return enc, report
 
@@ -106,12 +107,15 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> F
 
     Runs the sign iteration, conditions its unitary on a fresh ancilla,
     and sandwiches between opposite quarter Y rotations; the top block of
-    the result is (identity + sign)/2.  An idempotency guard catches a
-    wrong rotation pairing, which flips the block to (identity - X)/2
-    only when the iterate is far from a true sign.
+    the result is (identity + sign)/2.  A sign run that ends above eps
+    raises NumericError.  An idempotency guard catches a wrong rotation
+    pairing, which flips the block to (identity - X)/2 only when the
+    iterate is far from a true sign.
     """
     A = require_hermitian(A)
     be, report = run_sign(A, delta, eps, l, mode="recursive")
+    if not report.converged:
+        raise NumericError(f"sign run ended at {report.final_error:.3e}, above eps = {eps:.3e}")
     if not isinstance(be, BlockEncoding):
         raise NumericError("sign run did not return a block encoding")
     dim = be.total_dim

@@ -3,6 +3,8 @@ import os
 import subprocess
 import sys
 
+import pytest
+
 from rqet import save_matrix
 from rqet.cli import main
 from conftest import hermitian_with_spectrum
@@ -206,3 +208,14 @@ def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):
                  "--delta-grid", "nope"]) == 2
     assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "10"]) == 3
     assert "107421875 dense slots" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["phases", "sign-run", "polar-run", "perturb"])
+def test_absurd_level_counts_are_domain_errors(command, capsys):
+    # 5^500 overflows a float; the refusal must still be one short line
+    args = [command, "--iters", "500"]
+    if command != "phases":
+        args += ["--seed", "1", "--dim", "2"]
+    assert main(args) == 3
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1 and len(err) < 200

@@ -6,7 +6,7 @@ from rqet import (DomainError, InputError, ScalarSignTable,
                   canonicalize_angles, check_flattened_structure,
                   chebyshev_reflection_phases, coherent_perturb,
                   complexity_estimate, compose_phases, dilate_hermitian,
-                  distinct_nonzero_angles, error_bound, extract,
+                  distinct_angles, distinct_nonzero_angles, error_bound, extract,
                   flatten_sign_phases, hermitian_eig, operator_norm, pade,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
@@ -315,6 +315,17 @@ def test_scalar_sign_iterate_matches_numpy_iteration():
 def test_distinct_angles_merge_across_pi_seam():
     assert distinct_nonzero_angles(np.array([np.pi - 1e-12, -np.pi + 1e-12])) == 1
     assert distinct_nonzero_angles(np.array([np.pi - 1e-12, -np.pi + 1e-12, 0.5])) == 2
+
+
+@pytest.mark.parametrize("l", [2, 4, 6, 8])
+def test_distinct_angles_from_base_list(l):
+    # every level whose flattened list has at most 5^8 phases
+    assert distinct_angles(l, 0) == 0
+    n = 1
+    while query_count(n, l) <= 5 ** 8:
+        assert distinct_angles(l, n) == distinct_nonzero_angles(flatten_sign_phases(l, n)), n
+        n += 1
+    assert n > 4
 
 
 # Angles are k pi/40 plus a jitter far below the clustering tolerance,

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from rqet import (DomainError, dilate_general, extract, filtering_operator,
-                  matrix_sign, operator_norm, pade_phases, polar_oracle,
-                  preparation_projector, qet_recursive_step, run_polar)
+from rqet import (DomainError, NumericError, dilate_general, distinct_nonzero_angles,
+                  extract, filtering_operator, flatten_sign_phases, matrix_sign,
+                  operator_norm, pade_phases, polar_oracle, preparation_projector,
+                  qet_recursive_step, run_polar, run_sign)
+from rqet.cli import _random_hermitian
 from conftest import hermitian_with_spectrum
 
 
@@ -101,3 +103,43 @@ def test_preparation_rejects_two_inner_eigenvalues():
     with pytest.raises(DomainError):
         preparation_projector(A, 0.5, 1e-6)
 
+
+
+def test_filtering_raises_when_sign_run_misses_eps():
+    # n = 10 at gap 0.02 ends near 9e-9, above the requested 1e-10
+    A = _random_hermitian(1, 8, 0.02)
+    with pytest.raises(NumericError, match="above eps"):
+        filtering_operator(A, 0.02, 1e-10)
+    # each shifted filter ends near 2e-9, above its half of eps = 1e-10
+    vals = [0.0] + list(np.linspace(0.1, 1.0, 7) * np.resize([1.0, -1.0], 7))
+    C, _ = hermitian_with_spectrum(3, vals)
+    with pytest.raises(NumericError, match="above eps"):
+        preparation_projector(C, 0.1, 1e-10)
+
+
+def _rows(report):
+    return [(r.n, r.error, r.bound, r.queries, r.distinct_angles) for r in report.rows]
+
+
+def test_recursive_drivers_never_flatten(monkeypatch):
+    A, _ = hermitian_with_spectrum(23, [0.55, -0.6, 0.85, -0.95])
+    B = random_with_singulars(24, [0.55, 0.7, 0.9])
+    C, _ = hermitian_with_spectrum(25, [0.0, 0.6, -0.8])
+    calls = {
+        "sign": lambda: run_sign(A, 0.5, 1e-8, mode="recursive")[1],
+        "polar": lambda: run_polar(B, 0.5, 1e-8)[1],
+        "filter": lambda: filtering_operator(A, 0.5, 1e-8).report,
+        "prep": lambda: preparation_projector(C, 0.5, 1e-6).plus_report,
+    }
+    expected = {name: _rows(call()) for name, call in calls.items()}
+    # the distinct-angle column matches the lists that are no longer built
+    for rows in expected.values():
+        for n, *_, distinct in rows:
+            assert distinct == distinct_nonzero_angles(flatten_sign_phases(2, n))
+
+    def refuse(*_):
+        raise AssertionError("compose_phases called by a recursive driver")
+
+    monkeypatch.setattr("rqet.qet.compose_phases", refuse)
+    for name, call in calls.items():
+        assert _rows(call()) == expected[name], name
