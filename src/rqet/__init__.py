@@ -16,7 +16,7 @@ from .qet import (IterationReport, ScalarSignTable, check_flattened_structure,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
 from .qsp import (canonicalize_angles, chebyshev_reflection_phases,
-                  complementary_poly, find_phases_rotation, pade_phases,
+                  find_phases_rotation, pade_complement, pade_phases,
                   qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from .qsvt import (FilterResult, PreparationResult, filtering_operator,

@@ -5,15 +5,13 @@ polar-run (iteration drivers with CSV reports), conditions (check a
 polynomial against the admissibility tests), perturb (coherent phase
 noise sweep).  Exit codes: 0 success, 2 bad input, 3 domain
 precondition violated, 4 numeric failure (including a run that ends
-above its tolerance).  RQET_TOL overrides the default angle-comparison
-tolerance of the phases subcommand.
+above its tolerance).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 
 import numpy as np
@@ -29,19 +27,6 @@ from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
 
 _MAX_PADE = 8
-
-
-def _angle_tol() -> float:
-    raw = os.environ.get("RQET_TOL", "").strip()
-    if not raw:
-        return 1e-9
-    try:
-        tol = float(raw)
-    except ValueError as exc:
-        raise InputError(f"RQET_TOL is not a number: {raw!r}") from exc
-    if not (tol > 0.0):
-        raise InputError("RQET_TOL must be positive")
-    return tol
 
 
 def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:
@@ -121,7 +106,6 @@ def _require_even_pade(l: int) -> None:
 
 def _cmd_phases(args) -> int:
     _require_even_pade(args.pade_l)
-    tol = _angle_tol()
     base = pade_phases(args.pade_l)
     flat = flatten_sign_phases(args.pade_l, args.iters)
     payload = {
@@ -131,7 +115,7 @@ def _cmd_phases(args) -> int:
         "base_angles": [float(v) for v in base],
         "flattened_length": int(len(flat)),
         "query_count": query_count(args.iters, args.pade_l),
-        "distinct_nonzero": distinct_nonzero_angles(flat, tol),
+        "distinct_nonzero": distinct_nonzero_angles(flat),
     }
     if args.out is not None:
         save_phases(args.out, "reflection", flat)

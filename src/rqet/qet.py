@@ -99,16 +99,28 @@ def _check_phase_count(levels: int, l: int) -> None:
     raise DomainError(f"{levels} levels need {need} per float64 list), over the cap of {MAX_PHASES}")
 
 
+def _check_budget(cost: int, work: str, estimate: str) -> None:
+    if cost > DENSE_BUDGET:
+        raise DomainError(f"{work} cost an estimated 2^{math.log2(cost):.1f} ({estimate}), "
+                          f"over the budget of 2^{math.log2(DENSE_BUDGET):.0f}")
+
+
 def _check_dense_cost(slots: int, dim: int) -> None:
     """Refuse a dense run of `slots` phased-product slots on a d = dim
     system whose cost estimate exceeds DENSE_BUDGET; the floor of 32 on
     the dilation size stands for the per-slot Python overhead."""
-    cost = slots * max(2 * dim, 32) ** 3
-    if cost > DENSE_BUDGET:
-        count = slots if slots < 2 ** 53 else f"2^{math.log2(slots):.1f}"
-        raise DomainError(f"{count} dense slots at dimension {dim} cost an estimated "
-                          f"2^{math.log2(cost):.1f} (slots x max(2d, 32)^3), over the "
-                          f"budget of 2^{math.log2(DENSE_BUDGET):.0f}")
+    count = slots if slots < 2 ** 53 else f"2^{math.log2(slots):.1f}"
+    _check_budget(slots * max(2 * dim, 32) ** 3, f"{count} dense slots at dimension {dim}",
+                  "slots x max(2d, 32)^3")
+
+
+def _check_scalar_cost(points: int, phases: int) -> None:
+    """Refuse a scalar run that evaluates `phases` chain phases at each of
+    `points` points when it exceeds DENSE_BUDGET.  One point-phase of
+    phase_chain (~17 ns) costs 2^6 dense units (~0.24 ns each, from
+    0.51 ms per d = 64 slot)."""
+    _check_budget(points * phases * 2 ** 6, f"{points} points x {phases} chain phases",
+                  "point-phases x 2^6")
 
 
 def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
@@ -123,15 +135,16 @@ def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
     return flat
 
 
-def distinct_nonzero_angles(phases: np.ndarray, tol: float = _ANGLE_TOL) -> int:
-    """Number of distinct nonzero values in a canonicalized phase list."""
+def distinct_nonzero_angles(phases: np.ndarray) -> int:
+    """Number of distinct nonzero values in a canonicalized phase list,
+    values closer than _ANGLE_TOL counting as one."""
     vals = canonicalize_angles(np.asarray(phases, dtype=np.float64))
-    vals = np.sort(vals[np.abs(vals) > tol])
+    vals = np.sort(vals[np.abs(vals) > _ANGLE_TOL])
     if len(vals) == 0:
         return 0
-    count = 1 + int(np.count_nonzero(np.diff(vals) > tol))
+    count = 1 + int(np.count_nonzero(np.diff(vals) > _ANGLE_TOL))
     # the lowest and highest clusters are one cluster if they meet across +-pi
-    if count > 1 and vals[0] + 2.0 * np.pi - vals[-1] <= tol:
+    if count > 1 and vals[0] + 2.0 * np.pi - vals[-1] <= _ANGLE_TOL:
         count -= 1
     return count
 
@@ -333,8 +346,8 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     product on the eigenvalues plus a 21-point grid.  Only the last two
     build lists; recursive mode counts distinct angles by distinct_angles.
     Every mode refuses runs of more than MAX_PHASES queries; flattened
-    mode, whose dense slots grow as (2l+1)^n, also refuses runs over
-    DENSE_BUDGET.  A row's wall_time_ms covers the level's construction
+    and scalar modes, whose work grows as (2l+1)^n, also refuse runs over
+    DENSE_BUDGET, scalar mode counting 2^6 units per point-phase.  A row's wall_time_ms covers the level's construction
     (compose, assemble or evaluate), not its error check.
 
     Returns (result, report): the result is a BlockEncoding of the final
@@ -350,8 +363,12 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     if n < 0:
         raise InputError("levels must be nonnegative")
     _check_phase_count(n, l)
+    queries = sum(query_count(k, l) for k in range(1, n + 1))  # over all levels
     if mode == "flattened":
-        _check_dense_cost(sum(query_count(k, l) for k in range(1, n + 1)), A.shape[0])
+        _check_dense_cost(queries, A.shape[0])
+    if mode == "scalar":
+        pts = np.unique(np.concatenate((scalar_grid(delta), w)))
+        _check_scalar_cost(len(pts), queries)
     base = pade_phases(l)
     target = _sign_of(spectrum)
     report = IterationReport(mode, delta, eps, l)
@@ -360,13 +377,11 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         err = operator_norm(A - target) if mode != "scalar" else float(np.abs(w - np.sign(w)).max())
         report.rows.append(IterationRow(0, err, error_bound(delta, 0, l), 1, 0, 0.0))
         if mode == "scalar":
-            pts = np.unique(np.concatenate((scalar_grid(delta), w)))
             return ScalarSignTable(pts, pts.astype(np.complex128)), report
         return _dilate_spectrum(A, spectrum), report
 
     flat = base
     if mode == "scalar":
-        pts = np.unique(np.concatenate((scalar_grid(delta), w)))
         for k in range(1, n + 1):
             t0 = time.perf_counter()
             if k > 1:

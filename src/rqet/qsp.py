@@ -4,8 +4,9 @@ A length-q reflection sequence realizes a degree-q polynomial f as the
 top-left entry of prod_{i=1..q} exp(i*phi_i*Z) R(x), with the i = q factor
 rightmost.  Phases are derived in the rotation picture, where a degree
 reduction peels one angle per step from the pair (f, h), and are then
-shifted into the reflection picture.  The complementary h comes from an
-explicit factorization of 1 - f f* over u = x^2.
+shifted into the reflection picture.  The complementary h of p_l is read
+off the q of deflate_pade_square, the exact factorization
+1 - p_l^2 = (1 - u)^(l+1) q(u) over u = x^2.
 """
 
 from __future__ import annotations
@@ -87,96 +88,48 @@ def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
 
 # ------------------------------------------------------- complementary part
 
-def _divide_out(coeffs: np.ndarray, root: complex) -> tuple[np.ndarray, complex]:
-    """Synthetic division by (u - root); returns (quotient, remainder)."""
-    n = len(coeffs) - 1
-    quotient = np.zeros(n, dtype=np.complex128)
-    acc = coeffs[n]
-    for k in range(n - 1, -1, -1):
-        quotient[k] = acc
-        acc = coeffs[k] + root * acc
-    return quotient, acc
+def pade_complement(l: int) -> ComplexPolynomial:
+    """Complementary h of p_l, with p_l^2 + (1 - x^2) h h* = 1.
 
-
-def complementary_poly(f: ComplexPolynomial) -> ComplexPolynomial:
-    """Complementary polynomial h with f f* + (1 - x^2) h h* = 1.
-
-    Works over u = x^2: peel one structural (1 - u) factor off 1 - f f*,
-    deflate roots pinned at u = 0 and u = 1 by exact synthetic division,
-    then factor the low-degree remainder.  Conjugate root pairs contribute
-    their upper-half-plane member to h; real roots must occur with even
-    multiplicity and split evenly; u = 0 roots contribute single powers
-    of x.  The defining identity is re-checked on a 101-point grid.
+    deflate_pade_square gives the exact factorization
+    1 - p_l^2 = (1 - u)^(l+1) q(u) over u = x^2.  One (1 - u) is the
+    (1 - x^2) of the identity; the other l split evenly, and q's roots
+    come in conjugate pairs, one member of each going into h:
+    h = sqrt(alpha) (x^2 - 1)^(l/2) prod (x^2 - r), with alpha the leading
+    coefficient of q and r the upper member of each pair, in the order
+    roots_in_u returns them.  A real root of q cannot be split and is a
+    numeric failure.  The identity is re-checked on a 101-point grid.
     """
-    q = f.degree
-    if q < 1:
-        raise DomainError("need a polynomial of degree at least 1")
-    if f.parity == "none":
-        raise DomainError("need a definite-parity polynomial")
-    prod = -np.convolve(f.coeffs, np.conj(f.coeffs))
-    prod[0] += 1.0
-    if np.abs(prod[1::2]).max() > _ZERO_TOL:
-        raise NumericError("1 - f f* acquired odd powers; input parity is broken")
-    pu = prod[0::2]  # degree q in u
-    scale = max(1.0, float(np.abs(pu).max()))
+    if l % 2 == 1:
+        raise DomainError(f"odd family member {l} admits no complementary "
+                          "polynomial; its square dips below 1 outside [-1, 1]")
+    q = deflate_pade_square(l)  # also rejects l < 1
+    alpha = q.coeffs[-1].real   # deflate_pade_square works in real arithmetic
+    if alpha <= 0.0:
+        raise NumericError(f"factorization needs a positive leading factor, got {alpha:.3e}")
+    roots = roots_in_u(q)
+    pair_tol = 1e-7 * max(1.0, float(np.abs(roots).max()))
+    real = [r for r in roots if abs(r.imag) <= pair_tol]
+    if real:
+        raise NumericError(f"real root {real[0].real:.6e} of the deflated square cannot be split")
+    upper = [r for r in roots if r.imag > 0.0]
+    lower = [r for r in roots if r.imag < 0.0]
+    if len(upper) != len(lower):
+        raise NumericError("complex roots failed to pair into conjugates")
+    for r in upper:
+        partner = min(lower, key=lambda s: abs(s - r.conjugate()))
+        if abs(partner - r.conjugate()) > pair_tol:
+            raise NumericError(f"no conjugate partner for root {r:.6e}")
+        lower.remove(partner)
 
-    pu, rem = _divide_out(pu, 1.0)  # the structural (1 - u) prefactor, sign folded below
-    pu = -pu
-    if abs(rem) > 1e-10 * scale:
-        raise DomainError(f"|f(1)| must equal 1; residual at u = 1 is {abs(rem):.3e}")
-
-    m_zero = 0
-    while len(pu) > 1 and abs(pu[0]) <= 1e-12 * scale:
-        pu = pu[1:]
-        m_zero += 1
-    m_one = 0
-    while len(pu) > 1:
-        cand, rem = _divide_out(pu, 1.0)
-        if abs(rem) > 1e-10 * scale:
-            break
-        pu = cand
-        m_one += 1
-    if m_one % 2:
-        raise DomainError("root at u = 1 has odd multiplicity and cannot be split")
-
-    alpha = pu[-1]
-    if alpha.real <= 0.0 or abs(alpha.imag) > 1e-10 * abs(alpha):
-        raise DomainError(f"factorization needs a positive leading factor, got {alpha:.3e}")
-    alpha = alpha.real
-
-    selected = []
-    if len(pu) > 1:
-        roots = roots_in_u(pu)
-        pair_tol = 1e-7 * max(1.0, float(np.abs(roots).max()))
-        complex_roots = [r for r in roots if abs(r.imag) > pair_tol]
-        real_roots = sorted((r.real for r in roots if abs(r.imag) <= pair_tol))
-        upper = [r for r in complex_roots if r.imag > 0.0]
-        lower = [r for r in complex_roots if r.imag < 0.0]
-        if len(upper) != len(lower):
-            raise NumericError("complex roots failed to pair into conjugates")
-        for r in upper:
-            partner = min(lower, key=lambda s: abs(s - r.conjugate()))
-            if abs(partner - r.conjugate()) > pair_tol:
-                raise NumericError(f"no conjugate partner for root {r:.6e}")
-            lower.remove(partner)
-            selected.append(r)
-        while real_roots:
-            r = real_roots.pop()
-            if not real_roots or abs(real_roots[-1] - r) > pair_tol:
-                raise DomainError(f"real root {r:.6e} has odd multiplicity and cannot be split")
-            real_roots.pop()
-            selected.append(complex(r, 0.0))
-
-    h = np.zeros(1, dtype=np.complex128)
-    h[0] = math.sqrt(alpha)
-    for _ in range(m_one // 2):
+    h = np.array([math.sqrt(alpha)], dtype=np.complex128)
+    for _ in range(l // 2):
         h = np.convolve(h, np.array([-1.0, 0.0, 1.0]))     # (x^2 - 1)
-    for r in selected:
+    for r in upper:
         h = np.convolve(h, np.array([-r, 0.0, 1.0]))        # (x^2 - r)
-    h = np.concatenate([np.zeros(m_zero, dtype=np.complex128), h])  # u = 0 gives x * x
 
     xs = np.linspace(-1.0, 1.0, 101)
-    fv = poly_eval(f, xs)
+    fv = poly_eval(pade(l), xs)
     hv = P.polyval(xs, h)
     dev = np.abs(fv * np.conj(fv) + (1.0 - xs**2) * hv * np.conj(hv) - 1.0)
     worst = int(np.argmax(dev))
@@ -276,21 +229,14 @@ def pade_phases(l: int) -> np.ndarray:
     roots_in_u picks the route by that degree: the quadratic or quartic
     formula for l in {2, 4}, the iterative root finder for l >= 6.  Odd
     members fail the domination condition and have no complementary
-    partner, so they are rejected up front.  The first successful
-    derivation for each l is cached; every call returns a fresh copy,
-    and a failed derivation is not cached.
+    partner; pade_complement rejects them before any root finding.  The
+    first successful derivation for each l is cached; every call returns
+    a fresh copy, and a failed derivation is not cached.
     """
     cached = _PHASE_CACHE.get(l)
     if cached is not None:
         return cached.copy()
-    if l < 1:
-        raise DomainError("family index must be a positive integer")
-    if l % 2 == 1:
-        raise DomainError(f"odd family member {l} admits no complementary "
-                          "polynomial; its square dips below 1 outside [-1, 1]")
-    f = pade(l)
-    deflate_pade_square(l)  # exactness guard on the shared factorization
-    phases = rotation_to_reflection(find_phases_rotation(f, complementary_poly(f)))
+    phases = rotation_to_reflection(find_phases_rotation(pade(l), pade_complement(l)))
     phases.flags.writeable = False
     _PHASE_CACHE[l] = phases
     return phases.copy()

@@ -1,5 +1,4 @@
 import json
-import os
 import subprocess
 import sys
 
@@ -10,12 +9,9 @@ from rqet.cli import main
 from conftest import hermitian_with_spectrum
 
 
-def run_cli(args, env_extra=None):
-    env = dict(os.environ)
-    if env_extra:
-        env.update(env_extra)
+def run_cli(args):
     return subprocess.run([sys.executable, "-m", "rqet.cli", *args],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True)
 
 
 def strip_timing(csv_text):
@@ -162,19 +158,6 @@ def test_perturb_bad_grid():
     assert r.returncode == 2
 
 
-def test_rqet_tol_env_rejected_when_invalid():
-    r = run_cli(["phases", "--pade-l", "2"], env_extra={"RQET_TOL": "banana"})
-    assert r.returncode == 2
-
-
-def test_rqet_tol_env_coarse_tolerance():
-    # a huge clustering tolerance collapses all angles into one bucket
-    r = run_cli(["phases", "--pade-l", "2", "--iters", "2"],
-                env_extra={"RQET_TOL": "10"})
-    assert r.returncode == 0
-    assert json.loads(r.stdout)["distinct_nonzero"] <= 1
-
-
 def test_main_callable_directly(capsys):
     code = main(["phases", "--pade-l", "2"])
     assert code == 0
@@ -195,6 +178,18 @@ def test_over_cap_runs_fail_before_composing(monkeypatch, capsys):
     assert "244140625 phases" in err and "1,953 MB" in err
     assert main(["phases", "--pade-l", "2", "--iters", "11"]) == 3
     assert main(["polar-run", "--seed", "1", "--dim", "2", "--iters", "11"]) == 3
+
+
+def test_over_budget_scalar_runs_fail_before_composing(monkeypatch, capsys):
+    # 85 points x sum of 5^k up to n = 10 would take ~35 s; nothing may be built
+    def refuse(*_):
+        raise AssertionError("scalar work started past the budget")
+
+    monkeypatch.setattr("rqet.qet.compose_phases", refuse)
+    monkeypatch.setattr("rqet.qet.pade_phases", refuse)
+    assert main(["sign-run", "--seed", "1", "--dim", "64", "--mode", "scalar",
+                 "--iters", "10"]) == 3
+    assert "85 points x 12207030 chain phases" in capsys.readouterr().err
 
 
 def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):

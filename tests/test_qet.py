@@ -11,8 +11,8 @@ from rqet import (DomainError, InputError, ScalarSignTable,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
-from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, scalar_grid,
-                      template_daggers)
+from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _check_scalar_cost,
+                      scalar_grid, template_daggers)
 from conftest import hermitian_with_spectrum
 
 
@@ -90,6 +90,21 @@ _phase_list = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=9).map(np.ar
 @given(_phase_list, _phase_list)
 def test_compose_matches_slot_loop(outer, inner):
     assert np.array_equal(compose_phases(outer, inner), _compose_slot_loop(outer, inner))
+
+
+_short_list = st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6).map(np.array)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_short_list, _short_list, _short_list)
+def test_compose_is_associative_as_an_operator(a, b, c):
+    A, _ = hermitian_with_spectrum(4, [0.8, -0.35])
+    be = dilate_hermitian(A)
+    left = qet_assemble(be, compose_phases(compose_phases(a, b), c))
+    right = qet_assemble(be, compose_phases(a, compose_phases(b, c)))
+    nested = qet_assemble(qet_recursive_step(qet_recursive_step(be, c), b), a)
+    assert operator_norm(left - right) < 1e-12
+    assert operator_norm(left - nested) < 1e-12
 
 
 def test_compose_parities_close_for_all_lengths():
@@ -254,6 +269,19 @@ def test_dense_budget_boundary():
     _check_dense_cost(131_072, 8)
     with pytest.raises(DomainError, match="131073 dense slots"):
         _check_dense_cost(131_073, 8)
+
+
+def test_scalar_budget_boundary():
+    # 2^6 units per point-phase: n = 9 at l = 2 (sum of 5^k = 2,441,405) fits
+    # 23 points but not 29, n = 10 not even the 21-point grid, and the
+    # criterion-4 run (25 points, n = 8) uses 18% of the budget
+    nine = sum(query_count(k, 2) for k in range(1, 10))
+    _check_scalar_cost(23, nine)
+    with pytest.raises(DomainError, match="29 points x 2441405 chain phases"):
+        _check_scalar_cost(29, nine)
+    with pytest.raises(DomainError, match="21 points x 12207030 chain phases"):
+        _check_scalar_cost(21, nine + query_count(10, 2))
+    _check_scalar_cost(25, sum(query_count(k, 2) for k in range(1, 9)))
 
 
 def test_run_sign_zero_levels(gapped8):

@@ -5,7 +5,7 @@ import pytest
 
 from rqet import (DomainError, InputError, NumericError,
                   canonicalize_angles, chebyshev_reflection_phases,
-                  complementary_poly, find_phases_rotation, load_poly, pade, pade_phases, poly_eval, polynomial, qsp,
+                  find_phases_rotation, load_poly, pade, pade_complement, pade_phases, poly_eval, polynomial, qsp,
                   qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from rqet._kernels import phase_chain
@@ -120,47 +120,67 @@ def test_chebyshev_trivial_phases(q):
 
 
 def test_rotation_and_reflection_forms_agree():
-    f = cheb_poly(3)
-    h = complementary_poly(f)
-    rot = find_phases_rotation(f, h)
-    refl = rotation_to_reflection(rot)
-    for x in (-0.9, -0.2, 0.33, 0.81):
-        a = qsp_rotation_eval(rot, x)[0, 0]
-        b = qsp_reflection_eval(refl, x)[0, 0]
-        assert abs(a - b) < 1e-12
+    for l in (2, 4):
+        rot = find_phases_rotation(pade(l), pade_complement(l))
+        refl = rotation_to_reflection(rot)
+        for x in (-0.9, -0.2, 0.33, 0.81):
+            a = qsp_rotation_eval(rot, x)[0, 0]
+            b = qsp_reflection_eval(refl, x)[0, 0]
+            assert abs(a - b) < 1e-12, (l, x)
 
 
-def test_complementary_chebyshev():
-    # T_q pairs with U_(q-1) scaled: f f* + (1-x^2) h h* = 1
-    for q in (2, 3, 5):
-        f = cheb_poly(q)
-        h = complementary_poly(f)
-        xs = np.linspace(-1, 1, 101)
-        lhs = np.real(poly_eval(f, xs)) ** 2 + (1 - xs * xs) * np.abs(poly_eval(h, xs)) ** 2
-        assert np.abs(lhs - 1.0).max() < 1e-9
-        assert h.degree == q - 1
-
-
-def test_complementary_t2_is_twice_x():
-    h = complementary_poly(cheb_poly(2))
-    c = np.array(h.coeffs)
-    assert h.degree == 1
-    assert abs(c[0]) < 1e-12
-    assert abs(abs(c[1]) - 2.0) < 1e-12
-
-
-def test_complementary_pade2_identity():
-    f = pade(2)
-    h = complementary_poly(f)
+@pytest.mark.parametrize("l", [2, 4, 6, 8])
+def test_pade_complement_identity(l):
+    f = pade(l)
+    h = pade_complement(l)
+    assert h.degree == 2 * l
     xs = np.linspace(-1, 1, 301)
     lhs = np.real(poly_eval(f, xs)) ** 2 + (1 - xs * xs) * np.abs(poly_eval(h, xs)) ** 2
     assert np.abs(lhs - 1.0).max() < 1e-9
 
 
 def test_complementary_rejects_dipping_polynomial():
-    # the degree-3 family member admits no complementary partner
-    with pytest.raises((DomainError, NumericError)):
-        complementary_poly(pade(1))
+    # odd family members admit no complementary partner
+    for l in (1, 3):
+        with pytest.raises(DomainError, match="odd family member"):
+            pade_complement(l)
+
+
+def test_pade_phases_factors_the_square_once(monkeypatch):
+    calls = []
+    original = qsp.deflate_pade_square
+
+    def counting(l):
+        calls.append(l)
+        return original(l)
+
+    monkeypatch.setattr(qsp, "deflate_pade_square", counting)
+    for l in (2, 4, 6, 8):
+        monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
+        calls.clear()
+        pade_phases(l)
+        assert calls == [l]
+
+
+def test_pade_complement_rejects_negative_leading_factor(monkeypatch):
+    original = qsp.deflate_pade_square
+    monkeypatch.setattr(qsp, "deflate_pade_square", lambda l: polynomial(-original(l).coeffs))
+    with pytest.raises(NumericError, match="positive leading factor"):
+        pade_complement(4)
+
+
+def test_pade_complement_rejects_real_root(monkeypatch):
+    # a real root of q has no conjugate partner to split it with
+    original = qsp.roots_in_u
+
+    def one_pair_made_real(q):
+        roots = original(q).copy()
+        roots[np.argmax(roots.imag)] = roots[np.argmin(roots.imag)] = 0.5
+        return roots
+
+    monkeypatch.setattr(qsp, "roots_in_u", one_pair_made_real)
+    with pytest.raises(NumericError, match="real root"):
+        pade_complement(4)
 
 
 def test_find_phases_requires_degree_gap():

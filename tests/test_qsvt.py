@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, NumericError, dilate_general, distinct_nonzero_angles,
                   extract, filtering_operator, flatten_sign_phases, matrix_sign,
@@ -79,6 +80,19 @@ def test_filtering_random_hermitian():
     # the full conditioned operator stays unitary
     F = res.unitary
     assert np.abs(F.conj().T @ F - np.eye(F.shape[0])).max() < 1e-10
+
+
+_gapped_eigenvalue = st.tuples(st.floats(0.5, 1.0), st.booleans()).map(
+    lambda t: t[0] if t[1] else -t[0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_gapped_eigenvalue, min_size=1, max_size=4),
+       st.sampled_from([1e-5, 1e-8]), st.integers(0, 2 ** 16))
+def test_filter_output_is_idempotent(eigenvalues, eps, seed):
+    A, _ = hermitian_with_spectrum(seed, eigenvalues)
+    P = filtering_operator(A, 0.5, eps).projector
+    assert operator_norm(P @ P - P) <= eps
 
 
 def test_preparation_projector_rank_one():
