@@ -17,7 +17,6 @@ from .qet import (IterationReport, ScalarSignTable, check_flattened_structure,
                   sign_iterations)
 from .qsp import (canonicalize_angles, chebyshev_reflection_phases,
                   find_phases_rotation, pade_complement, pade_phases,
-                  qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from .qsvt import (FilterResult, PreparationResult, filtering_operator,
                    preparation_projector, run_polar)

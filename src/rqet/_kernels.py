@@ -1,4 +1,4 @@
-"""The package's one hot scalar loop: a long reflection-form 2x2 chain.
+"""The package's one scalar evaluator: a long reflection-form 2x2 chain.
 
 `phase_chain` evaluates the top-left entry of
 prod_i exp(i*phi_i*Z) R(x) at many points.  The product is split into

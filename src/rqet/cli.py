@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,7 +22,7 @@ from .blockenc import dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import load_matrix, operator_norm
 from .poly import check_qet_conditions, load_poly, pade
-from .qet import (_check_dense_cost, coherent_perturb, distinct_nonzero_angles,
+from .qet import (_check_dense_cost, coherent_perturb, distinct_angles,
                   flatten_sign_phases, qet_recursive_step, query_count, run_sign)
 from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
@@ -115,7 +116,7 @@ def _cmd_phases(args) -> int:
         "base_angles": [float(v) for v in base],
         "flattened_length": int(len(flat)),
         "query_count": query_count(args.iters, args.pade_l),
-        "distinct_nonzero": distinct_nonzero_angles(flat),
+        "distinct_nonzero": distinct_angles(args.pade_l, args.iters),
     }
     if args.out is not None:
         save_phases(args.out, "reflection", flat)
@@ -190,6 +191,8 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
         raise InputError(f"bad --delta-grid {spec!r}") from exc
     if not (0.0 < lo <= hi) or count < 1:
         raise InputError("--delta-grid needs 0 < lo <= hi and count >= 1")
+    if not math.isfinite(hi):
+        raise InputError(f"--delta-grid bounds must be finite, got hi = {hi}")
     return lo, hi, count
 
 

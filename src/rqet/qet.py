@@ -186,17 +186,15 @@ def check_flattened_structure(phases: np.ndarray, base: np.ndarray) -> bool:
     L = len(base)
     if len(phases) % L != 0:
         return False
+    blocks = phases.reshape(-1, L)
     fwd = base[1:]
     rev = canonicalize_angles(-base[:0:-1])
     junction_ok = np.concatenate(([0.0], base, canonicalize_angles(-base)))
-    for m in range(len(phases) // L):
-        block = phases[L * m : L * (m + 1)]
-        tail = block[1:]
-        if not (np.abs(tail - fwd).max() <= _ANGLE_TOL or np.abs(tail - rev).max() <= _ANGLE_TOL):
-            return False
-        if np.abs(junction_ok - block[0]).min() > _ANGLE_TOL:
-            return False
-    return True
+    tails = blocks[:, 1:]
+    tail_ok = ((np.abs(tails - fwd) <= _ANGLE_TOL).all(axis=1)
+               | (np.abs(tails - rev) <= _ANGLE_TOL).all(axis=1))
+    head_ok = (np.abs(blocks[:, :1] - junction_ok) <= _ANGLE_TOL).any(axis=1)
+    return bool((tail_ok & head_ok).all())
 
 
 def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
@@ -210,6 +208,8 @@ def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
         raise DomainError("spectral gap must lie strictly between 0 and 1")
     if eps <= 0.0:
         raise DomainError("tolerance must be positive")
+    if not math.isfinite(eps):
+        raise DomainError(f"tolerance must be finite, got {eps}")
     if l < 1:
         raise DomainError("polynomial index must be a positive integer")
     target = math.log(1.0 / eps) / (delta * delta)
@@ -375,7 +375,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
 
     if n == 0:
         err = operator_norm(A - target) if mode != "scalar" else float(np.abs(w - np.sign(w)).max())
-        report.rows.append(IterationRow(0, err, error_bound(delta, 0, l), 1, 0, 0.0))
+        report.add(0, err, 0.0)
         if mode == "scalar":
             return ScalarSignTable(pts, pts.astype(np.complex128)), report
         return _dilate_spectrum(A, spectrum), report

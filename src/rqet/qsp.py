@@ -1,11 +1,13 @@
-"""Scalar phase algebra: signal matrices, phase finding, and form conversion.
+"""Scalar phase algebra: phase finding, form conversion and evaluation.
 
 A length-q reflection sequence realizes a degree-q polynomial f as the
 top-left entry of prod_{i=1..q} exp(i*phi_i*Z) R(x), with the i = q factor
 rightmost.  Phases are derived in the rotation picture, where a degree
 reduction peels one angle per step from the pair (f, h), and are then
-shifted into the reflection picture.  The complementary h of p_l is read
-off the q of deflate_pade_square, the exact factorization
+shifted into the reflection picture.  The round trip is checked in
+reflection form by the chain kernel, the package's one evaluator of the
+phased product.  The complementary h of p_l is read off the q of
+deflate_pade_square, the exact factorization
 1 - p_l^2 = (1 - u)^(l+1) q(u) over u = x^2.
 """
 
@@ -33,49 +35,6 @@ def canonicalize_angles(angles) -> np.ndarray:
     out = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
     out[out == -np.pi] = np.pi
     return out
-
-
-def _check_signal(x: float) -> tuple[float, float]:
-    if abs(x) > 1.0 + 1e-12:
-        raise DomainError(f"signal point {x} lies outside [-1, 1]")
-    return float(x), math.sqrt(max(0.0, 1.0 - x * x))
-
-
-def w_matrix(x: float) -> np.ndarray:
-    """Rotation-form signal [[x, i w], [i w, x]] with w = sqrt(1 - x^2)."""
-    x, w = _check_signal(x)
-    return np.array([[x, 1j * w], [1j * w, x]], dtype=np.complex128)
-
-
-def reflection_matrix(x: float) -> np.ndarray:
-    """Reflection-form signal [[x, w], [w, -x]] with w = sqrt(1 - x^2)."""
-    x, w = _check_signal(x)
-    return np.array([[x, w], [w, -x]], dtype=np.complex128)
-
-
-def _zrot(phi: float) -> np.ndarray:
-    e = complex(math.cos(phi), math.sin(phi))
-    return np.array([[e, 0.0], [0.0, e.conjugate()]], dtype=np.complex128)
-
-
-def qsp_rotation_eval(phases: np.ndarray, x: float) -> np.ndarray:
-    """exp(i phi_0 Z) prod_{i=1..q} W(x) exp(i phi_i Z), i = q rightmost."""
-    phases = np.asarray(phases, dtype=np.float64)
-    W = w_matrix(x)
-    M = _zrot(phases[0])
-    for phi in phases[1:]:
-        M = M @ W @ _zrot(phi)
-    return M
-
-
-def qsp_reflection_eval(phases: np.ndarray, x: float) -> np.ndarray:
-    """prod_{i=1..q} exp(i phi_i Z) R(x), i = q rightmost."""
-    phases = np.asarray(phases, dtype=np.float64)
-    R = reflection_matrix(x)
-    M = np.eye(2, dtype=np.complex128)
-    for phi in phases:
-        M = M @ _zrot(phi) @ R
-    return M
 
 
 def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -146,7 +105,9 @@ def find_phases_rotation(f: ComplexPolynomial, h: ComplexPolynomial) -> np.ndarr
 
     Each step divides the leading coefficients to read one angle, then
     reduces the pair by one degree.  The result is canonicalized to
-    (-pi, pi] and verified by re-evaluation on a 201-point grid.
+    (-pi, pi] and verified on a 201-point grid in reflection form: the
+    chain kernel evaluates rotation_to_reflection of it, so the check
+    covers the conversion as well.
     """
     fc = f.coeffs.astype(np.complex128).copy()
     hc = h.coeffs.astype(np.complex128).copy()
@@ -190,7 +151,7 @@ def find_phases_rotation(f: ComplexPolynomial, h: ComplexPolynomial) -> np.ndarr
 
     xs = np.linspace(-1.0, 1.0, 201)
     target = poly_eval(f, xs)
-    got = np.array([qsp_rotation_eval(phases, x)[0, 0] for x in xs])
+    got = reflection_upper_left(rotation_to_reflection(phases), xs)
     worst = int(np.argmax(np.abs(got - target)))
     if abs(got[worst] - target[worst]) > _IDENTITY_TOL:
         raise NumericError(

@@ -22,8 +22,8 @@ from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
-from .qet import (IterationReport, IterationRow, _check_phase_count,
-                  error_bound, qet_recursive_step, run_sign, sign_iterations)
+from .qet import (IterationReport, _check_phase_count, qet_recursive_step,
+                  run_sign, sign_iterations)
 from .qsp import pade_phases
 
 _STEP_TOL = 1e-10
@@ -71,8 +71,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     report = IterationReport("polar", delta, eps, l)
     enc = dilate_general(A)
     if n == 0:
-        report.rows.append(IterationRow(0, operator_norm(A - unitary_factor),
-                                        error_bound(delta, 0, l), 1, 0, 0.0))
+        report.add(0, operator_norm(A - unitary_factor), 0.0)
         return enc, report
     X_prev = A
     for k in range(1, n + 1):

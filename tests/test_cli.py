@@ -158,6 +158,14 @@ def test_perturb_bad_grid():
     assert r.returncode == 2
 
 
+@pytest.mark.parametrize("command", ["sign-run", "polar-run"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf"])
+def test_non_finite_epsilon_is_a_domain_error(command, epsilon, capsys):
+    assert main([command, "--seed", "1", "--dim", "2", "--epsilon", epsilon]) == 3
+    err = capsys.readouterr().err
+    assert err == f"domain error: tolerance must be finite, got {epsilon}\n"
+
+
 def test_main_callable_directly(capsys):
     code = main(["phases", "--pade-l", "2"])
     assert code == 0
@@ -201,6 +209,9 @@ def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):
     monkeypatch.setattr("rqet.qet.compose_phases", refuse)
     assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "4",
                  "--delta-grid", "nope"]) == 2
+    assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "4",
+                 "--delta-grid", "1e-6:inf:3"]) == 2
+    assert "bounds must be finite" in capsys.readouterr().err
     assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "10"]) == 3
     assert "107421875 dense slots" in capsys.readouterr().err
 

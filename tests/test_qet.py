@@ -164,8 +164,15 @@ def test_eight_angle_structure(n):
 def test_structure_rejects_shuffled_list():
     base = pade_phases(2)
     flat = flatten_sign_phases(2, 2).copy()
-    flat[3], flat[4] = flat[4], flat[3]
-    assert not check_flattened_structure(flat, base)
+    assert check_flattened_structure(flat, base)
+    shuffled = flat.copy()
+    shuffled[3], shuffled[4] = shuffled[4], shuffled[3]
+    assert not check_flattened_structure(shuffled, base)
+    # block 2's junction is neither zero nor a base angle up to sign; its tail is intact
+    junction = flat.copy()
+    junction[len(base)] = 0.123
+    assert not check_flattened_structure(junction, base)
+    assert not check_flattened_structure(flat[:-1], base)
 
 
 def test_sign_iterations_reference_values():
@@ -182,6 +189,9 @@ def test_sign_iterations_guards():
         sign_iterations(1.5, 1e-8)
     with pytest.raises(DomainError):
         sign_iterations(0.5, 0.0)
+    for eps in (float("nan"), float("inf")):
+        with pytest.raises(DomainError, match="finite"):
+            sign_iterations(0.5, eps)
 
 
 def test_error_bound_monotone():

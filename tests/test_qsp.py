@@ -2,13 +2,35 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, InputError, NumericError,
                   canonicalize_angles, chebyshev_reflection_phases,
                   find_phases_rotation, load_poly, pade, pade_complement, pade_phases, poly_eval, polynomial, qsp,
-                  qsp_reflection_eval, qsp_rotation_eval,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from rqet._kernels import phase_chain
+
+
+def direct_product(phases, xs, form="reflection"):
+    """Top-left entry of the phased product by plain 2x2 multiplication, one
+    point at a time: prod_i exp(i phi_i Z) R(x) in reflection form, and
+    exp(i phi_0 Z) prod_{i>=1} W(x) exp(i phi_i Z) in rotation form."""
+    def zrot(phi):
+        return np.diag([np.exp(1j * phi), np.exp(-1j * phi)])
+
+    out = []
+    for x in xs:
+        w = np.sqrt(1.0 - x * x)
+        if form == "rotation":
+            W, M = np.array([[x, 1j * w], [1j * w, x]]), zrot(phases[0])
+            for phi in phases[1:]:
+                M = M @ W @ zrot(phi)
+        else:
+            R, M = np.array([[x, w], [w, -x]]), np.eye(2)
+            for phi in phases:
+                M = M @ zrot(phi) @ R
+        out.append(M[0, 0])
+    return np.array(out)
 
 
 def cheb_poly(q):
@@ -28,17 +50,9 @@ def test_canonicalize_range():
     assert abs(a[1] - np.pi) < 1e-15
 
 
-def test_rotation_signal_is_unitary():
-    from rqet.qsp import reflection_matrix, w_matrix
-    for x in (-1.0, -0.3, 0.0, 0.7, 1.0):
-        for M in (w_matrix(x), reflection_matrix(x)):
-            assert np.abs(M @ M.conj().T - np.eye(2)).max() < 1e-15
-
-
 def test_signal_rejects_out_of_range():
-    from rqet.qsp import reflection_matrix
     with pytest.raises(DomainError):
-        reflection_matrix(1.5)
+        reflection_upper_left(pade_phases(2), [1.5])
 
 
 def test_analytic_pade_phases_multiset():
@@ -119,14 +133,26 @@ def test_chebyshev_trivial_phases(q):
     assert np.abs(f - ref).max() < 1e-12
 
 
-def test_rotation_and_reflection_forms_agree():
-    for l in (2, 4):
-        rot = find_phases_rotation(pade(l), pade_complement(l))
-        refl = rotation_to_reflection(rot)
-        for x in (-0.9, -0.2, 0.33, 0.81):
-            a = qsp_rotation_eval(rot, x)[0, 0]
-            b = qsp_reflection_eval(refl, x)[0, 0]
-            assert abs(a - b) < 1e-12, (l, x)
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=14).map(np.array))
+def test_rotation_and_reflection_forms_agree(rot):
+    xs = np.array([-1.0, -0.9, -0.2, 0.0, 0.33, 0.81, 1.0])
+    refl = reflection_upper_left(rotation_to_reflection(rot), xs)
+    assert np.abs(refl - direct_product(rot, xs, "rotation")).max() < 1e-12
+
+
+def test_round_trip_checks_the_reflection_conversion(monkeypatch):
+    original = qsp.rotation_to_reflection
+
+    def one_angle_shifted(phases):
+        out = original(phases)
+        out[1] += 1e-3
+        return out
+
+    monkeypatch.setattr(qsp, "rotation_to_reflection", one_angle_shifted)
+    monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
+    with pytest.raises(NumericError, match="phase round-trip fails"):
+        pade_phases(4)
 
 
 @pytest.mark.parametrize("l", [2, 4, 6, 8])
@@ -212,8 +238,7 @@ def test_phase_chain_matches_direct_product():
     phases = rng.uniform(-np.pi, np.pi, 7)
     xs = np.array([-0.8, -0.1, 0.4, 0.95])
     fast = reflection_upper_left(phases, xs)
-    slow = np.array([qsp_reflection_eval(phases, float(x))[0, 0] for x in xs])
-    assert np.abs(fast - slow).max() < 1e-13
+    assert np.abs(fast - direct_product(phases, xs)).max() < 1e-13
 
 
 @pytest.mark.parametrize("length", [1, 2, 3, 24, 25, 26, 125, 5 ** 5])
@@ -223,5 +248,4 @@ def test_blocked_phase_chain_matches_reflection_product(length):
     phases = rng.uniform(-np.pi, np.pi, length)
     xs = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
     fast = phase_chain(phases, xs)
-    slow = np.array([qsp_reflection_eval(phases, float(x))[0, 0] for x in xs])
-    assert np.abs(fast - slow).max() < 1e-12
+    assert np.abs(fast - direct_product(phases, xs)).max() < 1e-12
