@@ -119,7 +119,7 @@ def _cmd_phases(args) -> int:
         "distinct_nonzero": distinct_angles(args.pade_l, args.iters),
     }
     if args.out is not None:
-        save_phases(args.out, "reflection", flat)
+        save_phases(args.out, flat)
         payload["out"] = args.out
     else:
         payload["flattened_angles"] = [float(v) for v in flat]
@@ -129,7 +129,7 @@ def _cmd_phases(args) -> int:
 
 def _cmd_conditions(args) -> int:
     p = load_poly(args.poly)
-    report = check_qet_conditions(p, grid_size=args.grid_size)
+    report = check_qet_conditions(p)
     payload = {
         "degree_ok": bool(report.degree_ok),
         "parity_ok": bool(report.parity_ok),
@@ -243,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("conditions", help="check a polynomial file for admissibility")
     p.add_argument("poly", help="JSON polynomial file")
-    p.add_argument("--grid-size", type=int, default=10_000, dest="grid_size")
     p.set_defaults(func=_cmd_conditions)
 
     p = sub.add_parser("sign-run", help="matrix sign iteration with a CSV report")

@@ -22,6 +22,7 @@ from .errors import DomainError, InputError, NumericError, read_json
 TRIM_TOL = 1e-14
 PARITY_TOL = 1e-12
 _OUTER_LIMIT = 10.0     # right end of the domination window checked outside [-1, 1]
+_GRID_SIZE = 10_000     # points per window in check_qet_conditions
 _DK_MAX_ITER = 500
 
 
@@ -108,30 +109,28 @@ def pade(l: int) -> ComplexPolynomial:
     return polynomial(coeffs, "odd")
 
 
-def check_qet_conditions(p: ComplexPolynomial, grid_size: int = 10_000) -> ConditionReport:
+def check_qet_conditions(p: ComplexPolynomial) -> ConditionReport:
     """Grid check of the realizability conditions for a candidate polynomial.
 
     Inside: |p| <= 1 + 1e-9 on [-1, 1].  Outside: |p| >= 1 - 1e-9 on the
     window [1, 10].  For even degree additionally |p(ix) p*(ix)| >= 1 - 1e-9
-    on [0, 10].  Only grid_size is a setting; the [1, 10] window is fixed.
-    The witness records the first failing point.
+    on [0, 10].  Each window is a grid of _GRID_SIZE points.  The witness
+    records the first failing point.
     """
-    if grid_size < 1000:
-        raise InputError(f"grid_size must be at least 1000, got {grid_size}")
     degree_ok = p.degree >= 1 and abs(p.coeffs[-1]) > TRIM_TOL
     want = "odd" if p.degree % 2 else "even"
     parity_ok = p.parity == want and _infer_parity(p.coeffs) == want
     witness = None
     tol = 1e-9
 
-    xs = np.linspace(-1.0, 1.0, grid_size)
+    xs = np.linspace(-1.0, 1.0, _GRID_SIZE)
     vals = np.abs(poly_eval(p, xs))
     bad = np.nonzero(vals > 1.0 + tol)[0]
     bounded_inside = len(bad) == 0
     if not bounded_inside and witness is None:
         witness = ("bounded_inside", float(xs[bad[0]]), float(vals[bad[0]]))
 
-    xo = np.linspace(1.0, _OUTER_LIMIT, grid_size)
+    xo = np.linspace(1.0, _OUTER_LIMIT, _GRID_SIZE)
     vo = np.abs(poly_eval(p, xo))
     bad = np.nonzero(vo < 1.0 - tol)[0]
     dominating_outside = len(bad) == 0
@@ -140,7 +139,7 @@ def check_qet_conditions(p: ComplexPolynomial, grid_size: int = 10_000) -> Condi
 
     even_axis_ok = True
     if p.degree % 2 == 0:
-        xa = np.linspace(0.0, _OUTER_LIMIT, grid_size)
+        xa = np.linspace(0.0, _OUTER_LIMIT, _GRID_SIZE)
         va = np.abs(poly_eval(p, 1j * xa) * poly_eval(conj_poly(p), 1j * xa))
         bad = np.nonzero(va < 1.0 - tol)[0]
         even_axis_ok = len(bad) == 0
@@ -188,42 +187,6 @@ def _roots_quadratic(c: np.ndarray) -> np.ndarray:
     return np.array([0.0 + 0j, -b / a])
 
 
-def _roots_cubic(c: np.ndarray) -> np.ndarray:
-    b, c1, d = c[2] / c[3], c[1] / c[3], c[0] / c[3]
-    p = c1 - b * b / 3.0
-    q = 2.0 * b**3 / 27.0 - b * c1 / 3.0 + d
-    sq = np.sqrt((q / 2.0) ** 2 + (p / 3.0) ** 3 + 0j)
-    u3 = -q / 2.0 + sq
-    if abs(u3) < 1e-300:
-        u3 = -q / 2.0 - sq
-    u = u3 ** (1.0 / 3.0)
-    out = np.empty(3, dtype=np.complex128)
-    for k in range(3):
-        uk = u * np.exp(2j * np.pi * k / 3.0)
-        out[k] = uk - (p / (3.0 * uk) if abs(uk) > 0 else 0.0) - b / 3.0
-    return out
-
-
-def _roots_quartic(c: np.ndarray) -> np.ndarray:
-    b, c2, d, e = c[3] / c[4], c[2] / c[4], c[1] / c[4], c[0] / c[4]
-    p = c2 - 3.0 * b * b / 8.0
-    q = d - b * c2 / 2.0 + b**3 / 8.0
-    r = e - b * d / 4.0 + b * b * c2 / 16.0 - 3.0 * b**4 / 256.0
-    shift = b / 4.0
-    if abs(q) < 1e-14 * max(1.0, abs(p), abs(r)):
-        # biquadratic
-        ys = _roots_quadratic(np.array([r, p, 1.0 + 0j]))
-        sy = np.sqrt(ys + 0j)
-        return np.concatenate([sy, -sy]) - shift
-    zs = _roots_cubic(np.array([4.0 * p * r - q * q, -4.0 * r, -p, 1.0 + 0j]))
-    z = zs[np.argmax(np.abs(zs - p))]  # need z - p away from zero
-    w = np.sqrt(z - p + 0j)
-    out = np.empty(4, dtype=np.complex128)
-    out[:2] = _roots_quadratic(np.array([z / 2.0 + q / (2.0 * w), -w, 1.0 + 0j]))
-    out[2:] = _roots_quadratic(np.array([z / 2.0 - q / (2.0 * w), w, 1.0 + 0j]))
-    return out - shift
-
-
 def _durand_kerner(c: np.ndarray) -> np.ndarray:
     c = c / c[-1]
     n = len(c) - 1
@@ -249,8 +212,9 @@ def _durand_kerner(c: np.ndarray) -> np.ndarray:
 
 
 def roots_in_u(q: ComplexPolynomial | np.ndarray) -> np.ndarray:
-    """All roots of a polynomial: closed forms through degree 4, else iterative.
+    """All roots of a polynomial: quadratic formula at degree 2, else iterative.
 
+    pade_phases reaches the formula at l = 2 and Durand-Kerner from l = 4.
     Every returned root is validated against |q(root)| <= 1e-10 relative to
     the largest coefficient.
     """
@@ -259,16 +223,7 @@ def roots_in_u(q: ComplexPolynomial | np.ndarray) -> np.ndarray:
     deg = len(c) - 1
     if deg < 1:
         raise DomainError("constant polynomial has no roots to return")
-    if deg == 1:
-        roots = np.array([-c[0] / c[1]])
-    elif deg == 2:
-        roots = _roots_quadratic(c)
-    elif deg == 3:
-        roots = _roots_cubic(c)
-    elif deg == 4:
-        roots = _roots_quartic(c)
-    else:
-        roots = _durand_kerner(c)
+    roots = _roots_quadratic(c) if deg == 2 else _durand_kerner(c)
     scale = max(1.0, float(np.abs(c).max()))
     resid = np.abs(P.polyval(roots, c))
     if resid.max() > 1e-10 * scale:

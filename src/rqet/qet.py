@@ -238,7 +238,7 @@ def complexity_estimate(delta: float, eps: float, l: int = 2) -> tuple[float, fl
     """
     if not (0.0 < delta < 1.0):
         raise DomainError("spectral gap must lie strictly between 0 and 1")
-    if eps <= 0.0 or eps >= 1.0:
+    if not (0.0 < eps < 1.0):
         raise DomainError("tolerance must lie strictly between 0 and 1")
     nu = math.log(2 * l + 1, l + 1)
     bound = (2 * l + 1) * (math.log(1.0 / eps) / (delta * delta)) ** nu
@@ -359,7 +359,9 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     spectrum = hermitian_eig(A)  # shared by the gap check, the target and the dilation
     w = spectrum.eigenvalues
     _check_gap(w, delta)
-    n = sign_iterations(delta, eps, l) if levels is None else levels
+    n = sign_iterations(delta, eps, l)  # validates delta and eps even when levels overrides n
+    if levels is not None:
+        n = levels
     if n < 0:
         raise InputError("levels must be nonnegative")
     _check_phase_count(n, l)

@@ -20,7 +20,7 @@ import numpy as np
 from numpy.polynomial import polynomial as P
 
 from ._kernels import phase_chain
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, NumericError
 from .poly import (ComplexPolynomial, deflate_pade_square, pade, poly_eval,
                    polynomial, roots_in_u)
 
@@ -40,7 +40,7 @@ def canonicalize_angles(angles) -> np.ndarray:
 def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Realized polynomial values f(xs) for a reflection sequence (kernel path)."""
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
-    if np.abs(xs).max() > 1.0 + 1e-12:
+    if not (np.abs(xs) <= 1.0 + 1e-12).all():  # a positive test, so NaN fails it
         raise DomainError("signal points must lie in [-1, 1]")
     return phase_chain(np.asarray(phases, dtype=np.float64), xs)
 
@@ -187,8 +187,8 @@ def pade_phases(l: int) -> np.ndarray:
     """Reflection phases for any admissible (even) family member.
 
     The deflated remainder of 1 - p_l^2 has degree l in u = x^2, and
-    roots_in_u picks the route by that degree: the quadratic or quartic
-    formula for l in {2, 4}, the iterative root finder for l >= 6.  Odd
+    roots_in_u picks the route by that degree: the quadratic formula for
+    l = 2, the iterative root finder for l >= 4.  Odd
     members fail the domination condition and have no complementary
     partner; pade_complement rejects them before any root finding.  The
     first successful derivation for each l is cached; every call returns
@@ -205,10 +205,9 @@ def pade_phases(l: int) -> np.ndarray:
 
 # ------------------------------------------------------------------- file io
 
-def save_phases(path: str, form: str, angles: np.ndarray) -> None:
-    if form not in ("rotation", "reflection"):
-        raise InputError(f"form must be rotation or reflection, got {form!r}")
-    doc = {"form": form, "angles": [float(a) for a in np.asarray(angles).ravel()]}
+def save_phases(path: str, angles: np.ndarray) -> None:
+    """Write a reflection-form angle list as JSON."""
+    doc = {"form": "reflection", "angles": [float(a) for a in np.asarray(angles).ravel()]}
     with open(path, "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
         fh.write("\n")

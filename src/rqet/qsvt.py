@@ -63,7 +63,9 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
         raise DomainError("singular values outside [delta, 1]: "
                           + ", ".join(f"{v:.6g}" for v in sigma[bad]))
     unitary_factor, _ = polar_oracle(A)
-    n = sign_iterations(delta, eps, l) if levels is None else levels
+    n = sign_iterations(delta, eps, l)  # validates delta and eps even when levels overrides n
+    if levels is not None:
+        n = levels
     if n < 0:
         raise InputError("levels must be nonnegative")
     _check_phase_count(n, l)

@@ -1,3 +1,6 @@
+from fractions import Fraction
+from math import comb
+
 import numpy as np
 
 
@@ -10,3 +13,14 @@ def hermitian_with_spectrum(seed: int, eigenvalues) -> tuple[np.ndarray, np.ndar
     Q = np.linalg.qr(Z)[0]
     A = (Q * vals[None, :]) @ Q.conj().T
     return (A + A.conj().T) / 2, Q
+
+
+def exact_pade_coeffs(l):
+    # independent construction over the rationals: x * sum_k C(2k,k)/4^k (1-x^2)^k
+    acc = [Fraction(0)] * (2 * l + 2)
+    for k in range(l + 1):
+        c = Fraction(comb(2 * k, k), 4 ** k)
+        # (1 - x^2)^k expanded
+        for j in range(k + 1):
+            acc[1 + 2 * j] += c * comb(k, j) * (-1) ** j
+    return acc

@@ -166,6 +166,16 @@ def test_non_finite_epsilon_is_a_domain_error(command, epsilon, capsys):
     assert err == f"domain error: tolerance must be finite, got {epsilon}\n"
 
 
+@pytest.mark.parametrize("command", ["sign-run", "polar-run"])
+@pytest.mark.parametrize("epsilon", ["nan", "inf", "0", "-1"])
+def test_explicit_iters_still_checks_epsilon(command, epsilon, capsys):
+    # --iters overrides the derived level count, not the tolerance check
+    assert main([command, "--seed", "1", "--dim", "2", "--epsilon", epsilon, "--iters", "1"]) == 3
+    err = capsys.readouterr().err
+    reason = "positive" if float(epsilon) <= 0 else f"finite, got {epsilon}"
+    assert err == f"domain error: tolerance must be {reason}\n"
+
+
 def test_main_callable_directly(capsys):
     code = main(["phases", "--pade-l", "2"])
     assert code == 0

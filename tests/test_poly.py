@@ -1,24 +1,12 @@
 from fractions import Fraction
-from math import comb
 
 import numpy as np
 import pytest
 
-from rqet import (DomainError, InputError, check_qet_conditions,
-                  deflate_pade_square, load_poly, pade, poly_eval, polynomial,
-                  roots_in_u, save_poly)
-from rqet.poly import _durand_kerner, _roots_cubic, _roots_quadratic, _roots_quartic
-
-
-def exact_pade_coeffs(l):
-    # independent construction over the rationals: x * sum_k C(2k,k)/4^k (1-x^2)^k
-    acc = [Fraction(0)] * (2 * l + 2)
-    for k in range(l + 1):
-        c = Fraction(comb(2 * k, k), 4 ** k)
-        # (1 - x^2)^k expanded
-        for j in range(k + 1):
-            acc[1 + 2 * j] += c * comb(k, j) * (-1) ** j
-    return acc
+from rqet import (DomainError, check_qet_conditions, deflate_pade_square,
+                  load_poly, pade, poly_eval, polynomial, roots_in_u, save_poly)
+from rqet.poly import _durand_kerner, _roots_quadratic
+from conftest import exact_pade_coeffs
 
 
 @pytest.mark.parametrize("l", [1, 2, 3, 4, 6, 8])
@@ -108,11 +96,6 @@ def test_conditions_accept_chebyshev(q):
     assert report.passed
 
 
-def test_conditions_grid_size_guard():
-    with pytest.raises(InputError):
-        check_qet_conditions(pade(2), grid_size=10)
-
-
 def test_deflate_pade_square_l2():
     # 1 - p2(x)^2 = (1 - u)^3 q(u) with u = x^2 and q exactly quadratic
     q = deflate_pade_square(2)
@@ -145,7 +128,7 @@ def test_roots_quadratic_exact():
 def test_roots_cubic_with_complex_pair():
     # (u - 2)(u^2 + 1)
     c = np.array([-2.0, 1.0, -2.0, 1.0], dtype=complex)
-    r = _roots_cubic(c)
+    r = roots_in_u(c)
     vals = sorted(r, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
     assert min(abs(v - 2.0) for v in vals) < 1e-12
     assert min(abs(v - 1j) for v in vals) < 1e-12
@@ -156,7 +139,7 @@ def test_roots_quartic_against_numpy():
     for _ in range(20):
         c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
         c[4] += 3.0
-        mine = np.sort_complex(np.array(_roots_quartic(c)))
+        mine = np.sort_complex(roots_in_u(c))
         ref = np.sort_complex(np.roots(c[::-1]))
         assert np.abs(mine - ref).max() < 1e-8
 
@@ -176,18 +159,6 @@ def test_roots_in_u_pade2():
     got = np.sort_complex(np.array(roots))
     ref = np.sort_complex(np.array([s, s.conjugate()]))
     assert np.abs(got - ref).max() < 1e-12
-
-
-def test_roots_in_u_iterative_matches_analytic():
-    q = deflate_pade_square(4)
-    a = list(roots_in_u(q))
-    b = list(_durand_kerner(q.coeffs))
-    # greedy pair-match: lexicographic sorting is unstable for conjugate
-    # pairs whose real parts agree to rounding
-    for v in a:
-        j = int(np.argmin([abs(v - w) for w in b]))
-        assert abs(v - b[j]) < 1e-9
-        b.pop(j)
 
 
 def test_poly_json_roundtrip(tmp_path):

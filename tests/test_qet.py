@@ -206,6 +206,9 @@ def test_complexity_estimate_exponent():
     # gap exponent 2*nu is below the square-root-free baseline of 2
     assert 1.0 < nu < 2.0
     assert bound > 0
+    for eps in (0.0, 1.0, np.nan):
+        with pytest.raises(DomainError):
+            complexity_estimate(0.1, eps, 2)
 
 
 def test_recovery_cost_exact_integers():

@@ -1,14 +1,17 @@
 import json
+from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, InputError, NumericError,
-                  canonicalize_angles, chebyshev_reflection_phases,
+                  canonicalize_angles, chebyshev_reflection_phases, deflate_pade_square,
                   find_phases_rotation, load_poly, pade, pade_complement, pade_phases, poly_eval, polynomial, qsp,
                   reflection_upper_left, rotation_to_reflection, save_phases)
 from rqet._kernels import phase_chain
+from conftest import exact_pade_coeffs
 
 
 def direct_product(phases, xs, form="reflection"):
@@ -51,8 +54,9 @@ def test_canonicalize_range():
 
 
 def test_signal_rejects_out_of_range():
-    with pytest.raises(DomainError):
-        reflection_upper_left(pade_phases(2), [1.5])
+    for x in (1.5, np.nan):
+        with pytest.raises(DomainError):
+            reflection_upper_left(pade_phases(2), [x])
 
 
 def test_analytic_pade_phases_multiset():
@@ -108,20 +112,20 @@ def test_pade_phases_rejects_odd():
         pade_phases(3)
 
 
-def test_closed_form_route_for_l2_and_l4(monkeypatch):
-    # the deflated remainder has degree l, so l in {2, 4} must never
-    # reach the iterative root finder, and l = 6 must
-    expected = {l: pade_phases(l) for l in (2, 4)}
+def test_closed_form_route_only_for_l2(monkeypatch):
+    # the deflated remainder has degree l: only l = 2 takes the quadratic
+    # formula, and every larger l reaches the iterative root finder
+    expected = pade_phases(2)
 
     def refuse(*_):
         raise NumericError("iterative root finder called")
 
     monkeypatch.setattr("rqet.poly._durand_kerner", refuse)
     monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
-    for l in (2, 4):
-        assert np.array_equal(pade_phases(l), expected[l])
-    with pytest.raises(NumericError, match="iterative root finder called"):
-        pade_phases(6)
+    assert np.array_equal(pade_phases(2), expected)
+    for l in (4, 6):
+        with pytest.raises(NumericError, match="iterative root finder called"):
+            pade_phases(l)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7])
@@ -153,6 +157,98 @@ def test_round_trip_checks_the_reflection_conversion(monkeypatch):
     monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
     with pytest.raises(NumericError, match="phase round-trip fails"):
         pade_phases(4)
+
+
+def poly_mul(a, b):
+    out = [0] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def exact_deflation(l):
+    """q with 1 - p_l^2 = (1 - u)^(l+1) q(u), over the rationals."""
+    p = exact_pade_coeffs(l)
+    sq = [-c for c in poly_mul(p, p)]
+    sq[0] += 1
+    assert not any(sq[1::2])
+    q = sq[0::2]
+    for _ in range(l + 1):  # synthetic division by (1 - u)
+        quotient = [Fraction(0)] * (len(q) - 1)
+        for k in range(len(q) - 1, 0, -1):
+            quotient[k - 1] = -q[k]
+            q[k - 1] += q[k]
+        assert q[0] == 0
+        q = quotient
+    return q
+
+
+def to_mp(fractions):
+    return [mpmath.mpf(c.numerator) / c.denominator for c in fractions]
+
+
+def mp_reflection_value(phases, x):
+    """Top-left entry of prod_i exp(i phi_i Z) R(x), carried as the top row."""
+    x = mpmath.mpf(x)
+    w = mpmath.sqrt(1 - x * x)
+    a, b = mpmath.mpc(1), mpmath.mpc(0)
+    for phi in phases:
+        e = mpmath.expj(phi)
+        a, b = a * e, b * mpmath.conj(e)
+        a, b = a * x + b * w, a * w - b * x
+    return a
+
+
+def reference_phases(l):
+    """Reflection phases of p_l from the exact q, mpmath roots and a 60-digit peel.
+
+    Same conventions as the float path: h takes the upper root of each
+    conjugate pair and the positive square root of q's leading coefficient.
+    """
+    q = to_mp(exact_deflation(l))
+    roots = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=200)
+    h = [mpmath.sqrt(q[-1])]
+    for factor in [[-1, 0, 1]] * (l // 2) + [[-r, 0, 1] for r in roots if r.imag > 0]:
+        h = poly_mul(h, factor)
+    f = to_mp(exact_pade_coeffs(l))
+    tiny = mpmath.mpf(10) ** -40
+    deg = len(f) - 1
+    rot = [mpmath.mpf(0)] * (deg + 1)
+    for d in range(deg, 0, -1):
+        ratio = f[d] / h[d - 1]
+        assert abs(abs(ratio) - 1) < tiny
+        rot[d] = mpmath.arg(ratio) / 2
+        ep = mpmath.expj(rot[d])
+        em = mpmath.conj(ep)
+        # f~ = em * x f + ep * (1 - x^2) h ; h~ = ep * x h - em * f
+        nf = [a + b for a, b in zip([0] + [em * c for c in f] + [0],
+                                     poly_mul(h, [ep, 0, -ep]) + [0])]
+        nh = [a - b for a, b in zip([0] + [ep * c for c in h], [em * c for c in f])]
+        assert max(abs(c) for c in nf[d:]) < tiny
+        f, h = nf[:d], nh[: max(d - 1, 1)]
+    rot[0] = mpmath.arg(f[0])
+    refl = [rot[0] + rot[deg] + (deg - 1) * mpmath.pi / 2] + [a - mpmath.pi / 2 for a in rot[1:deg]]
+    return [a - 2 * mpmath.pi * mpmath.ceil((a - mpmath.pi) / (2 * mpmath.pi)) for a in refl]
+
+
+_REFERENCE_BOUNDS = {2: 2e-15, 4: 1e-14, 6: 5e-13, 8: 5e-12}
+
+
+@pytest.mark.parametrize("l", [2, 4, 6, 8])
+def test_phases_match_high_precision_reference(l):
+    # the float deflation is exact: p_l's coefficients are dyadic rationals
+    exact = exact_deflation(l)
+    assert [Fraction(v.real) for v in deflate_pade_square(l).coeffs] == exact
+    with mpmath.workdps(60):
+        ref = np.array([float(a) for a in reference_phases(l)])
+        p = to_mp(exact_pade_coeffs(l))
+        for x in np.linspace(-1.0, 1.0, 9):
+            target = mpmath.polyval(p[::-1], mpmath.mpf(x))
+            assert abs(mp_reflection_value(ref, x) - target) <= 1e-15
+    got = pade_phases(l)
+    worst = np.abs(np.mod(got - ref + np.pi, 2.0 * np.pi) - np.pi).max()
+    assert worst <= _REFERENCE_BOUNDS[l]
 
 
 @pytest.mark.parametrize("l", [2, 4, 6, 8])
@@ -218,7 +314,7 @@ def test_find_phases_requires_degree_gap():
 def test_phases_json_roundtrip(tmp_path):
     phases = pade_phases(2)
     path = tmp_path / "ph.json"
-    save_phases(str(path), "reflection", phases)
+    save_phases(str(path), phases)
     with open(path, encoding="utf-8") as fh:
         doc = json.load(fh)
     assert doc["form"] == "reflection"
