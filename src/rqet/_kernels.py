@@ -1,4 +1,4 @@
-"""The package's one scalar evaluator: a long reflection-form 2x2 chain.
+"""The package's one scalar chain evaluator: a long reflection-form 2x2 chain.
 
 `phase_chain` evaluates the top-left entry of
 prod_i exp(i*phi_i*Z) R(x) at many points.  The product is split into
@@ -7,8 +7,10 @@ side (one numpy step per position inside a block, vectorized across the
 blocks and the points), then folded together in order, then the leftover
 tail phases are multiplied in one at a time.  That is about 3*sqrt(N)
 Python-level steps instead of N, and no complex temporary grows with
-the length of the phase list.  The grouping differs from a left-to-right
-loop, so results agree with it to rounding, not bit for bit.
+the length of the phase list; the block stage writes every step into
+three work buffers allocated once.  The grouping differs from a
+left-to-right loop, so results agree with it to rounding, not bit for
+bit.
 
 Only the top row of each block is multiplied out: a product of k
 factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]] with
@@ -39,12 +41,21 @@ def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     nb = len(phases) // k
     blocks = phases[: nb * k].reshape(nb, k)
 
-    # top row of one 2x2 product per block and point; factor j of every block at once
+    # top row of one 2x2 product per block and point; factor j of every block at
+    # once, written into buffers in _times_factor's order of operations
     m00 = np.ones((nb, len(x)), dtype=np.complex128)
     m01 = np.zeros_like(m00)
+    a, b, t = np.empty_like(m00), np.empty_like(m00), np.empty_like(m00)
     for j in range(k):
         ep = np.exp(1j * blocks[:, j])[:, None]
-        m00, m01 = _times_factor(m00, m01, ep, ep.conj(), x, w)
+        np.multiply(m00, ep, out=a)
+        np.multiply(m01, ep.conj(), out=b)
+        np.multiply(a, x, out=m00)
+        np.multiply(b, w, out=t)
+        m00 += t
+        np.multiply(a, w, out=m01)
+        np.multiply(b, x, out=t)
+        m01 -= t
     m10, m11 = (m01.conj(), -m00.conj()) if k % 2 else (-m01.conj(), m00.conj())
 
     # only the top row of the running product is needed from here on

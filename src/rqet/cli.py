@@ -22,12 +22,13 @@ from .blockenc import dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import load_matrix, operator_norm
 from .poly import check_qet_conditions, load_poly, pade
-from .qet import (_check_dense_cost, coherent_perturb, distinct_angles,
+from .qet import (_check_dense_cost, _check_phase_count, coherent_perturb, distinct_angles,
                   flatten_sign_phases, qet_recursive_step, query_count, run_sign)
 from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
 
 _MAX_PADE = 8
+MAX_PRINTED_ANGLES = 5 ** 6  # longest flattened list `phases` writes to stdout
 
 
 def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:
@@ -107,6 +108,11 @@ def _require_even_pade(l: int) -> None:
 
 def _cmd_phases(args) -> int:
     _require_even_pade(args.pade_l)
+    count = query_count(args.iters, args.pade_l) if args.iters >= 1 else 0
+    if args.out is None and count > MAX_PRINTED_ANGLES:
+        _check_phase_count(args.iters, args.pade_l)  # an over-cap list stays a domain error
+        raise InputError(f"{count} flattened angles exceed the stdout limit of "
+                         f"{MAX_PRINTED_ANGLES}; write them to a file with --out")
     base = pade_phases(args.pade_l)
     flat = flatten_sign_phases(args.pade_l, args.iters)
     payload = {
@@ -115,7 +121,7 @@ def _cmd_phases(args) -> int:
         "levels": args.iters,
         "base_angles": [float(v) for v in base],
         "flattened_length": int(len(flat)),
-        "query_count": query_count(args.iters, args.pade_l),
+        "query_count": count,
         "distinct_nonzero": distinct_angles(args.pade_l, args.iters),
     }
     if args.out is not None:
@@ -158,6 +164,7 @@ def _cmd_sign_run(args) -> int:
         "final_error": report.final_error,
         "epsilon": args.epsilon,
         "converged": report.converged,
+        "flattened_distance": getattr(result, "flattened_distance", None),
         **meta,
     }
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")

@@ -18,10 +18,10 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .blockenc import BlockEncoding, _dilate_spectrum, extract, rotation_diagonal
-from .errors import DomainError, InputError
+from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
 from .poly import pade, poly_eval
-from .qsp import canonicalize_angles, pade_phases, reflection_upper_left
+from .qsp import _IDENTITY_TOL, canonicalize_angles, pade_phases, reflection_upper_left
 
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
@@ -35,6 +35,17 @@ def template_daggers(q: int) -> np.ndarray:
     return (j % 2) != (q % 2)
 
 
+def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
+    """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
+    one product per leading index, by broadcast matmul.  No checks."""
+    Ud = np.swapaxes(U.conj(), -1, -2)
+    out = np.broadcast_to(np.eye(U.shape[-1], dtype=np.complex128), U.shape)
+    for phi, dag in zip(phases, template_daggers(len(phases))):
+        diag = rotation_diagonal(phi, U.shape[-1] // 2)
+        out = (out * diag) @ (Ud if dag else U)
+    return out
+
+
 def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     """Alternating product of ancilla rotations and oracle calls.
 
@@ -46,12 +57,7 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
         raise InputError("phase list must be a nonempty 1-d array")
-    U, Ud = be.unitary, be.unitary.conj().T
-    out = np.eye(be.total_dim, dtype=np.complex128)
-    for phi, dag in zip(phases, template_daggers(len(phases))):
-        diag = rotation_diagonal(phi, be.system_dim)
-        out = (out * diag[None, :]) @ (Ud if dag else U)
-    return out
+    return _phased_product(be.unitary, phases)
 
 
 def qet_recursive_step(be: BlockEncoding, phases: np.ndarray) -> BlockEncoding:
@@ -319,10 +325,15 @@ class IterationReport:
 
 @dataclass(frozen=True)
 class ScalarSignTable:
-    """Sign-approximation values on a point grid, one flattened product."""
+    """Sign-approximation values on a point grid, from nested 2x2 products.
+
+    flattened_distance is the largest distance from the flattened product
+    at the same points; None when no level ran.
+    """
 
     points: np.ndarray
     values: np.ndarray
+    flattened_distance: float | None = None
 
 
 def scalar_grid(delta: float) -> np.ndarray:
@@ -342,13 +353,18 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     """Drive the sign iteration to tolerance and report per level.
 
     mode "recursive" nests block encodings, "flattened" rebuilds each
-    level from one composed phase list, "scalar" evaluates the flattened
-    product on the eigenvalues plus a 21-point grid.  Only the last two
-    build lists; recursive mode counts distinct angles by distinct_angles.
-    Every mode refuses runs of more than MAX_PHASES queries; flattened
-    and scalar modes, whose work grows as (2l+1)^n, also refuse runs over
-    DENSE_BUDGET, scalar mode counting 2^6 units per point-phase.  A row's wall_time_ms covers the level's construction
-    (compose, assemble or evaluate), not its error check.
+    level from one composed phase list, "scalar" nests the 2x2 dilations
+    [[x, w], [w, -x]], w = sqrt(1 - x^2), of the eigenvalues plus a
+    21-point grid, one level per step, then evaluates the flattened
+    product of all n levels once at the same points.  A nested-flattened
+    distance over _IDENTITY_TOL raises NumericError; the table keeps the
+    nested values.  Only the last two build lists; recursive mode counts
+    distinct angles by distinct_angles.  Every mode refuses runs of more
+    than MAX_PHASES queries; flattened and scalar modes, whose work grows
+    as (2l+1)^n, also refuse runs over DENSE_BUDGET, scalar mode counting
+    2^6 units per point-phase.  A row's wall_time_ms covers the level's
+    construction (compose, assemble or nested step), not its error check
+    nor scalar mode's final flattened check.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -382,17 +398,23 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             return ScalarSignTable(pts, pts.astype(np.complex128)), report
         return _dilate_spectrum(A, spectrum), report
 
-    flat = base
     if mode == "scalar":
+        U = np.empty((len(pts), 2, 2), dtype=np.complex128)
+        U[:, 0, 0], U[:, 1, 1] = pts, -pts
+        U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
         for k in range(1, n + 1):
             t0 = time.perf_counter()
-            if k > 1:
-                flat = compose_phases(flat, base)
-            vals = reflection_upper_left(flat, pts)
+            U = _phased_product(U, base)
             ms = (time.perf_counter() - t0) * 1e3
-            report.add(k, float(np.abs(vals - np.sign(pts)).max()), ms)
-        return ScalarSignTable(pts, vals), report
+            report.add(k, float(np.abs(U[:, 0, 0] - np.sign(pts)).max()), ms)
+        vals = U[:, 0, 0].copy()
+        distance = float(np.abs(reflection_upper_left(flatten_sign_phases(l, n), pts) - vals).max())
+        if distance > _IDENTITY_TOL:
+            raise NumericError(f"nested and flattened products differ by {distance:.3e} "
+                               f"at n = {n}, over {_IDENTITY_TOL:.0e}")
+        return ScalarSignTable(pts, vals, distance), report
 
+    flat = base
     be0 = be = _dilate_spectrum(A, spectrum)
     for k in range(1, n + 1):
         t0 = time.perf_counter()

@@ -5,8 +5,8 @@ top-left entry of prod_{i=1..q} exp(i*phi_i*Z) R(x), with the i = q factor
 rightmost.  Phases are derived in the rotation picture, where a degree
 reduction peels one angle per step from the pair (f, h), and are then
 shifted into the reflection picture.  The round trip is checked in
-reflection form by the chain kernel, the package's one evaluator of the
-phased product.  The complementary h of p_l is read off the q of
+reflection form by the chain kernel, the package's one evaluator of a
+phase list on scalars.  The complementary h of p_l is read off the q of
 deflate_pade_square, the exact factorization
 1 - p_l^2 = (1 - u)^(l+1) q(u) over u = x^2.
 """

@@ -84,10 +84,12 @@ def test_criterion_04_headline_scalar_regime():
     table, rep = run_sign(A, 0.1, 1e-10, mode="scalar")
     elapsed = time.perf_counter() - t0
     last = rep.rows[-1]
+    dist = table.flattened_distance
     ok = (last.n == 8 and last.queries == 390625
-          and last.error <= 1e-10 and elapsed < 30.0)
+          and last.error <= 1e-10 and dist <= 1e-10 and elapsed < 30.0)
     verdict(4, ok, f"n=8, 5^8 phases, scalar error {last.error:.3e} "
-                   f"(<=1e-10), {elapsed:.2f}s (<30s)")
+                   f"(<=1e-10), nested vs flattened {dist:.3e} (<=1e-10), "
+                   f"{elapsed:.2f}s (<30s)")
 
 
 def test_criterion_05_flattened_recursive_equivalence():

@@ -46,6 +46,34 @@ def test_phases_writes_file(tmp_path):
     assert len(saved["angles"]) == 5
 
 
+def test_phases_stdout_limit(tmp_path):
+    # 5^6 angles still print; 5^7 need --out, and over the phase cap stays exit 3
+    r = run_cli(["phases", "--pade-l", "2", "--iters", "6"])
+    assert r.returncode == 0
+    assert len(json.loads(r.stdout)["flattened_angles"]) == 5 ** 6
+    r = run_cli(["phases", "--pade-l", "2", "--iters", "7"])
+    assert r.returncode == 2 and r.stdout == ""
+    assert "78125 flattened angles" in r.stderr and "15625" in r.stderr and "--out" in r.stderr
+    out = tmp_path / "ph.json"
+    r = run_cli(["phases", "--pade-l", "2", "--iters", "7", "--out", str(out)])
+    assert r.returncode == 0
+    assert len(json.loads(out.read_text())["angles"]) == 5 ** 7
+    assert run_cli(["phases", "--pade-l", "2", "--iters", "11"]).returncode == 3
+
+
+def test_sign_run_reports_flattened_distance(capsys):
+    args = ["sign-run", "--seed", "1", "--dim", "2", "--gap", "0.5", "--epsilon", "1e-8"]
+    for extra, code in ((["--mode", "scalar"], 0), (["--mode", "scalar", "--iters", "0"], 4),
+                        (["--mode", "recursive"], 0), (["--mode", "flattened"], 0)):
+        assert main(args + extra) == code
+        out = capsys.readouterr().out
+        distance = json.loads(out[out.index("{"):])["flattened_distance"]
+        if extra == ["--mode", "scalar"]:
+            assert 0.0 <= distance <= 1e-9
+        else:
+            assert distance is None, extra
+
+
 def test_sign_run_seeded(tmp_path):
     out = tmp_path / "report.csv"
     r = run_cli(["sign-run", "--seed", "11", "--dim", "4", "--gap", "0.5",

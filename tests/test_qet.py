@@ -1,8 +1,11 @@
+from math import comb
+
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rqet import (DomainError, InputError, ScalarSignTable,
+from rqet import (DomainError, InputError, NumericError, ScalarSignTable,
                   canonicalize_angles, check_flattened_structure,
                   chebyshev_reflection_phases, coherent_perturb,
                   complexity_estimate, compose_phases, dilate_hermitian,
@@ -11,8 +14,9 @@ from rqet import (DomainError, InputError, ScalarSignTable,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
+from rqet._kernels import phase_chain
 from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _check_scalar_cost,
-                      scalar_grid, template_daggers)
+                      _phased_product, scalar_grid, template_daggers)
 from conftest import hermitian_with_spectrum
 
 
@@ -321,6 +325,72 @@ def test_scalar_headline_regime():
     assert rep.rows[-1].n == 8
     assert rep.rows[-1].queries == 390625
     assert rep.final_error <= 1e-10
+
+
+def _mp_iterates(l, levels, x):
+    """p_l applied 1..levels times to x at 50 digits, by Horner in 1 - y^2."""
+    with mpmath.workdps(50):
+        y, out = mpmath.mpf(float(x)), []
+        for _ in range(levels):
+            acc, u = mpmath.mpf(0), 1 - y * y
+            for k in range(l, -1, -1):
+                acc = acc * u + mpmath.mpf(comb(2 * k, k)) / 4 ** k
+            y = y * acc
+            out.append(y)
+        return out
+
+
+@pytest.mark.parametrize("gap, eps, levels, bound", [(0.1, 1e-10, 8, 5e-11),
+                                                     (0.5, 1e-8, 4, 1e-13)])
+def test_scalar_rows_match_high_precision_iteration(gap, eps, levels, bound):
+    # measured: 2.9e-11 on the criterion-4 input, 4.7e-14 at gap 0.5
+    table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), gap, eps, mode="scalar")
+    assert rep.rows[-1].n == levels
+    ref = [_mp_iterates(2, levels, x) for x in table.points]
+    final = np.array([float(r[-1]) for r in ref])
+    assert np.abs(table.values - final).max() <= bound
+    for row in rep.rows:
+        exact = max(float(abs(r[row.n - 1] - np.sign(x))) for x, r in zip(table.points, ref))
+        assert abs(row.error - exact) <= bound, row.n
+
+
+def test_phased_product_on_a_stack_of_points():
+    xs = np.linspace(-1.0, 1.0, 9)
+    w = np.sqrt(1.0 - xs * xs)
+    U = np.empty((len(xs), 2, 2), dtype=np.complex128)
+    U[:, 0, 0], U[:, 1, 1], U[:, 0, 1], U[:, 1, 0] = xs, -xs, w, w
+    base = pade_phases(2)
+    stacked = _phased_product(U, base)
+    for x, P in zip(xs, stacked):
+        per_point = qet_assemble(dilate_hermitian(np.array([[x]], dtype=complex)), base)
+        assert np.abs(P - per_point).max() < 1e-15
+    assert np.abs(stacked[:, 0, 0] - phase_chain(base, xs)).max() < 1e-15
+
+
+def test_scalar_run_evaluates_one_chain(monkeypatch):
+    pade_phases(2)  # a cold derivation runs its own round-trip check through the chain
+    calls = []
+
+    def counted(phases, xs):
+        calls.append(len(phases))
+        return phase_chain(phases, xs)
+
+    monkeypatch.setattr("rqet.qsp.phase_chain", counted)
+    table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), 0.1, 1e-10, mode="scalar")
+    assert rep.rows[-1].n == 8
+    assert calls == [5 ** 8]
+    assert table.flattened_distance <= 1e-10
+
+
+def test_scalar_run_rejects_a_corrupted_flattened_list(monkeypatch):
+    def corrupted(l, levels):
+        flat = flatten_sign_phases(l, levels)
+        flat[len(flat) // 2] += 1e-3
+        return flat
+
+    monkeypatch.setattr("rqet.qet.flatten_sign_phases", corrupted)
+    with pytest.raises(NumericError, match="nested and flattened products differ"):
+        run_sign(np.diag([0.5, -0.5]).astype(complex), 0.5, 1e-8, mode="scalar")
 
 
 def test_coherent_perturb_first_order():
