@@ -123,8 +123,10 @@ def _check_dense_cost(slots: int, dim: int) -> None:
 def _check_scalar_cost(points: int, phases: int) -> None:
     """Refuse a scalar run that evaluates `phases` chain phases at each of
     `points` points when it exceeds DENSE_BUDGET.  One point-phase of
-    phase_chain (~17 ns) costs 2^6 dense units (~0.24 ns each, from
-    0.51 ms per d = 64 slot)."""
+    phase_chain on a list with no repeated blocks (~18 ns: 17.5-19.6 ns
+    for 5^8 to 17^5 random phases at 25-47 points, one core) costs 2^6
+    dense units (~0.24 ns each, from 0.51 ms per d = 64 slot); repeated
+    blocks, as in every flattened sign list, only make it cheaper."""
     _check_budget(points * phases * 2 ** 6, f"{points} points x {phases} chain phases",
                   "point-phases x 2^6")
 
@@ -361,10 +363,11 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     nested values.  Only the last two build lists; recursive mode counts
     distinct angles by distinct_angles.  Every mode refuses runs of more
     than MAX_PHASES queries; flattened and scalar modes, whose work grows
-    as (2l+1)^n, also refuse runs over DENSE_BUDGET, scalar mode counting
-    2^6 units per point-phase.  A row's wall_time_ms covers the level's
-    construction (compose, assemble or nested step), not its error check
-    nor scalar mode's final flattened check.
+    as (2l+1)^n, also refuse runs over DENSE_BUDGET, flattened mode
+    counting the slots of all n levels and scalar mode 2^6 units per
+    point-phase of its one flattened chain.  A row's wall_time_ms covers
+    the level's construction (compose, assemble or nested step), not its
+    error check nor scalar mode's final flattened check.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -381,12 +384,11 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     if n < 0:
         raise InputError("levels must be nonnegative")
     _check_phase_count(n, l)
-    queries = sum(query_count(k, l) for k in range(1, n + 1))  # over all levels
     if mode == "flattened":
-        _check_dense_cost(queries, A.shape[0])
+        _check_dense_cost(sum(query_count(k, l) for k in range(1, n + 1)), A.shape[0])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
-        _check_scalar_cost(len(pts), queries)
+        _check_scalar_cost(len(pts), query_count(n, l))  # the one flattened chain
     base = pade_phases(l)
     target = _sign_of(spectrum)
     report = IterationReport(mode, delta, eps, l)

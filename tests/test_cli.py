@@ -227,7 +227,7 @@ def test_over_cap_runs_fail_before_composing(monkeypatch, capsys):
 
 
 def test_over_budget_scalar_runs_fail_before_composing(monkeypatch, capsys):
-    # 85 points x sum of 5^k up to n = 10 would take ~35 s; nothing may be built
+    # 85 points x a random chain of 5^10 phases would take ~15 s; nothing may be built
     def refuse(*_):
         raise AssertionError("scalar work started past the budget")
 
@@ -235,7 +235,7 @@ def test_over_budget_scalar_runs_fail_before_composing(monkeypatch, capsys):
     monkeypatch.setattr("rqet.qet.pade_phases", refuse)
     assert main(["sign-run", "--seed", "1", "--dim", "64", "--mode", "scalar",
                  "--iters", "10"]) == 3
-    assert "85 points x 12207030 chain phases" in capsys.readouterr().err
+    assert "85 points x 9765625 chain phases" in capsys.readouterr().err
 
 
 def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):

@@ -165,6 +165,16 @@ def test_eight_angle_structure(n):
     assert check_flattened_structure(flat, base)
 
 
+@pytest.mark.parametrize("l, n", [(2, 6), (4, 4), (6, 3), (8, 3)])
+def test_flattened_blocks_repeat(l, n):
+    # phase_chain multiplies out each distinct block once; on a nested list every
+    # aligned block of (2l+1)^j phases is one of at most 4l + 1 bit patterns
+    flat = flatten_sign_phases(l, n)
+    for j in range(1, n):
+        blocks = flat.reshape(-1, (2 * l + 1) ** j)
+        assert len({row.tobytes() for row in blocks}) <= 4 * l + 1
+
+
 def test_structure_rejects_shuffled_list():
     base = pade_phases(2)
     flat = flatten_sign_phases(2, 2).copy()
@@ -289,16 +299,36 @@ def test_dense_budget_boundary():
 
 
 def test_scalar_budget_boundary():
-    # 2^6 units per point-phase: n = 9 at l = 2 (sum of 5^k = 2,441,405) fits
-    # 23 points but not 29, n = 10 not even the 21-point grid, and the
-    # criterion-4 run (25 points, n = 8) uses 18% of the budget
-    nine = sum(query_count(k, 2) for k in range(1, 10))
-    _check_scalar_cost(23, nine)
-    with pytest.raises(DomainError, match="29 points x 2441405 chain phases"):
-        _check_scalar_cost(29, nine)
-    with pytest.raises(DomainError, match="21 points x 12207030 chain phases"):
-        _check_scalar_cost(21, nine + query_count(10, 2))
-    _check_scalar_cost(25, sum(query_count(k, 2) for k in range(1, 9)))
+    # 2^6 units per point-phase of the one flattened chain: 5^9 phases (l = 2,
+    # n = 9) fit 34 points but not 35, 17^5 (l = 8, n = 5) fit 47 but not 48,
+    # 5^10 not even the 21-point grid, and the criterion-4 run (25 points, 5^8)
+    # uses 15% of the budget
+    _check_scalar_cost(34, query_count(9, 2))
+    with pytest.raises(DomainError, match="35 points x 1953125 chain phases"):
+        _check_scalar_cost(35, query_count(9, 2))
+    _check_scalar_cost(47, query_count(5, 8))
+    with pytest.raises(DomainError, match="48 points x 1419857 chain phases"):
+        _check_scalar_cost(48, query_count(5, 8))
+    with pytest.raises(DomainError, match="21 points x 9765625 chain phases"):
+        _check_scalar_cost(21, query_count(10, 2))
+    _check_scalar_cost(25, query_count(8, 2))
+
+
+def test_scalar_run_is_charged_for_its_final_chain(monkeypatch):
+    # 21 grid points plus 13 eigenvalues are admitted at n = 9; counting all
+    # nine levels (2,441,405 phases) refused them, and 14 eigenvalues still are
+    class Admitted(Exception):
+        pass
+
+    def admitted(*_):
+        raise Admitted
+
+    monkeypatch.setattr("rqet.qet.flatten_sign_phases", admitted)
+    for d, outcome in ((13, Admitted), (14, DomainError)):
+        vals = np.linspace(0.05, 0.95, d) * np.resize([1.0, -1.0], d)
+        A, _ = hermitian_with_spectrum(3, vals)
+        with pytest.raises(outcome, match=None if d == 13 else f"{21 + d} points x 1953125 chain"):
+            run_sign(A, 0.03, 1e-6, mode="scalar", levels=9)
 
 
 def test_run_sign_zero_levels(gapped8):

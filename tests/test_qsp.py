@@ -10,7 +10,7 @@ from rqet import (DomainError, InputError, NumericError,
                   canonicalize_angles, chebyshev_reflection_phases, deflate_pade_square,
                   find_phases_rotation, load_poly, pade, pade_complement, pade_phases, poly_eval, polynomial, qsp,
                   reflection_upper_left, rotation_to_reflection, save_phases)
-from rqet._kernels import phase_chain
+from rqet._kernels import _block_length, _distinct_rows, phase_chain
 from conftest import exact_pade_coeffs
 
 
@@ -337,11 +337,51 @@ def test_phase_chain_matches_direct_product():
     assert np.abs(fast - direct_product(phases, xs)).max() < 1e-13
 
 
-@pytest.mark.parametrize("length", [1, 2, 3, 24, 25, 26, 125, 5 ** 5])
-def test_blocked_phase_chain_matches_reflection_product(length):
-    # 25 fills whole blocks of isqrt(N) phases; 26, 125 and 5^5 leave tail phases
+def tiled_blocks(rng, length, block, kinds=3):
+    """`length` phases made of `kinds` random blocks of `block` phases, tiled
+    in random order and cut to length."""
+    pool = rng.uniform(-np.pi, np.pi, (kinds, block))
+    return pool[rng.integers(kinds, size=-(-length // block))].reshape(-1)[:length]
+
+
+# (length, kernel block length): random lists, then lists tiled from a few blocks
+_CHAIN_CASES = [(n, None) for n in (1, 2, 3, 24, 25, 26, 125, 5 ** 5)] + [
+    (5 ** 4, 25), (5 ** 5, 25), (7 ** 3, 7), (3 * 5 ** 3, 15), (997, 31)]
+
+
+@pytest.mark.parametrize("length, block", _CHAIN_CASES,
+                         ids=[f"{n}" if b is None else f"{n}-tiled" for n, b in _CHAIN_CASES])
+def test_blocked_phase_chain_matches_reflection_product(length, block):
+    # 24, 25, 26, 125 and 5^5 split into divisor-length blocks; 997 (prime) keeps
+    # isqrt(N) and leaves tail phases; the tiled lists repeat their blocks on the
+    # kernel's block boundaries
     rng = np.random.default_rng(length)
-    phases = rng.uniform(-np.pi, np.pi, length)
+    if block is None:
+        phases = rng.uniform(-np.pi, np.pi, length)
+    else:
+        assert _block_length(length) == block
+        phases = tiled_blocks(rng, length, block)
     xs = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
     fast = phase_chain(phases, xs)
     assert np.abs(fast - direct_product(phases, xs)).max() < 1e-12
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 120), st.integers(0, 2 ** 32 - 1))
+def test_phase_chain_on_tiled_blocks(block, kinds, length, seed):
+    phases = tiled_blocks(np.random.default_rng(seed), length, block, kinds)
+    xs = np.array([-0.9, -0.2, 0.5, 1.0])
+    assert np.abs(phase_chain(phases, xs) - direct_product(phases, xs)).max() < 1e-12
+
+
+def test_phase_chain_blocks_merge_only_when_bitwise_equal():
+    rng = np.random.default_rng(5)
+    a = rng.uniform(-np.pi, np.pi, 25)
+    last_bit = a.copy()
+    last_bit[17] = np.nextafter(last_bit[17], np.inf)
+    zero, negzero = np.zeros(25), np.zeros(25)
+    negzero[3] = -0.0
+    blocks = np.stack([a, last_bit, a, zero, negzero, last_bit, zero])
+    distinct, index = _distinct_rows(blocks)
+    assert index == [0, 1, 0, 2, 3, 1, 2]
+    assert np.array_equal(distinct[index].view(np.uint64), blocks.view(np.uint64))
