@@ -6,18 +6,16 @@ from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, load_matrix, matrix_function_hermitian,
                      matrix_sign, operator_norm, polar_oracle, save_matrix,
                      unitarity_check)
-from .poly import (ComplexPolynomial, check_qet_conditions,
-                   deflate_pade_square, load_poly, pade, poly_eval,
-                   polynomial, roots_in_u, save_poly)
+from .poly import (ComplexPolynomial, check_qet_conditions, load_poly, pade,
+                   poly_eval, polynomial, save_poly)
 from .qet import (IterationReport, ScalarSignTable, check_flattened_structure,
                   coherent_perturb, complexity_estimate, compose_phases,
                   distinct_angles, distinct_nonzero_angles, error_bound,
                   flatten_sign_phases, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
-from .qsp import (canonicalize_angles, chebyshev_reflection_phases,
-                  find_phases_rotation, pade_complement, pade_phases,
-                  reflection_upper_left, rotation_to_reflection, save_phases)
+from .qsp import (canonicalize_angles, chebyshev_reflection_phases, pade_phases,
+                  reflection_upper_left, save_phases)
 from .qsvt import (FilterResult, PreparationResult, filtering_operator,
                    preparation_projector, run_polar)
 

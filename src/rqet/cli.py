@@ -1,6 +1,6 @@
 """Command-line front end.
 
-Subcommands: phases (derive and flatten angle lists), sign-run and
+Subcommands: phases (load and flatten angle lists), sign-run and
 polar-run (iteration drivers with CSV reports), conditions (check a
 polynomial against the admissibility tests), perturb (coherent phase
 noise sweep).  Exit codes: 0 success, 2 bad input, 3 domain
@@ -27,7 +27,7 @@ from .qet import (_check_dense_cost, _check_phase_count, coherent_perturb, disti
 from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
 
-_MAX_PADE = 8
+_MAX_PADE = 20  # the largest l in the phase table
 MAX_PRINTED_ANGLES = 5 ** 6  # longest flattened list `phases` writes to stdout
 
 
@@ -242,7 +242,7 @@ def build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = ap.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("phases", help="derive and flatten reflection phases")
+    p = sub.add_parser("phases", help="load and flatten reflection phases")
     p.add_argument("--pade-l", type=int, default=2, dest="pade_l")
     p.add_argument("--iters", type=int, default=1, help="nesting levels to flatten")
     p.add_argument("--out", help="write the flattened list as JSON here")

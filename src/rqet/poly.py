@@ -1,4 +1,4 @@
-"""Polynomials with parity metadata, the odd iteration family, and root finding.
+"""Polynomials with parity metadata, the odd iteration family, and its conditions.
 
 The iteration family is p_l(x) = x * sum_{k<=l} binom(2k,k)/4^k (1-x^2)^k.
 Each member fixes x = +-1 and, for even l, satisfies the three conditions
@@ -17,13 +17,12 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DomainError, InputError, NumericError, read_json
+from .errors import DomainError, InputError, read_json
 
 TRIM_TOL = 1e-14
 PARITY_TOL = 1e-12
 _OUTER_LIMIT = 10.0     # right end of the domination window checked outside [-1, 1]
 _GRID_SIZE = 10_000     # points per window in check_qet_conditions
-_DK_MAX_ITER = 500
 
 
 @dataclass(frozen=True)
@@ -148,87 +147,6 @@ def check_qet_conditions(p: ComplexPolynomial) -> ConditionReport:
 
     return ConditionReport(degree_ok, parity_ok, bounded_inside,
                            dominating_outside, even_axis_ok, witness)
-
-
-def deflate_pade_square(l: int) -> ComplexPolynomial:
-    """Factor 1 - p_l(x)^2 = (1-u)^(l+1) q(u) in u = x^2 and return q.
-
-    Division is synthetic; any remainder above 1e-10 is an internal
-    consistency failure since the family makes the factorization exact.
-    """
-    pl = pade(l)
-    sq = -np.convolve(pl.coeffs, pl.coeffs)
-    sq[0] += 1.0
-    if np.abs(sq[1::2]).max() > PARITY_TOL:
-        raise NumericError("1 - p^2 picked up odd powers; coefficients corrupted")
-    ucoef = np.real(sq[0::2]).copy()
-    for _ in range(l + 1):
-        quotient = np.zeros(len(ucoef) - 1)
-        work = ucoef.copy()
-        for k in range(len(work) - 1, 0, -1):
-            quotient[k - 1] = -work[k]      # dividing by (1 - u)
-            work[k - 1] -= quotient[k - 1]
-        if abs(work[0]) > 1e-10:
-            raise NumericError(f"deflation remainder {work[0]:.3e} exceeds 1e-10")
-        ucoef = quotient
-    return polynomial(ucoef.astype(np.complex128), "none")
-
-
-# -------------------------------------------------------------- root finding
-
-def _roots_quadratic(c: np.ndarray) -> np.ndarray:
-    a, b, c0 = c[2], c[1], c[0]
-    disc = np.sqrt(b * b - 4.0 * a * c0 + 0j)
-    if (np.conj(b) * disc).real < 0.0:
-        disc = -disc
-    t = -(b + disc) / 2.0
-    if abs(t) > 0.0:
-        return np.array([t / a, c0 / t])
-    return np.array([0.0 + 0j, -b / a])
-
-
-def _durand_kerner(c: np.ndarray) -> np.ndarray:
-    c = c / c[-1]
-    n = len(c) - 1
-    scale = max(1.0, float(np.abs(c).max()))
-    roots = (0.4 + 0.9j) ** np.arange(1, n + 1)  # perturbed unit-circle starts
-    for _ in range(_DK_MAX_ITER):
-        vals = P.polyval(roots, c)
-        # rounding noise in polyval floors the reachable step size, so
-        # convergence is judged on residuals, not on step stagnation
-        if np.abs(vals).max() <= 1e-12 * scale:
-            return roots
-        step = np.empty_like(roots)
-        for i in range(n):
-            diff = roots[i] - np.delete(roots, i)
-            step[i] = vals[i] / np.prod(diff)
-        roots = roots - step
-        if np.abs(step).max() <= 1e-14 * max(1.0, float(np.abs(roots).max())):
-            return roots
-    if np.abs(P.polyval(roots, c)).max() <= 1e-10 * scale:
-        return roots
-    raise NumericError(f"root iteration did not settle in {_DK_MAX_ITER} steps "
-                       f"(last residual {np.abs(P.polyval(roots, c)).max():.3e})")
-
-
-def roots_in_u(q: ComplexPolynomial | np.ndarray) -> np.ndarray:
-    """All roots of a polynomial: quadratic formula at degree 2, else iterative.
-
-    pade_phases reaches the formula at l = 2 and Durand-Kerner from l = 4.
-    Every returned root is validated against |q(root)| <= 1e-10 relative to
-    the largest coefficient.
-    """
-    c = _trim(np.asarray(q.coeffs if isinstance(q, ComplexPolynomial) else q,
-                         dtype=np.complex128))
-    deg = len(c) - 1
-    if deg < 1:
-        raise DomainError("constant polynomial has no roots to return")
-    roots = _roots_quadratic(c) if deg == 2 else _durand_kerner(c)
-    scale = max(1.0, float(np.abs(c).max()))
-    resid = np.abs(P.polyval(roots, c))
-    if resid.max() > 1e-10 * scale:
-        raise NumericError(f"root residual {resid.max():.3e} exceeds 1e-10 * {scale:.3e}")
-    return roots
 
 
 # ------------------------------------------------------------------- file io

@@ -167,10 +167,9 @@ def distinct_angles(l: int, levels: int) -> int:
     is the base tail or its reversed negation, and both kinds occur once
     the outer list has more than one slot.  By induction, level n >= 2
     holds every value of tail and -tail, heads repeating level n - 1's
-    values, and a first head of n * base[0].  base[0] is 0 at l = 2 and
-    below 2e-12 in magnitude for l <= 8, so within the phase cap that head
-    stays far inside the angle tolerance of zero, and the count is that of
-    base and -base together.  Level 1 is the base list; level 0 has none.
+    values, and a first head of n * base[0].  base[0] is exactly 0 for
+    every tabulated l, so that head is zero, and the count is that of base
+    and -base together.  Level 1 is the base list; level 0 has none.
     """
     if levels < 0:
         raise InputError("levels must be nonnegative")

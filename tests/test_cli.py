@@ -37,6 +37,15 @@ def test_phases_rejects_odd_index():
     assert "not admissible" in r.stderr
 
 
+def test_phases_cover_the_tabulated_range(capsys):
+    assert main(["phases", "--pade-l", "20", "--iters", "2"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["flattened_length"] == 41 ** 2
+    assert payload["distinct_nonzero"] == 80
+    assert main(["phases", "--pade-l", "22"]) == 2
+    assert capsys.readouterr().err == "input error: --pade-l must lie in 1..20\n"
+
+
 def test_phases_writes_file(tmp_path):
     out = tmp_path / "ph.json"
     r = run_cli(["phases", "--pade-l", "2", "--out", str(out)])

@@ -1,15 +1,16 @@
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
 
-from rqet import (DomainError, check_qet_conditions, deflate_pade_square,
-                  load_poly, pade, poly_eval, polynomial, roots_in_u, save_poly)
-from rqet.poly import _durand_kerner, _roots_quadratic
+from rqet import (DomainError, check_qet_conditions, load_poly, pade, poly_eval,
+                  polynomial, save_poly)
 from conftest import exact_pade_coeffs
+from pade_table import deflated_roots, exact_deflation, to_mp
 
 
-@pytest.mark.parametrize("l", [1, 2, 3, 4, 6, 8])
+@pytest.mark.parametrize("l", [1, 2, 3, 4, 6, 8, 20])
 def test_pade_coefficients_exact(l):
     p = pade(l)
     ref = exact_pade_coeffs(l)
@@ -96,69 +97,35 @@ def test_conditions_accept_chebyshev(q):
     assert report.passed
 
 
+# the generator's exact deflation and root step (tests/pade_table.py)
+
 def test_deflate_pade_square_l2():
     # 1 - p2(x)^2 = (1 - u)^3 q(u) with u = x^2 and q exactly quadratic
-    q = deflate_pade_square(2)
-    ref = np.array([1.0, -33.0 / 64.0, 9.0 / 64.0])
-    assert np.abs(np.array(q.coeffs) - ref).max() < 1e-15
+    assert exact_deflation(2) == [1, Fraction(-33, 64), Fraction(9, 64)]
 
 
 def test_deflate_pade_square_l4():
-    q = deflate_pade_square(4)
-    ref = np.array([1.0, -17305.0 / 16384.0, 14235.0 / 16384.0,
-                    -6475.0 / 16384.0, 1225.0 / 16384.0])
-    assert np.abs(np.array(q.coeffs) - ref).max() < 1e-15
+    assert exact_deflation(4) == [1, Fraction(-17305, 16384), Fraction(14235, 16384),
+                                  Fraction(-6475, 16384), Fraction(1225, 16384)]
 
 
 def test_deflated_identity_reconstructs():
     # multiply the factors back and compare against 1 - p2^2 on a grid
-    q = deflate_pade_square(2)
+    q = [float(c) for c in exact_deflation(2)]
     xs = np.linspace(-1.3, 1.3, 57)
     u = xs * xs
     lhs = 1.0 - np.real(poly_eval(pade(2), xs)) ** 2
-    rhs = (1 - u) ** 3 * np.real(poly_eval(q, u))
+    rhs = (1 - u) ** 3 * np.polynomial.polynomial.polyval(u, q)
     assert np.abs(lhs - rhs).max() < 1e-12
 
 
-def test_roots_quadratic_exact():
-    r = sorted(_roots_quadratic(np.array([2.0, -3.0, 1.0], dtype=complex)), key=lambda z: z.real)
-    assert abs(r[0] - 1.0) < 1e-14 and abs(r[1] - 2.0) < 1e-14
-
-
-def test_roots_cubic_with_complex_pair():
-    # (u - 2)(u^2 + 1)
-    c = np.array([-2.0, 1.0, -2.0, 1.0], dtype=complex)
-    r = roots_in_u(c)
-    vals = sorted(r, key=lambda z: (round(z.real, 9), round(z.imag, 9)))
-    assert min(abs(v - 2.0) for v in vals) < 1e-12
-    assert min(abs(v - 1j) for v in vals) < 1e-12
-
-
-def test_roots_quartic_against_numpy():
-    rng = np.random.default_rng(8)
-    for _ in range(20):
-        c = rng.standard_normal(5) + 1j * rng.standard_normal(5)
-        c[4] += 3.0
-        mine = np.sort_complex(roots_in_u(c))
-        ref = np.sort_complex(np.roots(c[::-1]))
-        assert np.abs(mine - ref).max() < 1e-8
-
-
-def test_durand_kerner_high_degree():
-    # (u-1)(u-2)...(u-6) expanded
-    ref = np.arange(1.0, 7.0)
-    c = np.poly(ref)[::-1].astype(complex)
-    roots = np.sort_complex(np.array(_durand_kerner(c)))
-    assert np.abs(roots - ref).max() < 1e-9
-
-
 def test_roots_in_u_pade2():
-    q = deflate_pade_square(2)
-    roots = roots_in_u(q)
+    with mpmath.workdps(30):
+        roots = [complex(r) for r in deflated_roots(to_mp(exact_deflation(2)))]
     s = (11.0 + 3.0 * np.sqrt(15.0) * 1j) / 6.0
     got = np.sort_complex(np.array(roots))
     ref = np.sort_complex(np.array([s, s.conjugate()]))
-    assert np.abs(got - ref).max() < 1e-12
+    assert np.abs(got - ref).max() < 1e-14
 
 
 def test_poly_json_roundtrip(tmp_path):

@@ -469,6 +469,12 @@ def test_distinct_angles_from_base_list(l):
     assert n > 4
 
 
+@pytest.mark.parametrize("l", [10, 12, 14, 16, 18, 20])
+def test_distinct_angles_from_base_list_large_l(l):
+    for n in (1, 2, 3):
+        assert distinct_angles(l, n) == distinct_nonzero_angles(flatten_sign_phases(l, n)), n
+
+
 # Angles are k pi/40 plus a jitter far below the clustering tolerance,
 # so every true cluster gap is either ~1e-11 or at least pi/40.
 _jittered_grid_angle = st.tuples(st.integers(-40, 40), st.floats(-1e-11, 1e-11))

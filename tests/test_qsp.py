@@ -1,17 +1,23 @@
 import json
-from fractions import Fraction
+import os
+import subprocess
+import sys
+from functools import lru_cache
+from math import comb
 
 import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rqet
 from rqet import (DomainError, InputError, NumericError,
-                  canonicalize_angles, chebyshev_reflection_phases, deflate_pade_square,
-                  find_phases_rotation, load_poly, pade, pade_complement, pade_phases, poly_eval, polynomial, qsp,
-                  reflection_upper_left, rotation_to_reflection, save_phases)
+                  canonicalize_angles, chebyshev_reflection_phases,
+                  load_poly, pade, pade_phases, poly_eval, qsp,
+                  reflection_upper_left, save_phases)
 from rqet._kernels import _block_length, _distinct_rows, phase_chain
 from conftest import exact_pade_coeffs
+import pade_table
 
 
 def direct_product(phases, xs, form="reflection"):
@@ -34,10 +40,6 @@ def direct_product(phases, xs, form="reflection"):
                 M = M @ zrot(phi) @ R
         out.append(M[0, 0])
     return np.array(out)
-
-
-def cheb_poly(q):
-    return polynomial(np.polynomial.chebyshev.cheb2poly(np.eye(q + 1)[q]))
 
 
 def analytic_reference_set():
@@ -74,14 +76,24 @@ def test_analytic_phases_realize_polynomial():
     assert np.abs(f.imag).max() < 1e-10
 
 
-@pytest.mark.parametrize("l", [2, 4, 6, 8])
+def pade_in_t(l, xs):
+    """p_l(x) = x * sum_k C(2k,k)/4^k t^k by Horner in t = 1 - x^2, with
+    its dyadic coefficients exact in double; the monomial form loses up to
+    6e-12 to cancellation at l = 20."""
+    t = 1.0 - xs * xs
+    acc = np.zeros_like(xs)
+    for k in range(l, -1, -1):
+        acc = acc * t + comb(2 * k, k) / 4.0 ** k
+    return xs * acc
+
+
+@pytest.mark.parametrize("l", list(pade_table.LEVELS))
 def test_phase_pipeline_round_trip_even_pade(l):
     phases = pade_phases(l)
     assert len(phases) == 2 * l + 1
     xs = np.linspace(-1, 1, 201)
     f = reflection_upper_left(phases, xs)
-    ref = np.real(poly_eval(pade(l), xs))
-    assert np.abs(f - ref).max() < 1e-9
+    assert np.abs(f - pade_in_t(l, xs)).max() < 5e-15
 
 
 def test_pade_phases_copy_does_not_touch_cache():
@@ -92,18 +104,18 @@ def test_pade_phases_copy_does_not_touch_cache():
 
 
 def test_pade_phases_derived_once(monkeypatch):
-    calls = []
-    original = qsp.find_phases_rotation
+    reads = []
+    original = qsp.read_json
 
-    def counting(f, h):
-        calls.append(f.degree)
-        return original(f, h)
+    def counting(path, what):
+        reads.append(what)
+        return original(path, what)
 
     monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
-    monkeypatch.setattr(qsp, "find_phases_rotation", counting)
+    monkeypatch.setattr(qsp, "read_json", counting)
     first = pade_phases(2)
     second = pade_phases(2)
-    assert calls == [5]
+    assert reads == ["phase table"]
     assert np.array_equal(first, second)
 
 
@@ -112,20 +124,17 @@ def test_pade_phases_rejects_odd():
         pade_phases(3)
 
 
-def test_closed_form_route_only_for_l2(monkeypatch):
-    # the deflated remainder has degree l: only l = 2 takes the quadratic
-    # formula, and every larger l reaches the iterative root finder
-    expected = pade_phases(2)
-
-    def refuse(*_):
-        raise NumericError("iterative root finder called")
-
-    monkeypatch.setattr("rqet.poly._durand_kerner", refuse)
-    monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
-    assert np.array_equal(pade_phases(2), expected)
-    for l in (4, 6):
-        with pytest.raises(NumericError, match="iterative root finder called"):
+def test_pade_phases_rejects_untabulated():
+    for l in (0, 22):
+        with pytest.raises(DomainError, match=r"tabulated for even l = 2\.\.20"):
             pade_phases(l)
+
+
+def test_loading_phases_does_not_import_mpmath():
+    src = os.path.dirname(os.path.dirname(rqet.__file__))
+    code = "import sys, rqet; rqet.pade_phases(8); assert 'mpmath' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
 
 @pytest.mark.parametrize("q", [1, 2, 3, 4, 5, 6, 7])
@@ -140,175 +149,96 @@ def test_chebyshev_trivial_phases(q):
 @settings(max_examples=200, deadline=None)
 @given(st.lists(st.floats(-np.pi, np.pi), min_size=2, max_size=14).map(np.array))
 def test_rotation_and_reflection_forms_agree(rot):
+    # the generator's conversion, rounded, against the rotation-form product
+    refl = [float(a) for a in pade_table.rotation_to_reflection([mpmath.mpf(a) for a in rot])]
     xs = np.array([-1.0, -0.9, -0.2, 0.0, 0.33, 0.81, 1.0])
-    refl = reflection_upper_left(rotation_to_reflection(rot), xs)
-    assert np.abs(refl - direct_product(rot, xs, "rotation")).max() < 1e-12
+    got = reflection_upper_left(refl, xs)
+    assert np.abs(got - direct_product(rot, xs, "rotation")).max() < 1e-12
 
 
-def test_round_trip_checks_the_reflection_conversion(monkeypatch):
-    original = qsp.rotation_to_reflection
-
-    def one_angle_shifted(phases):
-        out = original(phases)
-        out[1] += 1e-3
-        return out
-
-    monkeypatch.setattr(qsp, "rotation_to_reflection", one_angle_shifted)
+def test_round_trip_rejects_corrupted_table(monkeypatch, tmp_path):
+    with open(qsp._TABLE_PATH, encoding="utf-8") as fh:
+        doc = json.load(fh)
+    doc["angles"]["4"][1] += 1e-3
+    path = tmp_path / "pade_phases.json"
+    path.write_text(json.dumps(doc))
+    monkeypatch.setattr(qsp, "_TABLE_PATH", str(path))
     monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
     with pytest.raises(NumericError, match="phase round-trip fails"):
         pade_phases(4)
+    assert qsp._PHASE_CACHE == {}
 
 
-def poly_mul(a, b):
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return out
+@lru_cache(maxsize=None)
+def generated_table(dps):
+    return pade_table.phase_table(dps)
 
 
-def exact_deflation(l):
-    """q with 1 - p_l^2 = (1 - u)^(l+1) q(u), over the rationals."""
-    p = exact_pade_coeffs(l)
-    sq = [-c for c in poly_mul(p, p)]
-    sq[0] += 1
-    assert not any(sq[1::2])
-    q = sq[0::2]
-    for _ in range(l + 1):  # synthetic division by (1 - u)
-        quotient = [Fraction(0)] * (len(q) - 1)
-        for k in range(len(q) - 1, 0, -1):
-            quotient[k - 1] = -q[k]
-            q[k - 1] += q[k]
-        assert q[0] == 0
-        q = quotient
-    return q
+def test_committed_table_matches_generator():
+    assert pade_table.TABLE_PATH.read_text(encoding="utf-8") == pade_table.render(generated_table(60))
 
 
-def to_mp(fractions):
-    return [mpmath.mpf(c.numerator) / c.denominator for c in fractions]
+def test_table_is_stable_in_working_precision():
+    assert generated_table(60) == generated_table(80)
 
 
-def mp_reflection_value(phases, x):
-    """Top-left entry of prod_i exp(i phi_i Z) R(x), carried as the top row."""
-    x = mpmath.mpf(x)
-    w = mpmath.sqrt(1 - x * x)
-    a, b = mpmath.mpc(1), mpmath.mpc(0)
-    for phi in phases:
-        e = mpmath.expj(phi)
-        a, b = a * e, b * mpmath.conj(e)
-        a, b = a * x + b * w, a * w - b * x
-    return a
-
-
-def reference_phases(l):
-    """Reflection phases of p_l from the exact q, mpmath roots and a 60-digit peel.
-
-    Same conventions as the float path: h takes the upper root of each
-    conjugate pair and the positive square root of q's leading coefficient.
-    """
-    q = to_mp(exact_deflation(l))
-    roots = mpmath.polyroots(q[::-1], maxsteps=200, extraprec=200)
-    h = [mpmath.sqrt(q[-1])]
-    for factor in [[-1, 0, 1]] * (l // 2) + [[-r, 0, 1] for r in roots if r.imag > 0]:
-        h = poly_mul(h, factor)
-    f = to_mp(exact_pade_coeffs(l))
-    tiny = mpmath.mpf(10) ** -40
-    deg = len(f) - 1
-    rot = [mpmath.mpf(0)] * (deg + 1)
-    for d in range(deg, 0, -1):
-        ratio = f[d] / h[d - 1]
-        assert abs(abs(ratio) - 1) < tiny
-        rot[d] = mpmath.arg(ratio) / 2
-        ep = mpmath.expj(rot[d])
-        em = mpmath.conj(ep)
-        # f~ = em * x f + ep * (1 - x^2) h ; h~ = ep * x h - em * f
-        nf = [a + b for a, b in zip([0] + [em * c for c in f] + [0],
-                                     poly_mul(h, [ep, 0, -ep]) + [0])]
-        nh = [a - b for a, b in zip([0] + [ep * c for c in h], [em * c for c in f])]
-        assert max(abs(c) for c in nf[d:]) < tiny
-        f, h = nf[:d], nh[: max(d - 1, 1)]
-    rot[0] = mpmath.arg(f[0])
-    refl = [rot[0] + rot[deg] + (deg - 1) * mpmath.pi / 2] + [a - mpmath.pi / 2 for a in rot[1:deg]]
-    return [a - 2 * mpmath.pi * mpmath.ceil((a - mpmath.pi) / (2 * mpmath.pi)) for a in refl]
-
-
-_REFERENCE_BOUNDS = {2: 2e-15, 4: 1e-14, 6: 5e-13, 8: 5e-12}
-
-
-@pytest.mark.parametrize("l", [2, 4, 6, 8])
+@pytest.mark.parametrize("l", list(pade_table.LEVELS))
 def test_phases_match_high_precision_reference(l):
-    # the float deflation is exact: p_l's coefficients are dyadic rationals
-    exact = exact_deflation(l)
-    assert [Fraction(v.real) for v in deflate_pade_square(l).coeffs] == exact
+    # the 60-digit reference realizes p_l to 1e-40 and its rounding to 2e-15
+    # (measured 1.4e-16 at l = 2 up to 1.05e-15 at l = 20, at 9 points in
+    # exact arithmetic); pade_phases serves exactly those rounded floats
     with mpmath.workdps(60):
-        ref = np.array([float(a) for a in reference_phases(l)])
-        p = to_mp(exact_pade_coeffs(l))
+        ref = pade_table.reference_phases(l)
+        rounded = np.array([0.0] + [float(a) for a in ref[1:]])
+        p = pade_table.to_mp(exact_pade_coeffs(l))
         for x in np.linspace(-1.0, 1.0, 9):
             target = mpmath.polyval(p[::-1], mpmath.mpf(x))
-            assert abs(mp_reflection_value(ref, x) - target) <= 1e-15
-    got = pade_phases(l)
-    worst = np.abs(np.mod(got - ref + np.pi, 2.0 * np.pi) - np.pi).max()
-    assert worst <= _REFERENCE_BOUNDS[l]
+            assert abs(pade_table.mp_reflection_value(ref, x) - target) <= 1e-40
+            assert abs(pade_table.mp_reflection_value(rounded, x) - target) <= 2e-15
+    assert abs(ref[0]) < 1e-30
+    assert np.array_equal(pade_phases(l), rounded)
 
 
 @pytest.mark.parametrize("l", [2, 4, 6, 8])
 def test_pade_complement_identity(l):
-    f = pade(l)
-    h = pade_complement(l)
-    assert h.degree == 2 * l
-    xs = np.linspace(-1, 1, 301)
-    lhs = np.real(poly_eval(f, xs)) ** 2 + (1 - xs * xs) * np.abs(poly_eval(h, xs)) ** 2
-    assert np.abs(lhs - 1.0).max() < 1e-9
-
-
-def test_complementary_rejects_dipping_polynomial():
-    # odd family members admit no complementary partner
-    for l in (1, 3):
-        with pytest.raises(DomainError, match="odd family member"):
-            pade_complement(l)
-
-
-def test_pade_phases_factors_the_square_once(monkeypatch):
-    calls = []
-    original = qsp.deflate_pade_square
-
-    def counting(l):
-        calls.append(l)
-        return original(l)
-
-    monkeypatch.setattr(qsp, "deflate_pade_square", counting)
-    for l in (2, 4, 6, 8):
-        monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
-        calls.clear()
-        pade_phases(l)
-        assert calls == [l]
+    # the generator's h: p_l^2 + (1 - x^2) h h* = 1 to the working precision
+    with mpmath.workdps(60):
+        f = pade_table.to_mp(exact_pade_coeffs(l))
+        h = pade_table.pade_complement(l)
+        assert len(h) == 2 * l + 1
+        for x in np.linspace(-1.0, 1.0, 31):
+            x = mpmath.mpf(x)
+            hv = mpmath.polyval(h[::-1], x)
+            lhs = mpmath.polyval(f[::-1], x) ** 2 + (1 - x * x) * abs(hv) ** 2
+            assert abs(lhs - 1) < 1e-40
 
 
 def test_pade_complement_rejects_negative_leading_factor(monkeypatch):
-    original = qsp.deflate_pade_square
-    monkeypatch.setattr(qsp, "deflate_pade_square", lambda l: polynomial(-original(l).coeffs))
-    with pytest.raises(NumericError, match="positive leading factor"):
-        pade_complement(4)
+    original = pade_table.exact_deflation
+    monkeypatch.setattr(pade_table, "exact_deflation", lambda l: [-c for c in original(l)])
+    with pytest.raises(AssertionError, match="positive leading factor"):
+        pade_table.pade_complement(4)
 
 
 def test_pade_complement_rejects_real_root(monkeypatch):
     # a real root of q has no conjugate partner to split it with
-    original = qsp.roots_in_u
+    original = pade_table.deflated_roots
 
     def one_pair_made_real(q):
-        roots = original(q).copy()
-        roots[np.argmax(roots.imag)] = roots[np.argmin(roots.imag)] = 0.5
+        roots = list(original(q))
+        roots[0] = roots[1] = mpmath.mpc(0.5)
         return roots
 
-    monkeypatch.setattr(qsp, "roots_in_u", one_pair_made_real)
-    with pytest.raises(NumericError, match="real root"):
-        pade_complement(4)
+    monkeypatch.setattr(pade_table, "deflated_roots", one_pair_made_real)
+    with pytest.raises(AssertionError, match="real root"):
+        pade_table.pade_complement(4)
 
 
-def test_find_phases_requires_degree_gap():
-    f = cheb_poly(3)
-    with pytest.raises(DomainError):
-        find_phases_rotation(f, polynomial([0.0, 0.0, 0.0, 1.0]))
+def test_complementary_rejects_dipping_polynomial():
+    # odd family members admit no complementary partner, so no phases
+    for l in (1, 3):
+        with pytest.raises(DomainError, match="odd family member"):
+            pade_phases(l)
 
 
 def test_phases_json_roundtrip(tmp_path):
