@@ -15,9 +15,10 @@ order.  A list with no repeats has as many distinct blocks as blocks
 and costs what it did before.  That is k + N/k (at most about
 9*sqrt(N)) Python-level steps instead of N, and no complex temporary
 grows with the length of the phase list; the block stage writes every
-step into three work buffers allocated once.  The grouping differs from
-a left-to-right loop, so results agree with it to rounding, not bit for
-bit.
+step into three work buffers allocated once, and takes the factors'
+exponentials for len(xs) positions of every distinct block in one call.
+The grouping differs from a left-to-right loop, so results agree with
+it to rounding, not bit for bit.
 
 Blocks are compared by their bytes, not by float equality, so two
 blocks share a product only when every angle has the same bit pattern:
@@ -75,16 +76,20 @@ def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     m00 = np.ones((len(blocks), len(x)), dtype=np.complex128)
     m01 = np.zeros_like(m00)
     a, b, t = np.empty_like(m00), np.empty_like(m00), np.empty_like(m00)
-    for j in range(k):
-        ep = np.exp(1j * blocks[:, j])[:, None]
-        np.multiply(m00, ep, out=a)
-        np.multiply(m01, ep.conj(), out=b)
-        np.multiply(a, x, out=m00)
-        np.multiply(b, w, out=t)
-        m00 += t
-        np.multiply(a, w, out=m01)
-        np.multiply(b, x, out=t)
-        m01 -= t
+    # factors for len(x) positions at a time: one exp call per chunk, no more
+    # memory than a work buffer, however long the blocks are
+    c = max(1, len(x))
+    for j0 in range(0, k, c):
+        ep = np.exp(1j * blocks[:, j0 : j0 + c].T)[:, :, None]
+        for e, em in zip(ep, ep.conj()):
+            np.multiply(m00, e, out=a)
+            np.multiply(m01, em, out=b)
+            np.multiply(a, x, out=m00)
+            np.multiply(b, w, out=t)
+            m00 += t
+            np.multiply(a, w, out=m01)
+            np.multiply(b, x, out=t)
+            m01 -= t
     m10, m11 = (m01.conj(), -m00.conj()) if k % 2 else (-m01.conj(), m00.conj())
 
     # only the top row of the running product is needed from here on

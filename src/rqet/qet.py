@@ -35,6 +35,11 @@ def template_daggers(q: int) -> np.ndarray:
     return (j % 2) != (q % 2)
 
 
+def _require_finite(phases: np.ndarray) -> None:
+    if not np.isfinite(phases).all():
+        raise InputError("phase angles must be finite")
+
+
 def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
     one product per leading index, by broadcast matmul.  No checks."""
@@ -57,6 +62,7 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
         raise InputError("phase list must be a nonempty 1-d array")
+    _require_finite(phases)
     return _phased_product(be.unitary, phases)
 
 
@@ -71,21 +77,38 @@ def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     Each outer slot is replaced by the inner list (or its adjoint, which
     reverses and negates it).  The adjoint substitution also flips the
     sign of the rotation that follows, carried into the next junction.
-    Merged junction angles are canonicalized; the operator is unchanged
-    because the rotations are 2pi-periodic in the phase.
+    The operator is unchanged by canonicalizing, because the rotations
+    are 2pi-periodic in the phase.
 
     The parities always close: the template ends on a plain slot, so no
     carry is left, and the substituted daggers equal the full template.
+    The daggers alternate, so the adjoint slots are q % 2, q % 2 + 2, ...
+    (0-based) for q outer slots.
+
+    Row j of the (q, len(inner)) result is slot j's junction head and
+    then one of two body patterns, inner[1:] or -inner[:0:-1].  Only
+    those values are canonicalized: the q heads, and each pattern once.
+    canonicalize_angles maps every element on its own, so the result is
+    bit for bit the canonicalized whole list, at O(q + len(inner))
+    angle maps instead of O(q len(inner)).  Non-finite angles raise
+    InputError.
     """
     outer = np.asarray(outer, dtype=np.float64)
     inner = np.asarray(inner, dtype=np.float64)
     if outer.ndim != 1 or inner.ndim != 1 or len(outer) == 0 or len(inner) == 0:
         raise InputError("phase lists must be nonempty 1-d arrays")
-    dag = template_daggers(len(outer))
-    carry = np.where(np.concatenate(([False], dag[:-1])), -inner[0], 0.0)
-    head = np.where(dag, outer + carry, outer + carry + inner[0])
-    body = np.where(dag[:, None], -inner[:0:-1], inner[1:])
-    return canonicalize_angles(np.column_stack((head, body)).reshape(-1))
+    _require_finite(outer)
+    _require_finite(inner)
+    adj = len(outer) % 2  # first adjoint slot
+    carry = np.zeros(len(outer))
+    carry[adj + 1 :: 2] = -inner[0]  # every adjoint slot is followed by a plain one
+    head = outer + carry
+    head[1 - adj :: 2] += inner[0]
+    out = np.empty((len(outer), len(inner)))
+    out[:, 0] = canonicalize_angles(head)
+    out[adj::2, 1:] = canonicalize_angles(-inner[:0:-1])
+    out[1 - adj :: 2, 1:] = canonicalize_angles(inner[1:])
+    return out.reshape(-1)
 
 
 def _check_phase_count(levels: int, l: int) -> None:

@@ -195,6 +195,13 @@ def test_perturb_bad_grid():
     assert r.returncode == 2
 
 
+def test_perturb_overflowing_phases_are_an_input_error(capsys):
+    # a finite grid bound whose scaled angles overflow to inf
+    assert main(["perturb", "--seed", "1", "--dim", "2", "--iters", "1",
+                 "--delta-grid", "1e300:1e308:2"]) == 2
+    assert capsys.readouterr().err == "input error: phase angles must be finite\n"
+
+
 @pytest.mark.parametrize("command", ["sign-run", "polar-run"])
 @pytest.mark.parametrize("epsilon", ["nan", "inf"])
 def test_non_finite_epsilon_is_a_domain_error(command, epsilon, capsys):

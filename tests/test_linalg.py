@@ -25,7 +25,7 @@ def test_jacobi_matches_lapack(dim):
 
 
 @pytest.mark.parametrize("dim", [2, 8, 64])
-def test_jacobi_reconstruction_and_unitarity(dim):
+def test_hermitian_eig_reconstruction_and_unitarity(dim):
     A = random_hermitian(100 + dim, dim)
     w, V = hermitian_eig(A)
     recon = (V * w[None, :]) @ V.conj().T
@@ -34,13 +34,13 @@ def test_jacobi_reconstruction_and_unitarity(dim):
     assert np.all(np.diff(w) >= 0)
 
 
-def test_jacobi_degenerate_spectrum():
+def test_hermitian_eig_degenerate_spectrum():
     A, _ = hermitian_with_spectrum(5, [0.5, 0.5, 0.5, -0.25])
     w, V = hermitian_eig(A)
     assert np.abs(np.sort(w) - np.array([-0.25, 0.5, 0.5, 0.5])).max() < 1e-12
 
 
-def test_jacobi_tiny_offdiagonal_converges():
+def test_hermitian_eig_tiny_offdiagonal_converges():
     # diagonal dominated by one large entry; the tiny eigenvalues must
     # not drown in rounding noise from the big diagonal
     A = np.diag([1e-4, 1e-8, 1e-21, 3e-5]).astype(complex)

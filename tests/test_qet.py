@@ -3,7 +3,7 @@ from math import comb
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from rqet import (DomainError, InputError, NumericError, ScalarSignTable,
                   canonicalize_angles, check_flattened_structure,
@@ -87,13 +87,41 @@ def _compose_slot_loop(outer, inner):
     return canonicalize_angles(np.concatenate(segments))
 
 
-_phase_list = st.lists(st.floats(-10.0, 10.0), min_size=1, max_size=9).map(np.array)
+# values on which canonicalize_angles is not idempotent, or only just is
+_EDGE_ANGLES = [-0.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
+                1e-300, -1e-300, 3 * np.pi, -3 * np.pi, 5 * np.pi, -7 * np.pi]
+_phase_list = st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_EDGE_ANGLES)),
+                       min_size=1, max_size=9).map(np.array)
 
 
 @settings(max_examples=300, deadline=None)
 @given(_phase_list, _phase_list)
+@example(np.array([-0.0, np.pi]), np.array([np.pi, -0.0, 3 * np.pi]))  # even: slot 0 adjoint
+@example(np.array([np.nextafter(-np.pi, 0.0)] * 4), np.array([1e-300, -np.pi]))
 def test_compose_matches_slot_loop(outer, inner):
-    assert np.array_equal(compose_phases(outer, inner), _compose_slot_loop(outer, inner))
+    assert compose_phases(outer, inner).tobytes() == _compose_slot_loop(outer, inner).tobytes()
+
+
+@pytest.mark.parametrize("l,levels", [(2, 6), (4, 4), (6, 3), (8, 3), (20, 2)])
+def test_flatten_matches_slot_loop(l, levels):
+    base = pade_phases(l)
+    flat = base
+    for _ in range(levels - 1):
+        flat = _compose_slot_loop(flat, base)
+    assert flatten_sign_phases(l, levels).tobytes() == flat.tobytes()
+
+
+def test_compose_rejects_non_finite_angles():
+    with pytest.raises(InputError, match="finite"):
+        compose_phases([np.nan, 1.0, 2.0], [0.0, np.inf])
+    with pytest.raises(InputError, match="finite"):
+        compose_phases([1.0], [0.0, -np.inf])
+
+
+def test_assemble_rejects_non_finite_angles():
+    be = dilate_hermitian(np.diag([0.5, -0.5]))
+    with pytest.raises(InputError, match="finite"):
+        qet_assemble(be, [0.1, np.nan, 0.2])
 
 
 _short_list = st.lists(st.floats(-np.pi, np.pi), min_size=1, max_size=6).map(np.array)
