@@ -44,13 +44,6 @@ def extract(be: BlockEncoding) -> np.ndarray:
     return be.unitary[:d, :d].copy()
 
 
-def rotation_diagonal(phi: float, system_dim: int) -> np.ndarray:
-    """Diagonal of the ancilla reflection rotation: e^{i phi} on the top block."""
-    diag = np.full(2 * system_dim, np.exp(-1j * phi), dtype=np.complex128)
-    diag[:system_dim] = np.exp(1j * phi)
-    return diag
-
-
 def _check_unitary(U: np.ndarray, what: str) -> None:
     dev = _unitarity_deviation(U)
     if dev > _UNITARITY_TOL:

@@ -212,6 +212,10 @@ def _cmd_perturb(args) -> int:
     # the reference, the zero perturbation and each grid value: (2l+1)^n slots apiece
     _check_dense_cost((count + 2) * query_count(args.iters, args.pade_l), A.shape[0])
     flat = flatten_sign_phases(args.pade_l, args.iters)
+    largest = float(np.abs(flat).max())
+    if not math.isfinite(largest * (1.0 + hi)):  # a Python float overflows to inf, no warning
+        raise InputError(f"--delta-grid upper bound {hi:g} scales the phases past float64 "
+                         f"(largest |phase| {largest:.6g})")
     be = dilate_hermitian(A)
     X_ref = extract(qet_recursive_step(be, flat))
     rows = ["delta,error"]

@@ -17,7 +17,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .blockenc import BlockEncoding, _dilate_spectrum, extract, rotation_diagonal
+from ._kernels import _block_length, _distinct_rows
+from .blockenc import BlockEncoding, _dilate_spectrum, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
 from .poly import pade, poly_eval
@@ -25,6 +26,8 @@ from .qsp import _IDENTITY_TOL, canonicalize_angles, pade_phases, reflection_upp
 
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
+_MIN_BLOCKED = 16  # shortest slot list that _phased_product cuts into blocks
+_PLUS_MINUS_I = np.array([1j, -1j])[:, None, None]
 DENSE_BUDGET = 2 ** 32  # slots x max(2d, 32)^3; the largest admitted run takes ~1-4 s on one core
 
 
@@ -40,14 +43,68 @@ def _require_finite(phases: np.ndarray) -> None:
         raise InputError("phase angles must be finite")
 
 
+def _slot_blocks(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
+    """Aligned blocks of a slot list: the distinct blocks' phases (D, k), the
+    index of each block among them, and how many of them open on the plain
+    oracle; those come first, then the blocks that open on the adjoint.
+
+    A list of at least _MIN_BLOCKED slots splits into blocks of
+    k = _block_length(q) slots when k divides q.  Blocks are keyed by their
+    opening dagger and their phases' bytes, so -0.0 and 0.0 never merge.
+    The list stays one block when it is shorter, has no such divisor, or
+    its blocks repeat less than twice on average: then multiplying out the
+    distinct blocks would not halve the work, and would hold more matrices.
+    """
+    q = len(phases)
+    k = _block_length(q) if q >= _MIN_BLOCKED else q
+    if q % k == 0 and k < q:
+        keys = np.column_stack((template_daggers(q)[::k], phases.reshape(-1, k)))
+        rows, index = _distinct_rows(keys)
+        if 2 * len(rows) <= len(index):
+            order = np.argsort(rows[:, 0], kind="stable")
+            plain = int(np.count_nonzero(rows[:, 0] == 0.0))
+            return rows[order, 1:], np.argsort(order)[index], plain
+    return phases[None], np.array([0]), q % 2  # slot 1 is plain when q is odd
+
+
 def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
-    one product per leading index, by broadcast matmul.  No checks."""
-    Ud = np.swapaxes(U.conj(), -1, -2)
-    out = np.broadcast_to(np.eye(U.shape[-1], dtype=np.complex128), U.shape)
-    for phi, dag in zip(phases, template_daggers(len(phases))):
-        diag = rotation_diagonal(phi, U.shape[-1] // 2)
-        out = (out * diag) @ (Ud if dag else U)
+    one product per leading index, by broadcast matmul.  No checks.
+
+    The slot list is cut into the blocks of _slot_blocks.  Each distinct
+    block is multiplied out once, all of them together as a (D, ..., 2d, 2d)
+    stack with one step per slot position, and the block products are then
+    multiplied in order.  The daggers alternate inside a block, so at each
+    position the blocks that open on the plain oracle take one oracle and
+    the others take its adjoint.  A list of one block is the plain slot
+    loop, bit for bit; blocked lists agree with it to rounding.  The loop
+    holds the D block products, one work stack of the same size and the
+    rotation diagonals of as many positions as fit in one oracle.
+    """
+    blocks, index, plain = _slot_blocks(phases)
+    d = U.shape[-1] // 2
+    shape = (len(blocks),) + (1,) * U.ndim
+    ep, em = np.exp(_PLUS_MINUS_I * blocks.T)  # exp(+-i phi) of every position, in one call
+    pair = (U, np.swapaxes(U.conj(), -1, -2))
+    opens = [(s, o) for s, o in ((slice(0, plain), 0), (slice(plain, len(blocks)), 1))
+             if s.start < s.stop]  # the blocks opening on pair[o]
+    M = np.empty((len(blocks),) + U.shape, dtype=np.complex128)
+    M[...] = np.eye(2 * d)
+    work = np.empty_like(M)
+    chunk = max(1, U.size // (len(blocks) * 2 * d))  # positions whose diagonals fit in one oracle
+    diag = np.empty((chunk,) + shape[:-1] + (2 * d,), dtype=np.complex128)
+    for j0 in range(0, len(ep), chunk):
+        c = min(chunk, len(ep) - j0)
+        diag[:c, ..., :d] = ep[j0 : j0 + c].reshape((c,) + shape)
+        diag[:c, ..., d:] = em[j0 : j0 + c].reshape((c,) + shape)
+        for j, g in enumerate(diag[:c], j0):
+            M *= g
+            for s, o in opens:
+                np.matmul(M[s], pair[(j + o) % 2], out=work[s])
+            M, work = work, M
+    out = M[index[0]]
+    for b in index[1:]:
+        out = out @ M[b]
     return out
 
 
@@ -58,6 +115,9 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     exp(i phase_j (2P - I)) followed by the oracle or its adjoint per the
     dagger template, so the final slot always carries the plain oracle.
     Over a general dilation the same product acts on singular values.
+    A list of at least 16 slots whose aligned blocks repeat, as every
+    flattened sign list's do, is multiplied block by block, each distinct
+    block once (_phased_product); other lists run slot by slot.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
@@ -137,7 +197,9 @@ def _check_budget(cost: int, work: str, estimate: str) -> None:
 def _check_dense_cost(slots: int, dim: int) -> None:
     """Refuse a dense run of `slots` phased-product slots on a d = dim
     system whose cost estimate exceeds DENSE_BUDGET; the floor of 32 on
-    the dilation size stands for the per-slot Python overhead."""
+    the dilation size stands for the per-slot Python overhead.  The
+    estimate assumes no slot repeats: a list whose blocks repeat, as a
+    flattened sign list's do, costs far less (_phased_product)."""
     count = slots if slots < 2 ** 53 else f"2^{math.log2(slots):.1f}"
     _check_budget(slots * max(2 * dim, 32) ** 3, f"{count} dense slots at dimension {dim}",
                   "slots x max(2d, 32)^3")

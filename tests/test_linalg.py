@@ -17,7 +17,7 @@ def random_hermitian(seed, d):
 
 
 @pytest.mark.parametrize("dim", [1, 2, 3, 8, 17, 64])
-def test_jacobi_matches_lapack(dim):
+def test_hermitian_eig_matches_lapack(dim):
     A = random_hermitian(dim, dim)
     w, V = hermitian_eig(A)
     w_ref = np.linalg.eigvalsh(A)

@@ -1,3 +1,4 @@
+import tracemalloc
 from math import comb
 
 import mpmath
@@ -14,9 +15,9 @@ from rqet import (DomainError, InputError, NumericError, ScalarSignTable,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
-from rqet._kernels import phase_chain
+from rqet._kernels import _block_length, phase_chain
 from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _check_scalar_cost,
-                      _phased_product, scalar_grid, template_daggers)
+                      _phased_product, _slot_blocks, scalar_grid, template_daggers)
 from conftest import hermitian_with_spectrum
 
 
@@ -423,6 +424,96 @@ def test_phased_product_on_a_stack_of_points():
         per_point = qet_assemble(dilate_hermitian(np.array([[x]], dtype=complex)), base)
         assert np.abs(P - per_point).max() < 1e-15
     assert np.abs(stacked[:, 0, 0] - phase_chain(base, xs)).max() < 1e-15
+
+
+def slot_loop(U, phases):
+    """The phased product one slot at a time: exp(i phi (2P - I)), then the
+    oracle or its adjoint as the dagger template says."""
+    Ud = np.swapaxes(U.conj(), -1, -2)
+    out = np.broadcast_to(np.eye(U.shape[-1], dtype=np.complex128), U.shape)
+    for phi, dag in zip(phases, template_daggers(len(phases))):
+        diag = np.repeat(np.exp([1j * phi, -1j * phi]), U.shape[-1] // 2)
+        out = (out * diag) @ (Ud if dag else U)
+    return out
+
+
+def dilation_stack(seed, d, stack):
+    """One d x d Hermitian dilation, or a stack of `stack` of them."""
+    rng = np.random.default_rng(seed)
+    Us = [dilate_hermitian(hermitian_with_spectrum(seed + i, rng.uniform(-1, 1, d))[0]).unitary
+          for i in range(max(1, stack))]
+    return np.stack(Us) if stack else Us[0]
+
+
+def planted_pool(rng, k):
+    """Blocks of k phases that differ in one bit pattern only: a random block,
+    its last-bit neighbour, and two copies with 0.0 and -0.0 in one slot."""
+    a = rng.uniform(-np.pi, np.pi, k)
+    j = int(rng.integers(k))
+    pool = np.stack([a, a, a, a])
+    pool[1, j] = np.nextafter(a[j], np.inf)
+    pool[2, j], pool[3, j] = 0.0, -0.0
+    return pool
+
+
+# list lengths: under 16 slots, prime (no divisor fits), odd and even with
+# odd and even block lengths (k = _block_length(q) in the comment)
+_PRODUCT_LENGTHS = [1, 2, 5, 15, 17, 31,
+                    16, 18, 24, 32, 64,   # k = 4, 3, 4, 4, 8
+                    25, 27, 45, 75, 125,  # k = 5, 3, 5, 5, 5
+                    50, 81, 100, 135]     # k = 5, 9, 10, 9
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.sampled_from(_PRODUCT_LENGTHS), st.sampled_from([1, 2, 4]), st.sampled_from([0, 3]),
+       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
+def test_phased_product_matches_slot_loop(q, d, stack, kinds, seed):
+    rng = np.random.default_rng(seed)
+    k = _block_length(q)
+    pool = planted_pool(rng, k)[rng.permutation(4)[:kinds]]
+    phases = pool[rng.integers(kinds, size=-(-q // k))].reshape(-1)[:q]
+    U = dilation_stack(seed % 1000, d, stack)
+    fast, ref = _phased_product(U, phases), slot_loop(U, phases)
+    assert fast.shape == ref.shape
+    blocks, index, plain = _slot_blocks(phases)
+    # the blocks rebuild the list bit for bit, each with its own opening dagger
+    assert np.array_equal(blocks[index].reshape(-1).view(np.uint64), phases.view(np.uint64))
+    assert list(np.asarray(index) >= plain) == list(template_daggers(q)[:: blocks.shape[1]])
+    if len(index) == 1:  # under 16 slots, no divisor or too few repeats: the slot loop
+        assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
+    else:
+        assert 2 * len(blocks) <= len(index)
+        assert np.abs(fast - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("q", [16, 17, 125, 625])
+def test_phased_product_without_repeats_is_the_slot_loop(q):
+    phases = np.random.default_rng(q).uniform(-np.pi, np.pi, q)
+    U = dilation_stack(q, 4, 0)
+    assert np.array_equal(_phased_product(U, phases).view(np.uint64),
+                          slot_loop(U, phases).view(np.uint64))
+
+
+def test_phased_product_multiplies_a_flattened_list_by_blocks():
+    flat = flatten_sign_phases(2, 4)
+    blocks, index, _ = _slot_blocks(flat)
+    assert blocks.shape == (9, 25) and len(index) == 25
+    U = dilation_stack(7, 8, 0)
+    assert np.abs(_phased_product(U, flat) - slot_loop(U, flat)).max() < 1e-13
+
+
+def test_phased_product_memory_stays_small():
+    # a random list never repeats a block, so it runs as the slot loop and
+    # holds a few matrices, not one per slot (2048 x 16 x 16 x 16 B = 8 MB)
+    phases = np.random.default_rng(3).uniform(-np.pi, np.pi, 2048)
+    U = dilation_stack(3, 8, 0)
+    tracemalloc.start()
+    try:
+        _phased_product(U, phases)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 ** 21
 
 
 def test_scalar_run_evaluates_one_chain(monkeypatch):
