@@ -5,29 +5,40 @@ prod_i exp(i*phi_i*Z) R(x) at many points.  The product is split into
 aligned blocks of k phases, where k is the largest divisor of N that is
 at most isqrt(N), provided it is at least isqrt(N)/8 and at least 2;
 otherwise (a prime N, say) k = isqrt(N) and the leftover tail phases
-are multiplied in one at a time at the end.  A divisor k makes a nested
-list of (2l+1)^n phases split into blocks that recur: the 5^8-phase
-sign list has 625 blocks of 625 phases but only 9 distinct ones.  So
-each distinct block is multiplied out once (one numpy step per position
-inside a block, vectorized across the distinct blocks and the points),
-and the fold then gathers each block's product by its row index, in
-order.  A list with no repeats has as many distinct blocks as blocks
-and costs what it did before.  That is k + N/k (at most about
-9*sqrt(N)) Python-level steps instead of N, and no complex temporary
-grows with the length of the phase list; the block stage writes every
-step into three work buffers allocated once, and takes the factors'
-exponentials for len(xs) positions of every distinct block in one call.
-The grouping differs from a left-to-right loop, so results agree with
-it to rounding, not bit for bit.
+are multiplied in one at a time at the end.  Each distinct block's
+product is taken once, and a fold multiplies the block products in order.
 
-Blocks are compared by their bytes, not by float equality, so two
-blocks share a product only when every angle has the same bit pattern:
--0.0 never merges with 0.0, and a NaN never merges with anything but
-the same NaN.  Merging therefore never mixes blocks that differ, even
-in the last bit of one angle.
+A nested list of (2l+1)^n phases repeats itself at every scale: the
+5^8-phase sign list has 625 blocks of 625 phases but only 9 distinct
+ones, and they are made of 25-phase blocks that recur in the same way.
+Both stages recurse on that:
 
-Only the top row of each block is multiplied out: a product of k
-factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]] with
+- Blocks.  Distinct blocks are cut into sub-blocks of _block_length(k)
+  phases when that divides k.  If the sub-blocks repeat (at most half
+  as many distinct ones as sub-blocks), each block is folded from the
+  distinct sub-blocks' products, taken the same way one level down.
+  Otherwise the block stage multiplies the blocks out, one numpy step
+  per position, vectorized across the blocks and the points.
+- The fold.  Folding m table entries in order is itself a chain.  When
+  c = _block_length(m) divides m, the sequence is cut into rows of c,
+  the distinct rows are folded side by side, and their m/c products
+  are folded in turn.  Even without repeats, m steps become ~2*sqrt(m).
+
+The 5^8 sign list takes 33 steps this way instead of ~1,250; a list with
+no repeats takes about k + 2*sqrt(N/k), nearly all in the block stage.
+No level holds more rows of len(xs) points than the top split has
+blocks, so no temporary outgrows the top split's block products.  The
+grouping differs from a left-to-right loop, so results agree with it to
+rounding, not bit for bit.
+
+Blocks, and rows of the fold, are compared by their bytes, not by float
+equality, so two of them share a product only when every entry has the
+same bit pattern: -0.0 never merges with 0.0, and a NaN never merges
+with anything but the same NaN.  Merging therefore never mixes blocks
+that differ, even in the last bit of one angle.
+
+Only the top row of each product is carried: a product of k factors
+[[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]] with
 s = (-1)^(k+1).  Conjugation commutes with complex rounding, and
 u - v == -(v - u), so the bottom row read off the top one is bit for
 bit the row a full multiply gives.
@@ -53,33 +64,32 @@ def _block_length(n: int) -> int:
     return next((k for k in range(r, max(2, -(-r // 8)) - 1, -1) if n % k == 0), r)
 
 
-def _distinct_rows(blocks: np.ndarray) -> tuple[np.ndarray, list[int]]:
-    """Bitwise-distinct rows of a 2-d float64 array in order of first
-    appearance, and the index of each row among them."""
+def _distinct_rows(blocks: np.ndarray,
+                   most: float = math.inf) -> tuple[np.ndarray, list[int]] | None:
+    """Bitwise-distinct rows of a 2-d array in order of first appearance, and
+    the index of each row among them; None as soon as more than `most` rows
+    are distinct."""
     seen: dict[bytes, int] = {}
-    index = [seen.setdefault(row.tobytes(), len(seen)) for row in blocks]
-    distinct = np.frombuffer(b"".join(seen), dtype=np.float64)
+    index = []
+    for row in blocks:
+        index.append(seen.setdefault(row.tobytes(), len(seen)))
+        if len(seen) > most:
+            return None
+    distinct = np.frombuffer(b"".join(seen), dtype=blocks.dtype)
     return distinct.reshape(len(seen), blocks.shape[1]), index
 
 
-def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each point of xs."""
-    phases = np.ascontiguousarray(phases, dtype=np.float64)
-    x = np.ascontiguousarray(xs, dtype=np.float64)
-    w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    k = _block_length(len(phases))
-    nb = len(phases) // k
-    blocks, index = _distinct_rows(phases[: nb * k].reshape(nb, k))
-
-    # top row of one 2x2 product per distinct block and point; factor j of every
-    # block at once, written into buffers in _times_factor's order of operations
+def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray):
+    """Top row of each block's product at each point, one step per position."""
+    # factor j of every block at once, written into buffers in _times_factor's
+    # order of operations
     m00 = np.ones((len(blocks), len(x)), dtype=np.complex128)
     m01 = np.zeros_like(m00)
     a, b, t = np.empty_like(m00), np.empty_like(m00), np.empty_like(m00)
     # factors for len(x) positions at a time: one exp call per chunk, no more
     # memory than a work buffer, however long the blocks are
     c = max(1, len(x))
-    for j0 in range(0, k, c):
+    for j0 in range(0, blocks.shape[1], c):
         ep = np.exp(1j * blocks[:, j0 : j0 + c].T)[:, :, None]
         for e, em in zip(ep, ep.conj()):
             np.multiply(m00, e, out=a)
@@ -90,13 +100,55 @@ def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
             np.multiply(a, w, out=m01)
             np.multiply(b, x, out=t)
             m01 -= t
-    m10, m11 = (m01.conj(), -m00.conj()) if k % 2 else (-m01.conj(), m00.conj())
+    return m00, m01
 
-    # only the top row of the running product is needed from here on
-    r0 = np.ones(len(x), dtype=np.complex128)
-    r1 = np.zeros_like(r0)
-    for b in index:
-        r0, r1 = r0 * m00[b] + r1 * m10[b], r0 * m01[b] + r1 * m11[b]
+
+def _block_rows(blocks: np.ndarray, x: np.ndarray, w: np.ndarray, most: int):
+    """Top row of each distinct block's product at each point: from the
+    products of its sub-blocks when those repeat and at most `most` of them
+    are distinct, else by the block stage."""
+    k = blocks.shape[1]
+    c = _block_length(k)
+    if c > 1 and k % c == 0:
+        subs = blocks.reshape(-1, c)
+        split = _distinct_rows(subs, min(most, len(subs) // 2))
+        if split is not None:
+            p, q = _block_rows(split[0], x, w, most)
+            return _fold(p, q, c, np.reshape(split[1], (len(blocks), -1)), most)
+    return _block_stage(blocks, x, w)
+
+
+def _fold(p: np.ndarray, q: np.ndarray, length: int, index: np.ndarray, most: int):
+    """Top rows of the products of the rows of `index`, each an ordered list
+    of entries of a table of top rows (p, q) of `length`-phase products;
+    rows of a split are folded side by side when at most `most` are distinct."""
+    m = index.shape[1]
+    c = _block_length(m)
+    if c > 1 and m % c == 0:
+        split = _distinct_rows(index.reshape(-1, c), most)
+        if split is not None:
+            p, q = _fold(p, q, length, split[0], most)
+            return _fold(p, q, c * length, np.reshape(split[1], (len(index), -1)), most)
+    # the bottom row of a product of `length` factors is [s Q*, -s P*]
+    p10, p11 = (q.conj(), -p.conj()) if length % 2 else (-q.conj(), p.conj())
+    r0, r1 = p[index[:, 0]], q[index[:, 0]]
+    for g in index.T[1:]:
+        r0, r1 = r0 * p[g] + r1 * p10[g], r0 * q[g] + r1 * p11[g]
+    return r0, r1
+
+
+def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each point of xs."""
+    phases = np.ascontiguousarray(phases, dtype=np.float64)
+    x = np.ascontiguousarray(xs, dtype=np.float64)
+    w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    if not len(phases):  # the empty product
+        return np.ones(len(x), dtype=np.complex128)
+    k = _block_length(len(phases))
+    nb = len(phases) // k
+    blocks, index = _distinct_rows(phases[: nb * k].reshape(nb, k))
+    p, q = _block_rows(blocks, x, w, nb)
+    r0, r1 = (r[0] for r in _fold(p, q, k, np.reshape(index, (1, nb)), nb))
     for phi in phases[nb * k :]:
         ep = complex(math.cos(phi), math.sin(phi))
         r0, r1 = _times_factor(r0, r1, ep, ep.conjugate(), x, w)

@@ -211,7 +211,12 @@ def _check_scalar_cost(points: int, phases: int) -> None:
     phase_chain on a list with no repeated blocks (~18 ns: 17.5-19.6 ns
     for 5^8 to 17^5 random phases at 25-47 points, one core) costs 2^6
     dense units (~0.24 ns each, from 0.51 ms per d = 64 slot); repeated
-    blocks, as in every flattened sign list, only make it cheaper."""
+    blocks, as in every flattened sign list, only make it cheaper.  Since
+    phase_chain shares blocks at every scale of a nested list, the charge
+    is far above what such a list costs: 0.16-2.7 ns per point-phase for
+    the sign lists of l = 2, 8 and 20 (5^9 phases at 34 points take
+    ~11 ms).  DENSE_BUDGET stays as it is: the charge still prices a list
+    with no repeats, which phase_chain also accepts."""
     _check_budget(points * phases * 2 ** 6, f"{points} points x {phases} chain phases",
                   "point-phases x 2^6")
 

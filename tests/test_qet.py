@@ -15,6 +15,7 @@ from rqet import (DomainError, InputError, NumericError, ScalarSignTable,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
+from rqet import _kernels
 from rqet._kernels import _block_length, phase_chain
 from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _check_scalar_cost,
                       _phased_product, _slot_blocks, scalar_grid, template_daggers)
@@ -411,6 +412,25 @@ def test_scalar_rows_match_high_precision_iteration(gap, eps, levels, bound):
     for row in rep.rows:
         exact = max(float(abs(r[row.n - 1] - np.sign(x))) for x, r in zip(table.points, ref))
         assert abs(row.error - exact) <= bound, row.n
+
+
+@pytest.mark.parametrize("l, n, bound", [(2, 8, 1e-10), (4, 5, 1e-11), (8, 4, 1e-11),
+                                         (20, 3, 1e-11)])
+def test_flattened_chain_matches_high_precision_iteration(monkeypatch, l, n, bound):
+    # measured: 4.15e-11, 5.11e-12, 5.24e-12 and 3.83e-12; the chain's rounding
+    # grows about 5x per level, so the bound guards the grouping of the product
+    stage, block_stage = [], _kernels._block_stage
+
+    def recording(blocks, x, w):
+        stage.append(blocks.shape[1])
+        return block_stage(blocks, x, w)
+
+    monkeypatch.setattr(_kernels, "_block_stage", recording)
+    xs = scalar_grid(0.1)
+    ref = np.array([float(_mp_iterates(l, n, x)[-1]) for x in xs])
+    assert np.abs(phase_chain(flatten_sign_phases(l, n), xs) - ref).max() <= bound
+    # a nested list repeats its blocks at every scale, down to blocks of 2l + 1
+    assert max(stage) <= 2 * l + 1
 
 
 def test_phased_product_on_a_stack_of_points():

@@ -8,7 +8,7 @@ from math import comb
 import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import rqet
 from rqet import (DomainError, InputError, NumericError,
@@ -169,6 +169,16 @@ def test_round_trip_rejects_corrupted_table(monkeypatch, tmp_path):
     assert qsp._PHASE_CACHE == {}
 
 
+def test_round_trip_reference_is_accurate(monkeypatch):
+    # the load check's p_l, by Horner in 1 - x^2, meets every tabulated chain
+    # within 3e-15 (measured); the monomial form is 3.8e-14 off at l = 12 and
+    # 2.0e-12 at l = 20
+    monkeypatch.setattr(qsp, "_IDENTITY_TOL", 1e-14)
+    monkeypatch.setattr(qsp, "_PHASE_CACHE", {})
+    for l in range(2, 21, 2):
+        pade_phases(l)
+
+
 @lru_cache(maxsize=None)
 def generated_table(dps):
     return pade_table.phase_table(dps)
@@ -275,16 +285,16 @@ def tiled_blocks(rng, length, block, kinds=3):
 
 
 # (length, kernel block length): random lists, then lists tiled from a few blocks
-_CHAIN_CASES = [(n, None) for n in (1, 2, 3, 24, 25, 26, 125, 5 ** 5)] + [
+_CHAIN_CASES = [(n, None) for n in (0, 1, 2, 3, 24, 25, 26, 125, 5 ** 5)] + [
     (5 ** 4, 25), (5 ** 5, 25), (7 ** 3, 7), (3 * 5 ** 3, 15), (997, 31)]
 
 
 @pytest.mark.parametrize("length, block", _CHAIN_CASES,
                          ids=[f"{n}" if b is None else f"{n}-tiled" for n, b in _CHAIN_CASES])
 def test_blocked_phase_chain_matches_reflection_product(length, block):
-    # 24, 25, 26, 125 and 5^5 split into divisor-length blocks; 997 (prime) keeps
-    # isqrt(N) and leaves tail phases; the tiled lists repeat their blocks on the
-    # kernel's block boundaries
+    # 0 is the empty product; 24, 25, 26, 125 and 5^5 split into divisor-length
+    # blocks; 997 (prime) keeps isqrt(N) and leaves tail phases; the tiled lists
+    # repeat their blocks on the kernel's block boundaries
     rng = np.random.default_rng(length)
     if block is None:
         phases = rng.uniform(-np.pi, np.pi, length)
@@ -300,6 +310,38 @@ def test_blocked_phase_chain_matches_reflection_product(length, block):
 @given(st.integers(1, 8), st.integers(1, 3), st.integers(1, 120), st.integers(0, 2 ** 32 - 1))
 def test_phase_chain_on_tiled_blocks(block, kinds, length, seed):
     phases = tiled_blocks(np.random.default_rng(seed), length, block, kinds)
+    xs = np.array([-0.9, -0.2, 0.5, 1.0])
+    assert np.abs(phase_chain(phases, xs) - direct_product(phases, xs)).max() < 1e-12
+
+
+# list lengths N, with blocks of k = _block_length(N) phases made of sub-blocks
+# of c = _block_length(k): (k, c) = (4, 2), (9, 3), (12, 3), (16, 4), (18, 3),
+# (25, 5), (36, 6); the primes 677 and 1031 take blocks of isqrt(N), (26, 2)
+# and (32, 4), and leave 1 and 7 tail phases
+_TWO_LEVEL_LENGTHS = [16, 81, 144, 256, 324, 625, 1296, 677, 1031]
+
+
+@settings(max_examples=30, deadline=None)
+@given(st.sampled_from(_TWO_LEVEL_LENGTHS), st.integers(1, 5), st.integers(1, 3),
+       st.integers(0, 2 ** 32 - 1))
+@example(1031, 5, 3, 0)
+def test_phase_chain_on_two_level_tiled_lists(length, subs, kinds, seed):
+    # `kinds` blocks tiled in random order, each made of sub-blocks drawn from
+    # `subs` of a pool: a random sub-block, its neighbour in the last bit of one
+    # angle, copies with 0.0 and -0.0 there, and a second random sub-block
+    rng = np.random.default_rng(seed)
+    k = _block_length(length)
+    c = _block_length(k)
+    a = rng.uniform(-np.pi, np.pi, c)
+    j = int(rng.integers(c))
+    pool = np.stack([a, a, a, a, rng.uniform(-np.pi, np.pi, c)])
+    pool[1, j] = np.nextafter(a[j], np.inf)
+    pool[2, j], pool[3, j] = 0.0, -0.0
+    pool = pool[rng.permutation(5)[:subs]]
+    blocks = pool[rng.integers(subs, size=(kinds, k // c))].reshape(kinds, k)
+    nb = length // k
+    phases = np.concatenate((blocks[rng.integers(kinds, size=nb)].reshape(-1),
+                             rng.uniform(-np.pi, np.pi, length - nb * k)))
     xs = np.array([-0.9, -0.2, 0.5, 1.0])
     assert np.abs(phase_chain(phases, xs) - direct_product(phases, xs)).max() < 1e-12
 
