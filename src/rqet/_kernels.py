@@ -31,17 +31,24 @@ blocks, so no temporary outgrows the top split's block products.  The
 grouping differs from a left-to-right loop, so results agree with it to
 rounding, not bit for bit.
 
-Blocks, and rows of the fold, are compared by their bytes, not by float
-equality, so two of them share a product only when every entry has the
-same bit pattern: -0.0 never merges with 0.0, and a NaN never merges
-with anything but the same NaN.  Merging therefore never mixes blocks
-that differ, even in the last bit of one angle.
+Blocks, and rows of the fold, merge only when every entry has the same
+bit pattern: -0.0 never merges with 0.0, and a NaN never merges with
+anything but the same NaN, so merging never mixes blocks that differ,
+even in the last bit of one angle.  _distinct_rows finds them without
+hashing every byte: rows are grouped by a key taken from a few sampled
+columns, and each row is then compared bitwise with its group's first
+row, in numpy.  Only rows that fail that comparison are split further,
+by their full bytes.  The one pass over the list costs about as much as
+reading it.
 
 Only the top row of each product is carried: a product of k factors
 [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]] with
 s = (-1)^(k+1).  Conjugation commutes with complex rounding, and
 u - v == -(v - u), so the bottom row read off the top one is bit for
-bit the row a full multiply gives.
+bit the row a full multiply gives.  The top row of a product of
+unitaries has norm 1, but every float factor is off unitary by about an
+ulp in the same direction, so the norm drifts as (1 + eta)^N; the
+result is the top-left entry divided by the top row's norm.
 """
 
 from __future__ import annotations
@@ -64,19 +71,64 @@ def _block_length(n: int) -> int:
     return next((k for k in range(r, max(2, -(-r // 8)) - 1, -1) if n % k == 0), r)
 
 
+def _key_columns(k: int) -> list[int]:
+    """Columns a row's key samples: the first two, where the blocks of a
+    nested list differ most often, and six spread evenly over the row."""
+    return sorted({0, min(1, k - 1), *((k - 1) * i // 5 for i in range(6))})
+
+
+# odd multipliers, one per sampled column: a row's key is the wrapping sum
+# of its sampled bits times these, so rows that differ in one sampled
+# column never share a key
+_KEY_MULTIPLIERS = np.cumprod(np.full(8, 0x9E3779B97F4A7C15, dtype=np.uint64))
+_CHECK_BYTES = 2 ** 18  # rows compared per numpy step, so the temporaries stay in cache
+
+
+def _row_keys(bits: np.ndarray) -> np.ndarray:
+    """Wrapping sum of each row's sampled bits times _KEY_MULTIPLIERS."""
+    cols = _key_columns(bits.shape[1])
+    return bits.take(cols, axis=1) @ _KEY_MULTIPLIERS[: len(cols)]
+
+
 def _distinct_rows(blocks: np.ndarray,
                    most: float = math.inf) -> tuple[np.ndarray, list[int]] | None:
-    """Bitwise-distinct rows of a 2-d array in order of first appearance, and
-    the index of each row among them; None as soon as more than `most` rows
-    are distinct."""
-    seen: dict[bytes, int] = {}
-    index = []
-    for row in blocks:
-        index.append(seen.setdefault(row.tobytes(), len(seen)))
-        if len(seen) > most:
+    """Bitwise-distinct rows of a 2-d array of 8-byte items in order of first
+    appearance, and the index of each row among them; None when more than
+    `most` rows are distinct.
+
+    Rows are grouped by a key hashed from the bits of their _key_columns,
+    then every row is compared bit for bit with its group's first row, all
+    in numpy, _CHECK_BYTES of rows at a time.  Rows with different keys
+    differ, so more than `most` keys, among the first most + 1 rows or
+    among all, settle None before any row is compared.  Only the rows that
+    fail the comparison are split further, by their full bytes.
+    """
+    bits = np.ascontiguousarray(blocks).view(np.uint64)
+    n, k = bits.shape
+    if most < n:  # the first most + 1 rows may already hold too many keys
+        head = np.sort(_row_keys(bits[: most + 1]))
+        if np.count_nonzero(head[1:] != head[:-1]) >= most:
             return None
-    distinct = np.frombuffer(b"".join(seen), dtype=blocks.dtype)
-    return distinct.reshape(len(seen), blocks.shape[1]), index
+    _, first, group = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
+    if len(first) > most:
+        return None
+    reps, same = bits[first], np.ones(n, dtype=bool)
+    step = max(1, _CHECK_BYTES // (8 * k))
+    for s in range(0, n, step):
+        equal = bits[s : s + step] == reps[group[s : s + step]]
+        if not equal.all():
+            same[s : s + step] = equal.all(axis=1)
+    if not same.all():
+        seen: dict[bytes, int] = {}
+        for i in np.flatnonzero(~same):
+            group[i] = len(first) + seen.setdefault(bits[i].tobytes(), len(seen))
+        _, first, group = np.unique(group, return_index=True, return_inverse=True)
+        if len(first) > most:
+            return None
+    order = np.argsort(first)
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order))
+    return blocks[first[order]], rank[group].tolist()
 
 
 def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray):
@@ -152,4 +204,4 @@ def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     for phi in phases[nb * k :]:
         ep = complex(math.cos(phi), math.sin(phi))
         r0, r1 = _times_factor(r0, r1, ep, ep.conjugate(), x, w)
-    return r0
+    return r0 / np.sqrt(np.abs(r0) ** 2 + np.abs(r1) ** 2)

@@ -146,12 +146,16 @@ def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     (0-based) for q outer slots.
 
     Row j of the (q, len(inner)) result is slot j's junction head and
-    then one of two body patterns, inner[1:] or -inner[:0:-1].  Only
-    those values are canonicalized: the q heads, and each pattern once.
-    canonicalize_angles maps every element on its own, so the result is
-    bit for bit the canonicalized whole list, at O(q + len(inner))
-    angle maps instead of O(q len(inner)).  Non-finite angles raise
-    InputError.
+    then one of two body patterns, inner[1:] or -inner[:0:-1], which
+    alternate with the daggers.  Only those values are canonicalized:
+    the q heads, and each pattern once.  canonicalize_angles maps every
+    element on its own, so the result is bit for bit the canonicalized
+    whole list.  The list is written at memory speed: the first two rows
+    once, then copies of the written prefix doubling in length, then the
+    heads at stride len(inner).  canonicalize_angles leaves in-range
+    angles alone, so a list built from in-range phases holds exactly the
+    bits of its inputs, and the adjoint pattern is the exact negation of
+    the plain one.  Non-finite angles raise InputError.
     """
     outer = np.asarray(outer, dtype=np.float64)
     inner = np.asarray(inner, dtype=np.float64)
@@ -159,16 +163,23 @@ def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
         raise InputError("phase lists must be nonempty 1-d arrays")
     _require_finite(outer)
     _require_finite(inner)
-    adj = len(outer) % 2  # first adjoint slot
-    carry = np.zeros(len(outer))
+    q, L = len(outer), len(inner)
+    adj = q % 2  # first adjoint slot
+    carry = np.zeros(q)
     carry[adj + 1 :: 2] = -inner[0]  # every adjoint slot is followed by a plain one
     head = outer + carry
     head[1 - adj :: 2] += inner[0]
-    out = np.empty((len(outer), len(inner)))
-    out[:, 0] = canonicalize_angles(head)
-    out[adj::2, 1:] = canonicalize_angles(-inner[:0:-1])
-    out[1 - adj :: 2, 1:] = canonicalize_angles(inner[1:])
-    return out.reshape(-1)
+    out = np.empty(q * L)
+    rows = out[: min(2, q) * L].reshape(-1, L)
+    rows[adj::2, 1:] = canonicalize_angles(-inner[:0:-1])
+    rows[1 - adj :: 2, 1:] = canonicalize_angles(inner[1:])
+    done = len(rows) * L
+    while done < len(out):
+        step = min(done, len(out) - done)
+        out[done : done + step] = out[:step]
+        done += step
+    out[::L] = canonicalize_angles(head)
+    return out
 
 
 def _check_phase_count(levels: int, l: int) -> None:

@@ -23,10 +23,19 @@ _IDENTITY_TOL = 1e-9
 
 
 def canonicalize_angles(angles) -> np.ndarray:
-    """Map every angle into (-pi, pi]."""
-    a = np.atleast_1d(np.asarray(angles, dtype=np.float64))
-    out = np.mod(a + np.pi, 2.0 * np.pi) - np.pi
-    out[out == -np.pi] = np.pi
+    """Map every angle into (-pi, pi], as a new array.
+
+    Angles already in (-pi, pi] come back unchanged, bit for bit (-0.0
+    included), so the map is idempotent and commutes with negation on
+    (-pi, pi).  Only the others are reduced mod 2pi; -pi and the odd
+    multiples of pi go to pi.
+    """
+    out = np.array(angles, dtype=np.float64, ndmin=1)
+    off = ~((out > -np.pi) & (out <= np.pi))
+    if off.any():
+        a = np.mod(out[off] + np.pi, 2.0 * np.pi) - np.pi
+        a[a == -np.pi] = np.pi
+        out[off] = a
     return out
 
 

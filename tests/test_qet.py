@@ -89,11 +89,78 @@ def _compose_slot_loop(outer, inner):
     return canonicalize_angles(np.concatenate(segments))
 
 
-# values on which canonicalize_angles is not idempotent, or only just is
+# values at and just inside the edges of (-pi, pi], and multiples of pi
 _EDGE_ANGLES = [-0.0, np.pi, -np.pi, np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0),
                 1e-300, -1e-300, 3 * np.pi, -3 * np.pi, 5 * np.pi, -7 * np.pi]
 _phase_list = st.lists(st.one_of(st.floats(-10.0, 10.0), st.sampled_from(_EDGE_ANGLES)),
                        min_size=1, max_size=9).map(np.array)
+
+
+def _in_range(a):
+    return bool(((a > -np.pi) & (a <= np.pi)).all())
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.one_of(st.floats(allow_nan=False, allow_infinity=False),
+                          st.sampled_from(_EDGE_ANGLES)), min_size=1, max_size=12).map(np.array))
+def test_canonicalize_is_idempotent(angles):
+    once = canonicalize_angles(angles)
+    assert _in_range(once)
+    assert canonicalize_angles(once).tobytes() == once.tobytes()
+
+
+def test_canonicalize_keeps_in_range_angles():
+    rng = np.random.default_rng(8)
+    inside = np.concatenate((rng.uniform(-np.pi, np.pi, 200), [-0.0, 0.0, np.pi, 1e-300, -1e-300,
+                             np.nextafter(np.pi, 0.0), np.nextafter(-np.pi, 0.0)]))
+    out = canonicalize_angles(inside)
+    assert out.tobytes() == inside.tobytes()
+    assert out is not inside
+    edges = np.array([-np.pi, 3 * np.pi, -3 * np.pi, 5 * np.pi, -5 * np.pi, -7 * np.pi])
+    assert canonicalize_angles(edges).tobytes() == np.full(6, np.pi).tobytes()
+
+
+def test_tabulated_bases_are_canonical():
+    for l in range(2, 21, 2):
+        base = pade_phases(l)
+        assert base[:1].tobytes() == np.zeros(1).tobytes(), l  # +0.0, not -0.0
+        assert _in_range(base), l
+        assert canonicalize_angles(base).tobytes() == base.tobytes(), l
+
+
+@pytest.mark.parametrize("l, levels", [(2, 6), (8, 3), (20, 2)])
+def test_flattened_lists_hold_only_the_bits_of_the_base(l, levels):
+    # canonicalization leaves in-range angles alone, so the adjoint pattern is
+    # the exact negation of the plain one and no angle is rounded
+    base = pade_phases(l)
+    allowed = set(np.concatenate((base, -base)).view(np.uint64).tolist())
+    assert set(flatten_sign_phases(l, levels).view(np.uint64).tolist()) <= allowed
+
+
+def test_angle_counts_and_structure_see_through_the_pi_seam():
+    # -pi, pi and the odd multiples of pi are one angle, pi
+    assert distinct_nonzero_angles([np.pi, -np.pi, 3 * np.pi, -7 * np.pi]) == 1
+    assert distinct_nonzero_angles([np.pi, np.nextafter(-np.pi, 0.0)]) == 1
+    base = pade_phases(2)
+    flat = flatten_sign_phases(2, 3)
+    shifted = flat.copy()
+    shifted[5::7] += 2.0 * np.pi  # heads and body angles alike, now out of range
+    assert check_flattened_structure(shifted, base)
+    assert check_flattened_structure(flat, base + 2.0 * np.pi)
+    assert distinct_nonzero_angles(shifted) == distinct_nonzero_angles(flat) == 8
+
+
+@pytest.mark.parametrize("q", range(1, 13))
+def test_chebyshev_phases_are_canonical(q):
+    phases = chebyshev_reflection_phases(q)
+    assert _in_range(phases)
+    # -pi/2 is in range and stays as it is; (q - 1) pi/2 is reduced once,
+    # exactly when it is in range or an odd multiple of pi
+    assert phases[1:].tobytes() == np.full(q - 1, -np.pi / 2.0).tobytes()
+    want = {0: 0.0, 1: np.pi / 2.0, 2: np.pi, 3: -np.pi / 2.0}[(q - 1) % 4]
+    if q <= 3 or (q - 1) % 4 == 2:
+        assert phases[0] == want
+    assert abs(phases[0] - want) < 1e-14
 
 
 @settings(max_examples=300, deadline=None)
@@ -414,11 +481,14 @@ def test_scalar_rows_match_high_precision_iteration(gap, eps, levels, bound):
         assert abs(row.error - exact) <= bound, row.n
 
 
-@pytest.mark.parametrize("l, n, bound", [(2, 8, 1e-10), (4, 5, 1e-11), (8, 4, 1e-11),
-                                         (20, 3, 1e-11)])
-def test_flattened_chain_matches_high_precision_iteration(monkeypatch, l, n, bound):
-    # measured: 4.15e-11, 5.11e-12, 5.24e-12 and 3.83e-12; the chain's rounding
-    # grows about 5x per level, so the bound guards the grouping of the product
+# measured: 4.6e-12, 7.1e-13, 2.4e-13 and 1.1e-13, with the chain's top row
+# renormalized; the rounding still grows about 5x per level, so the bound
+# guards the grouping of the product and the exactness of the list
+_CHAIN_BOUNDS = {(2, 8): 1e-11, (4, 5): 2e-12, (8, 4): 1e-12, (20, 3): 5e-13}
+
+
+@pytest.mark.parametrize("l, n", list(_CHAIN_BOUNDS))
+def test_flattened_chain_matches_high_precision_iteration(monkeypatch, l, n):
     stage, block_stage = [], _kernels._block_stage
 
     def recording(blocks, x, w):
@@ -428,7 +498,7 @@ def test_flattened_chain_matches_high_precision_iteration(monkeypatch, l, n, bou
     monkeypatch.setattr(_kernels, "_block_stage", recording)
     xs = scalar_grid(0.1)
     ref = np.array([float(_mp_iterates(l, n, x)[-1]) for x in xs])
-    assert np.abs(phase_chain(flatten_sign_phases(l, n), xs) - ref).max() <= bound
+    assert np.abs(phase_chain(flatten_sign_phases(l, n), xs) - ref).max() <= _CHAIN_BOUNDS[l, n]
     # a nested list repeats its blocks at every scale, down to blocks of 2l + 1
     assert max(stage) <= 2 * l + 1
 

@@ -15,7 +15,8 @@ from rqet import (DomainError, InputError, NumericError,
                   canonicalize_angles, chebyshev_reflection_phases,
                   load_poly, pade, pade_phases, poly_eval, qsp,
                   reflection_upper_left, save_phases)
-from rqet._kernels import _block_length, _distinct_rows, phase_chain
+from rqet import _kernels
+from rqet._kernels import _block_length, _distinct_rows, _key_columns, phase_chain
 from conftest import exact_pade_coeffs
 import pade_table
 
@@ -133,6 +134,17 @@ def test_pade_phases_rejects_untabulated():
 def test_loading_phases_does_not_import_mpmath():
     src = os.path.dirname(os.path.dirname(rqet.__file__))
     code = "import sys, rqet; rqet.pade_phases(8); assert 'mpmath' not in sys.modules"
+    env = {**os.environ, "PYTHONPATH": src}
+    subprocess.run([sys.executable, "-c", code], env=env, check=True)
+
+
+def test_loading_phases_imports_nothing_more():
+    # set-up cost: the load check's chain must not pull in lazily imported
+    # numpy modules (np.unique without indices imports numpy.ma, ~15 ms)
+    src = os.path.dirname(os.path.dirname(rqet.__file__))
+    code = ("import sys, rqet; before = set(sys.modules)\n"
+            "for l in range(2, 21, 2): rqet.pade_phases(l)\n"
+            "assert set(sys.modules) == before, sorted(set(sys.modules) - before)")
     env = {**os.environ, "PYTHONPATH": src}
     subprocess.run([sys.executable, "-c", code], env=env, check=True)
 
@@ -357,3 +369,82 @@ def test_phase_chain_blocks_merge_only_when_bitwise_equal():
     distinct, index = _distinct_rows(blocks)
     assert index == [0, 1, 0, 2, 3, 1, 2]
     assert np.array_equal(distinct[index].view(np.uint64), blocks.view(np.uint64))
+
+
+def _distinct_rows_by_bytes(blocks, most=np.inf):
+    """Reference: a dict keyed by every row's bytes, stopping once more than
+    `most` rows are distinct."""
+    seen, index = {}, []
+    for row in blocks:
+        index.append(seen.setdefault(row.tobytes(), len(seen)))
+        if len(seen) > most:
+            return None
+    distinct = np.frombuffer(b"".join(seen), dtype=blocks.dtype)
+    return distinct.reshape(len(seen), blocks.shape[1]), index
+
+
+def _assert_same_rows(blocks, most=np.inf):
+    got, ref = _distinct_rows(blocks, most), _distinct_rows_by_bytes(blocks, most)
+    if ref is None:
+        assert got is None
+        return
+    assert got is not None
+    assert got[0].dtype == blocks.dtype
+    assert got[0].tobytes() == ref[0].tobytes()
+    assert got[1] == ref[1]
+
+
+_NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
+                         dtype=np.uint64).view(np.float64)
+
+
+@st.composite
+def _planted_rows(draw):
+    """Rows tiled from a pool of variants of one random row, each differing
+    from it in a single column the key does not sample (when there is one):
+    a nextafter neighbour, 0.0 and -0.0, and NaNs with different payloads."""
+    k = draw(st.integers(1, 40))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
+    row = rng.uniform(-np.pi, np.pi, k)
+    hidden = np.setdiff1d(np.arange(k), _key_columns(k))
+    col = int(rng.choice(hidden)) if len(hidden) else draw(st.integers(0, k - 1))
+    pool = [row]
+    for value in (np.nextafter(row[col], np.inf), 0.0, -0.0, *_NAN_PAYLOADS):
+        variant = row.copy()
+        variant[col] = value
+        pool.append(variant)
+    pool = np.array(pool)[rng.permutation(len(pool))[: draw(st.integers(1, len(pool)))]]
+    n = draw(st.integers(1, 60))
+    return pool[rng.integers(len(pool), size=n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(_planted_rows(), st.one_of(st.just(np.inf), st.integers(0, 8)))
+def test_distinct_rows_matches_bytewise_dedup(blocks, most):
+    _assert_same_rows(blocks, most)
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 12), st.integers(1, 80), st.integers(1, 9), st.integers(0, 2 ** 16),
+       st.one_of(st.just(np.inf), st.integers(0, 12)))
+def test_distinct_rows_matches_bytewise_dedup_on_index_rows(c, n, values, seed, most):
+    # the fold dedups int64 rows of table indices
+    rows = np.random.default_rng(seed).integers(values, size=(n, c))
+    _assert_same_rows(rows, most)
+    _assert_same_rows(rows[rows[:, 0].argsort(kind="stable")], most)
+
+
+def test_distinct_rows_splits_a_group_past_the_first_comparison_step():
+    # the 625 x 625 top split of the 5^8 sign list is compared in several
+    # steps; plant last-bit differences in unsampled columns of late rows
+    from rqet import flatten_sign_phases
+    blocks = flatten_sign_phases(2, 8).reshape(625, 625).copy()
+    hidden = np.setdiff1d(np.arange(625), _key_columns(625))
+    assert 625 * 625 * 8 > 2 * _kernels._CHECK_BYTES
+    _assert_same_rows(blocks)
+    for row, col in ((600, hidden[-1]), (601, hidden[3]), (624, hidden[-1])):
+        blocks[row, col] = np.nextafter(blocks[row, col], np.inf)
+    _assert_same_rows(blocks)
+    assert len(_distinct_rows(blocks)[0]) == 11
+    _assert_same_rows(blocks, 10)
+    assert _distinct_rows(blocks, 10) is None
