@@ -81,7 +81,7 @@ def _key_columns(k: int) -> list[int]:
 # of its sampled bits times these, so rows that differ in one sampled
 # column never share a key
 _KEY_MULTIPLIERS = np.cumprod(np.full(8, 0x9E3779B97F4A7C15, dtype=np.uint64))
-_CHECK_BYTES = 2 ** 18  # rows compared per numpy step, so the temporaries stay in cache
+_CHECK_BYTES = 2 ** 18  # bytes of rows compared per numpy step, so temporaries stay in cache
 
 
 def _row_keys(bits: np.ndarray) -> np.ndarray:
