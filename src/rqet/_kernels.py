@@ -100,8 +100,9 @@ def _distinct_rows(blocks: np.ndarray,
     then every row is compared bit for bit with its group's first row, all
     in numpy, _CHECK_BYTES of rows at a time.  Rows with different keys
     differ, so more than `most` keys, among the first most + 1 rows or
-    among all, settle None before any row is compared.  Only the rows that
-    fail the comparison are split further, by their full bytes.
+    among all, settle None before any row is compared; n distinct keys
+    settle that every row is distinct.  Only the rows that fail the
+    comparison are split further, by their full bytes.
     """
     bits = np.ascontiguousarray(blocks).view(np.uint64)
     n, k = bits.shape
@@ -112,6 +113,8 @@ def _distinct_rows(blocks: np.ndarray,
     _, first, group = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
     if len(first) > most:
         return None
+    if len(first) == n:  # every key differs, so every row is its own group
+        return blocks, list(range(n))
     reps, same = bits[first], np.ones(n, dtype=bool)
     step = max(1, _CHECK_BYTES // (8 * k))
     for s in range(0, n, step):

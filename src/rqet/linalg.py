@@ -1,9 +1,12 @@
 """Dense complex linear algebra used as the package's reference layer.
 
-The eigensolver is LAPACK's Hermitian driver, reached through
-numpy.linalg.eigh; every spectral quantity downstream (sign oracle,
-polar factors, operator norms) comes from it.  Dimensions stay capped
-at desk scale.
+The eigensolver is LAPACK's Hermitian driver (zheevd); every spectral
+quantity downstream (sign oracle, polar factors, operator norms) comes
+from it.  hermitian_eig reaches it through numpy.linalg.eigh, and
+hermitian_eigvals, for callers that would discard the eigenvectors,
+through numpy.linalg.eigvalsh, which runs the same driver without
+computing them.  Both share one input check.  Dimensions stay capped at
+desk scale.
 """
 
 from __future__ import annotations
@@ -49,21 +52,33 @@ def require_hermitian(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def _hermitian_solve(solver: Callable, M: np.ndarray):
+    """Run a LAPACK Hermitian solver on M after the checks every caller
+    shares: Hermitian within HERMITICITY_TOL, at most MAX_DIM rows.  A
+    failure to converge is reported as a numeric error."""
+    M = require_hermitian(M)
+    n = M.shape[0]
+    if n > MAX_DIM:
+        raise DomainError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
+    try:
+        return solver(M)
+    except np.linalg.LinAlgError as exc:
+        raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
+
+
 def hermitian_eig(M: np.ndarray) -> Spectrum:
     """Eigendecomposition of a Hermitian matrix by LAPACK (numpy.linalg.eigh).
 
     Eigenvalues are returned in ascending order.  A LAPACK failure to
     converge is reported as a numeric error.
     """
-    M = require_hermitian(M)
-    n = M.shape[0]
-    if n > MAX_DIM:
-        raise DomainError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
-    try:
-        w, V = np.linalg.eigh(M)
-    except np.linalg.LinAlgError as exc:
-        raise NumericError(f"Hermitian eigensolver failed: {exc}") from exc
-    return Spectrum(w, V)
+    return Spectrum(*_hermitian_solve(np.linalg.eigh, M))
+
+
+def hermitian_eigvals(M: np.ndarray) -> np.ndarray:
+    """Eigenvalues of a Hermitian matrix, ascending, without the vectors
+    (numpy.linalg.eigvalsh); the same checks and errors as hermitian_eig."""
+    return _hermitian_solve(np.linalg.eigvalsh, M)
 
 
 def matrix_function_hermitian(M: np.ndarray, f: Callable) -> np.ndarray:
@@ -84,7 +99,7 @@ def operator_norm(M: np.ndarray) -> float:
         raise DomainError(f"expected a matrix, got ndim {M.ndim}")
     G = M.conj().T @ M
     G = (G + G.conj().T) / 2
-    w, _ = hermitian_eig(G)
+    w = hermitian_eigvals(G)
     return math.sqrt(max(0.0, float(w[-1])))
 
 

@@ -11,6 +11,7 @@ the acceptance suite hold them to that.
 
 from __future__ import annotations
 
+import functools
 import math
 import time
 from dataclasses import dataclass, field
@@ -76,10 +77,14 @@ def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
     stack with one step per slot position, and the block products are then
     multiplied in order.  The daggers alternate inside a block, so at each
     position the blocks that open on the plain oracle take one oracle and
-    the others take its adjoint.  A list of one block is the plain slot
-    loop, bit for bit; blocked lists agree with it to rounding.  The loop
-    holds the D block products, one work stack of the same size and the
-    rotation diagonals of as many positions as fit in one oracle.
+    the others take its adjoint.  The first position is a row scaling:
+    diag(g) times the oracle is the oracle with row i multiplied by g_i,
+    so it takes a broadcast multiply and no matmul; every later position
+    scales the running product's columns and multiplies it by the oracle.
+    A list of one block is the plain slot loop opened that way, bit for
+    bit; blocked lists agree with it to rounding.  The loop holds the D
+    block products, one work stack of the same size and the rotation
+    diagonals of as many positions as fit in one oracle.
     """
     blocks, index, plain = _slot_blocks(phases)
     d = U.shape[-1] // 2
@@ -89,7 +94,6 @@ def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
     opens = [(s, o) for s, o in ((slice(0, plain), 0), (slice(plain, len(blocks)), 1))
              if s.start < s.stop]  # the blocks opening on pair[o]
     M = np.empty((len(blocks),) + U.shape, dtype=np.complex128)
-    M[...] = np.eye(2 * d)
     work = np.empty_like(M)
     chunk = max(1, U.size // (len(blocks) * 2 * d))  # positions whose diagonals fit in one oracle
     diag = np.empty((chunk,) + shape[:-1] + (2 * d,), dtype=np.complex128)
@@ -98,9 +102,13 @@ def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
         diag[:c, ..., :d] = ep[j0 : j0 + c].reshape((c,) + shape)
         diag[:c, ..., d:] = em[j0 : j0 + c].reshape((c,) + shape)
         for j, g in enumerate(diag[:c], j0):
-            M *= g
-            for s, o in opens:
-                np.matmul(M[s], pair[(j + o) % 2], out=work[s])
+            if j == 0:  # diag(g) times the oracle: its rows scaled by g
+                for s, o in opens:
+                    np.multiply(np.swapaxes(g[s], -1, -2), pair[o], out=work[s])
+            else:
+                M *= g
+                for s, o in opens:
+                    np.matmul(M[s], pair[(j + o) % 2], out=work[s])
             M, work = work, M
     out = M[index[0]]
     for b in index[1:]:
@@ -258,6 +266,7 @@ def distinct_nonzero_angles(phases: np.ndarray) -> int:
     return count
 
 
+@functools.cache
 def distinct_angles(l: int, levels: int) -> int:
     """Distinct nonzero angles of the flattened list of `levels` nested
     steps, counted from the base list without building the flattened one.
@@ -271,6 +280,8 @@ def distinct_angles(l: int, levels: int) -> int:
     values, and a first head of n * base[0].  base[0] is exactly 0 for
     every tabulated l, so that head is zero, and the count is that of base
     and -base together.  Level 1 is the base list; level 0 has none.
+    The count depends only on (l, levels) over the fixed table, so it is
+    cached: a report asks for it on every row.
     """
     if levels < 0:
         raise InputError("levels must be nonnegative")

@@ -19,7 +19,7 @@ import numpy as np
 
 from .blockenc import BlockEncoding, dilate_general, extract
 from .errors import DomainError, InputError, NumericError
-from .linalg import (hermitian_eig, operator_norm, polar_oracle,
+from .linalg import (hermitian_eigvals, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
 from .qet import (IterationReport, _check_phase_count, qet_recursive_step,
@@ -56,7 +56,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     """
     A = require_square(np.asarray(A, dtype=np.complex128))
     gram = A.conj().T @ A
-    w, _ = hermitian_eig((gram + gram.conj().T) / 2)
+    w = hermitian_eigvals((gram + gram.conj().T) / 2)
     sigma = np.sqrt(np.maximum(0.0, w))
     bad = (sigma < delta - 1e-9) | (sigma > 1.0 + 1e-9)
     if bad.any():
@@ -90,12 +90,6 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     return enc, report
 
 
-def _quarter_y(sign: float, dim: int) -> np.ndarray:
-    c = np.sqrt(0.5)
-    rot = np.array([[c, sign * c], [-sign * c, c]], dtype=np.complex128)
-    return np.kron(rot, np.eye(dim))
-
-
 @dataclass(frozen=True)
 class FilterResult:
     projector: np.ndarray
@@ -106,9 +100,10 @@ class FilterResult:
 def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> FilterResult:
     """Approximate projector onto the positive eigenspace of A.
 
-    Runs the sign iteration, conditions its unitary on a fresh ancilla,
-    and sandwiches between opposite quarter Y rotations; the top block of
-    the result is (identity + sign)/2.  A sign run that ends above eps
+    Runs the sign iteration, conditions its unitary U on a fresh ancilla,
+    and sandwiches between opposite quarter Y rotations; the result is
+    [[I + U, I - U], [I - U, I + U]]/2, built from those blocks, and its
+    top block is (identity + sign)/2.  A sign run that ends above eps
     raises NumericError.  An idempotency guard catches a wrong rotation
     pairing, which flips the block to (identity - X)/2 only when the
     iterate is far from a true sign.
@@ -119,10 +114,9 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> F
         raise NumericError(f"sign run ended at {report.final_error:.3e}, above eps = {eps:.3e}")
     if not isinstance(be, BlockEncoding):
         raise NumericError("sign run did not return a block encoding")
-    dim = be.total_dim
-    conditioned = np.block([[np.eye(dim), np.zeros((dim, dim))],
-                            [np.zeros((dim, dim)), be.unitary]]).astype(np.complex128)
-    full = _quarter_y(-1.0, dim) @ conditioned @ _quarter_y(+1.0, dim)
+    eye = np.eye(be.total_dim)
+    plus, minus = (eye + be.unitary) / 2, (eye - be.unitary) / 2
+    full = np.block([[plus, minus], [minus, plus]])
     d = be.system_dim
     P = full[:d, :d]
     dev = float(np.abs(P @ P - P).max())
@@ -150,7 +144,7 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -
     A = require_hermitian(A)
     if not (0.0 < delta < 1.0):
         raise DomainError("spectral gap must lie strictly between 0 and 1")
-    w, _ = hermitian_eig(A)
+    w = hermitian_eigvals(A)
     inner = np.abs(w) < delta - 1e-9
     if int(inner.sum()) != 1:
         raise DomainError(f"need exactly one eigenvalue inside +-{delta:.3g}, found {int(inner.sum())}")

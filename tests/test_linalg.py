@@ -2,9 +2,10 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, InputError, NumericError, hermitian_eig,
-                  load_matrix, matrix_function_hermitian, matrix_sign,
+                  hermitian_eigvals, load_matrix, matrix_function_hermitian, matrix_sign,
                   operator_norm, polar_oracle, run_polar, run_sign,
                   save_matrix, unitarity_check)
 from conftest import hermitian_with_spectrum
@@ -96,6 +97,63 @@ def test_operator_norm_matches_svd():
     for d in (2, 5, 9):
         M = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
         assert abs(operator_norm(M) - np.linalg.svd(M, compute_uv=False)[0]) < 1e-10
+
+
+def shaped_matrix(kind, seed, d, scale):
+    """A seeded d x d matrix of the given kind, scaled by `scale`."""
+    rng = np.random.default_rng(seed)
+    Z = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+    if kind == "hermitian":
+        Z = (Z + Z.conj().T) / 2
+    elif kind == "rank-1":
+        Z = np.outer(Z[:, 0], Z[0].conj())
+    elif kind == "zero":
+        Z = np.zeros((d, d), dtype=complex)
+    return scale * Z
+
+
+_KINDS = st.sampled_from(["general", "hermitian", "rank-1", "zero"])
+_SCALES = st.sampled_from([1e-6, 0.5, 1.0, 1e3])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_KINDS, st.integers(0, 2 ** 32 - 1), st.integers(1, 64), _SCALES)
+def test_operator_norm_matches_numpy_2_norm(kind, seed, d, scale):
+    M = shaped_matrix(kind, seed, d, scale)
+    ref = float(np.linalg.norm(M, 2))
+    assert abs(operator_norm(M) - ref) <= 1e-13 * max(1.0, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from(["hermitian", "zero"]), st.integers(0, 2 ** 32 - 1),
+       st.integers(1, 64), _SCALES)
+def test_hermitian_eigvals_match_hermitian_eig(kind, seed, d, scale):
+    M = shaped_matrix(kind, seed, d, scale)
+    w = hermitian_eigvals(M)
+    assert w.shape == (d,) and np.all(np.diff(w) >= 0)
+    assert np.abs(w - hermitian_eig(M).eigenvalues).max() <= 1e-13 * np.linalg.norm(M, 2)
+
+
+@pytest.mark.parametrize("M", [
+    np.array([[0.0, 1.0], [0.0, 0.0]], dtype=complex),  # not Hermitian
+    np.array([[np.nan]]),
+    np.eye(65, dtype=complex),  # over MAX_DIM
+], ids=["non-hermitian", "nan", "d65"])
+def test_hermitian_eigvals_rejects_what_hermitian_eig_rejects(M):
+    with pytest.raises(DomainError) as full:
+        hermitian_eig(M)
+    with pytest.raises(DomainError) as values:
+        hermitian_eigvals(M)
+    assert str(values.value) == str(full.value)
+
+
+def test_values_only_eigensolver_failure_is_numeric_error(monkeypatch):
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        hermitian_eigvals(np.eye(2, dtype=complex))
 
 
 def test_operator_norm_power_iteration_crosscheck():

@@ -518,13 +518,47 @@ def test_phased_product_on_a_stack_of_points():
 
 def slot_loop(U, phases):
     """The phased product one slot at a time: exp(i phi (2P - I)), then the
-    oracle or its adjoint as the dagger template says."""
+    oracle or its adjoint as the dagger template says.  The first slot is
+    diag(g) times the oracle, taken as the oracle's rows scaled by g."""
     Ud = np.swapaxes(U.conj(), -1, -2)
-    out = np.broadcast_to(np.eye(U.shape[-1], dtype=np.complex128), U.shape)
+    out = None
     for phi, dag in zip(phases, template_daggers(len(phases))):
         diag = np.repeat(np.exp([1j * phi, -1j * phi]), U.shape[-1] // 2)
-        out = (out * diag) @ (Ud if dag else U)
+        oracle = Ud if dag else U
+        out = diag[:, None] * oracle if out is None else (out * diag) @ oracle
     return out
+
+
+def dense_slot_product(U, phases):
+    """The phased product of 2-d oracle U from dense factors: the rotation
+    diag(e^{i phi} I, e^{-i phi} I) and U or U^dag for each slot, multiplied
+    by np.linalg.multi_dot in groups of at most 25, which keeps its search
+    for a multiplication order cheap."""
+    d = U.shape[0] // 2
+    factors = []
+    for phi, dag in zip(phases, template_daggers(len(phases))):
+        factors.append(np.diag(np.repeat(np.exp([1j * phi, -1j * phi]), d)))
+        factors.append(U.conj().T if dag else U)
+    while len(factors) > 1:
+        factors = [np.linalg.multi_dot(g) if len(g) > 1 else g[0]
+                   for g in (factors[i : i + 25] for i in range(0, len(factors), 25))]
+    return factors[0]
+
+
+@pytest.mark.parametrize("n", [0, 1, 2, 4])  # q = 5^n = 1, 5, 25 and 625 slots
+@pytest.mark.parametrize("kind", ["sign", "random"])
+@pytest.mark.parametrize("stack", [0, 3])
+def test_phased_product_matches_dense_factors(n, kind, stack):
+    q = 5 ** n
+    if kind == "sign":  # a flattened sign list; at q = 625 it is multiplied by blocks
+        phases = flatten_sign_phases(2, n) if n else pade_phases(2)[:1]
+    else:
+        phases = np.random.default_rng(q).uniform(-np.pi, np.pi, q)
+    U = dilation_stack(q + stack, 2, stack)
+    fast = _phased_product(U, phases)
+    assert fast.shape == U.shape
+    for got, oracle in zip(fast.reshape((-1,) + U.shape[-2:]), U.reshape((-1,) + U.shape[-2:])):
+        assert np.abs(got - dense_slot_product(oracle, phases)).max() < 1e-13
 
 
 def dilation_stack(seed, d, stack):

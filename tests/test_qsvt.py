@@ -82,6 +82,24 @@ def test_filtering_random_hermitian():
     assert np.abs(F.conj().T @ F - np.eye(F.shape[0])).max() < 1e-10
 
 
+def quarter_y_sandwich(U):
+    """The filter unitary as two dense products: (rot- x I) diag(I, U)
+    (rot+ x I), rot+- = [[c, +-c], [-+c, c]] the quarter Y rotations."""
+    dim = U.shape[0]
+    c = np.sqrt(0.5)
+    rot = lambda sign: np.kron(np.array([[c, sign * c], [-sign * c, c]]), np.eye(dim))
+    conditioned = np.block([[np.eye(dim), np.zeros((dim, dim))], [np.zeros((dim, dim)), U]])
+    return rot(-1.0) @ conditioned @ rot(+1.0)
+
+
+@pytest.mark.parametrize("d", [4, 64])
+def test_filter_unitary_matches_quarter_y_sandwich(d):
+    A = _random_hermitian(d, d, 0.5)
+    res = filtering_operator(A, 0.5, 1e-8)
+    be, _ = run_sign(A, 0.5, 1e-8, mode="recursive")
+    assert np.abs(res.unitary - quarter_y_sandwich(be.unitary)).max() < 1e-14
+
+
 _gapped_eigenvalue = st.tuples(st.floats(0.5, 1.0), st.booleans()).map(
     lambda t: t[0] if t[1] else -t[0])
 
