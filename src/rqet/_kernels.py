@@ -1,37 +1,32 @@
-"""The package's one scalar chain evaluator: a long reflection-form 2x2 chain.
+"""The package's one blocked product of a phase list.
 
-`phase_chain` evaluates the top-left entry of
-prod_i exp(i*phi_i*Z) R(x) at many points.  The product is split into
-aligned blocks of k phases, where k is the largest divisor of N that is
-at most isqrt(N), provided it is at least isqrt(N)/8 and at least 2;
-otherwise (a prime N, say) k = isqrt(N) and the leftover tail phases
-are multiplied in one at a time at the end.  Each distinct block's
-product is taken once, and a fold multiplies the block products in order.
-
-A nested list of (2l+1)^n phases repeats itself at every scale: the
+A phase list of (2l+1)^n slots repeats itself at every scale: the
 5^8-phase sign list has 625 blocks of 625 phases but only 9 distinct
 ones, and they are made of 25-phase blocks that recur in the same way.
-Both stages recurse on that:
+_row_products takes the product of each row of phases by one recursion
+on that, whatever the factors are; the caller passes its arithmetic as
+two plain functions: a leaf that multiplies out rows of phases one step
+per position, vectorized across the rows, and the product of two stacks
+of results.  phase_chain passes the reflection-form 2x2 arithmetic, and
+qet's dense product passes its slot loop and np.matmul.
 
-- Blocks.  Distinct blocks are cut into sub-blocks of _block_length(k)
-  phases when that divides k.  If the sub-blocks repeat (at most half
-  as many distinct ones as sub-blocks), each block is folded from the
-  distinct sub-blocks' products, taken the same way one level down.
-  Otherwise the block stage multiplies the blocks out, one numpy step
-  per position, vectorized across the blocks and the points.
+- Rows.  A row of k phases is cut into sub-rows of c = _block_length(k)
+  phases when c < k.  If the sub-rows repeat (at most half as many
+  distinct ones as sub-rows), each distinct sub-row's product is taken
+  once, the same way one level down, and each row is folded from them.
+  Otherwise the leaf multiplies the rows out.  A list that does not
+  repeat runs one position at a time.
 - The fold.  Folding m table entries in order is itself a chain.  When
-  c = _block_length(m) divides m, the sequence is cut into rows of c,
-  the distinct rows are folded side by side, and their m/c products
-  are folded in turn.  Even without repeats, m steps become ~2*sqrt(m).
+  c = _block_length(m) < m, the sequence is cut into rows of c, the
+  distinct rows are folded side by side, and their m/c products are
+  folded in turn.  Even without repeats, m steps become ~2*sqrt(m).
 
-The 5^8 sign list takes 33 steps this way instead of ~1,250; a list with
-no repeats takes about k + 2*sqrt(N/k), nearly all in the block stage.
-No level holds more rows of len(xs) points than the top split has
-blocks, so no temporary outgrows the top split's block products.  The
-grouping differs from a left-to-right loop, so results agree with it to
-rounding, not bit for bit.
+The 5^8 sign list takes 33 steps this way instead of ~390,000.  No level
+holds more products than the top split has sub-rows.  The grouping
+differs from a left-to-right loop, so results agree with it to rounding,
+not bit for bit.
 
-Blocks, and rows of the fold, merge only when every entry has the same
+Rows, and rows of the fold, merge only when every entry has the same
 bit pattern: -0.0 never merges with 0.0, and a NaN never merges with
 anything but the same NaN, so merging never mixes blocks that differ,
 even in the last bit of one angle.  _distinct_rows finds them without
@@ -41,14 +36,15 @@ row, in numpy.  Only rows that fail that comparison are split further,
 by their full bytes.  The one pass over the list costs about as much as
 reading it.
 
-Only the top row of each product is carried: a product of k factors
-[[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]] with
-s = (-1)^(k+1).  Conjugation commutes with complex rounding, and
-u - v == -(v - u), so the bottom row read off the top one is bit for
-bit the row a full multiply gives.  The top row of a product of
-unitaries has norm 1, but every float factor is off unitary by about an
-ulp in the same direction, so the norm drifts as (1 + eta)^N; the
-result is the top-left entry divided by the top row's norm.
+phase_chain's leaf multiplies out only the top row of each product: a
+product of k factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]]
+with s = (-1)^(k+1), and the leaf reads the bottom row off the top one.
+Conjugation commutes with complex rounding, and u - v == -(v - u), so
+that row is bit for bit the row a full multiply gives, and the fold
+multiplies whole 2x2 products.  The top row of a product of unitaries
+has norm 1, but every float factor is off unitary by about an ulp in the
+same direction, so the norm drifts as (1 + eta)^N; the result is the
+top-left entry divided by the top row's norm.
 """
 
 from __future__ import annotations
@@ -58,17 +54,11 @@ import math
 import numpy as np
 
 
-def _times_factor(c0, c1, ep, em, x, w):
-    """Row (c0, c1) times the factor [[ep x, ep w], [em w, -em x]]."""
-    a, b = c0 * ep, c1 * em
-    return a * x + b * w, a * w - b * x
-
-
 def _block_length(n: int) -> int:
     """Largest divisor k of n with max(2, isqrt(n)/8) <= k <= isqrt(n), else
-    isqrt(n) (at least 1): blocks of one phase would leave the fold all the work."""
-    r = max(1, math.isqrt(n))
-    return next((k for k in range(r, max(2, -(-r // 8)) - 1, -1) if n % k == 0), r)
+    n: a row of n with no such divisor stays whole."""
+    r = math.isqrt(n)
+    return next((k for k in range(r, max(2, -(-r // 8)) - 1, -1) if n % k == 0), n)
 
 
 def _key_columns(k: int) -> list[int]:
@@ -134,10 +124,46 @@ def _distinct_rows(blocks: np.ndarray,
     return blocks[first[order]], rank[group].tolist()
 
 
-def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray):
-    """Top row of each block's product at each point, one step per position."""
-    # factor j of every block at once, written into buffers in _times_factor's
-    # order of operations
+def _row_products(rows: np.ndarray, leaf, times, most: float = math.inf):
+    """Product of each row of phases: leaf(rows) unless the rows' sub-rows
+    repeat, else each row folded by `times` from the products of the
+    distinct sub-rows, taken the same way.  At most `most`, and at most
+    half of the sub-rows, may be distinct; the top split sets `most`."""
+    k = rows.shape[1]
+    c = _block_length(k)
+    if c < k:
+        subs = rows.reshape(-1, c)
+        most = min(most, len(subs))
+        split = _distinct_rows(subs, min(most, len(subs) // 2))
+        if split is not None:
+            table = _row_products(split[0], leaf, times, most)
+            return _fold(table, np.reshape(split[1], (len(rows), -1)), times, most)
+    return leaf(rows)
+
+
+def _fold(table: np.ndarray, index: np.ndarray, times, most: float):
+    """Products of the rows of `index`, each an ordered list of entries of
+    `table`; rows of a split are folded side by side when at most `most`
+    are distinct."""
+    m = index.shape[1]
+    c = _block_length(m)
+    if c < m:
+        split = _distinct_rows(index.reshape(-1, c), most)
+        if split is not None:
+            table = _fold(table, split[0], times, most)
+            return _fold(table, np.reshape(split[1], (len(index), -1)), times, most)
+    out = table[index[:, 0]]
+    for g in index.T[1:]:
+        out = times(out, table[g])
+    return out
+
+
+def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """Each block's product of reflection factors at each point, shape
+    (blocks, 2, 2, points): the top row one step per position, the bottom
+    row read off it."""
+    # factor j of every block at once, in the order of operations of row
+    # (m00, m01) times [[ep x, ep w], [em w, -em x]]
     m00 = np.ones((len(blocks), len(x)), dtype=np.complex128)
     m01 = np.zeros_like(m00)
     a, b, t = np.empty_like(m00), np.empty_like(m00), np.empty_like(m00)
@@ -155,41 +181,13 @@ def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray):
             np.multiply(a, w, out=m01)
             np.multiply(b, x, out=t)
             m01 -= t
-    return m00, m01
+    bottom = (m01.conj(), -m00.conj()) if blocks.shape[1] % 2 else (-m01.conj(), m00.conj())
+    return np.stack((m00, m01) + bottom, axis=1).reshape(len(blocks), 2, 2, len(x))
 
 
-def _block_rows(blocks: np.ndarray, x: np.ndarray, w: np.ndarray, most: int):
-    """Top row of each distinct block's product at each point: from the
-    products of its sub-blocks when those repeat and at most `most` of them
-    are distinct, else by the block stage."""
-    k = blocks.shape[1]
-    c = _block_length(k)
-    if c > 1 and k % c == 0:
-        subs = blocks.reshape(-1, c)
-        split = _distinct_rows(subs, min(most, len(subs) // 2))
-        if split is not None:
-            p, q = _block_rows(split[0], x, w, most)
-            return _fold(p, q, c, np.reshape(split[1], (len(blocks), -1)), most)
-    return _block_stage(blocks, x, w)
-
-
-def _fold(p: np.ndarray, q: np.ndarray, length: int, index: np.ndarray, most: int):
-    """Top rows of the products of the rows of `index`, each an ordered list
-    of entries of a table of top rows (p, q) of `length`-phase products;
-    rows of a split are folded side by side when at most `most` are distinct."""
-    m = index.shape[1]
-    c = _block_length(m)
-    if c > 1 and m % c == 0:
-        split = _distinct_rows(index.reshape(-1, c), most)
-        if split is not None:
-            p, q = _fold(p, q, length, split[0], most)
-            return _fold(p, q, c * length, np.reshape(split[1], (len(index), -1)), most)
-    # the bottom row of a product of `length` factors is [s Q*, -s P*]
-    p10, p11 = (q.conj(), -p.conj()) if length % 2 else (-q.conj(), p.conj())
-    r0, r1 = p[index[:, 0]], q[index[:, 0]]
-    for g in index.T[1:]:
-        r0, r1 = r0 * p[g] + r1 * p10[g], r0 * q[g] + r1 * p11[g]
-    return r0, r1
+def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Products of stacks of 2x2 matrices whose entries run over a last axis of points."""
+    return a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
 
 
 def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
@@ -199,12 +197,5 @@ def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     if not len(phases):  # the empty product
         return np.ones(len(x), dtype=np.complex128)
-    k = _block_length(len(phases))
-    nb = len(phases) // k
-    blocks, index = _distinct_rows(phases[: nb * k].reshape(nb, k))
-    p, q = _block_rows(blocks, x, w, nb)
-    r0, r1 = (r[0] for r in _fold(p, q, k, np.reshape(index, (1, nb)), nb))
-    for phi in phases[nb * k :]:
-        ep = complex(math.cos(phi), math.sin(phi))
-        r0, r1 = _times_factor(r0, r1, ep, ep.conjugate(), x, w)
+    r0, r1 = _row_products(phases[None], lambda rows: _block_stage(rows, x, w), _times)[0, 0]
     return r0 / np.sqrt(np.abs(r0) ** 2 + np.abs(r1) ** 2)

@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .blockenc import dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
-from .linalg import load_matrix, operator_norm
+from .linalg import MAX_DIM, load_matrix, operator_norm
 from .poly import check_qet_conditions, load_poly, pade
 from .qet import (_check_dense_cost, _check_phase_count, coherent_perturb, distinct_angles,
                   flatten_sign_phases, qet_recursive_step, query_count, run_sign)
@@ -31,12 +31,20 @@ _MAX_PADE = 20  # the largest l in the phase table
 MAX_PRINTED_ANGLES = 5 ** 6  # longest flattened list `phases` writes to stdout
 
 
-def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:
-    """Seeded Hermitian test matrix with eigenvalues in +-[gap, 1]."""
+def _check_generated(dim: int, gap: float) -> None:
+    """Refuse generator arguments before any matrix is built: a dimension
+    over MAX_DIM is the same domain error the eigensolver would raise."""
     if dim < 1:
         raise InputError("dim must be positive")
     if not (0.0 < gap < 1.0):
         raise InputError("gap must lie strictly between 0 and 1")
+    if dim > MAX_DIM:
+        raise DomainError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
+
+
+def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:
+    """Seeded Hermitian test matrix with eigenvalues in +-[gap, 1]."""
+    _check_generated(dim, gap)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(Z)
@@ -52,10 +60,7 @@ def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:
 
 def _random_general(seed: int, dim: int, gap: float) -> np.ndarray:
     """Seeded non-Hermitian test matrix with singular values in [gap, 1]."""
-    if dim < 1:
-        raise InputError("dim must be positive")
-    if not (0.0 < gap < 1.0):
-        raise InputError("gap must lie strictly between 0 and 1")
+    _check_generated(dim, gap)
     rng = np.random.default_rng(seed)
     sv = rng.uniform(gap, 1.0, size=dim)
     U = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]

@@ -18,102 +18,70 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _block_length, _distinct_rows
+from ._kernels import _block_length, _row_products
 from .blockenc import BlockEncoding, _dilate_spectrum, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
 from .poly import pade, poly_eval
-from .qsp import _IDENTITY_TOL, canonicalize_angles, pade_phases, reflection_upper_left
+from .qsp import (_IDENTITY_TOL, _require_finite, canonicalize_angles, pade_phases,
+                  reflection_upper_left)
 
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
-_MIN_BLOCKED = 16  # shortest slot list that _phased_product cuts into blocks
 _PLUS_MINUS_I = np.array([1j, -1j])[:, None, None]
 DENSE_BUDGET = 2 ** 32  # slots x max(2d, 32)^3; the largest admitted run takes ~1-4 s on one core
-
-
-def template_daggers(q: int) -> np.ndarray:
-    """Dagger pattern of the length-q product: slot j holds the plain
-    oracle when j and q share parity, the adjoint otherwise (1-based)."""
-    j = np.arange(1, q + 1)
-    return (j % 2) != (q % 2)
-
-
-def _require_finite(phases: np.ndarray) -> None:
-    if not np.isfinite(phases).all():
-        raise InputError("phase angles must be finite")
-
-
-def _slot_blocks(phases: np.ndarray) -> tuple[np.ndarray, np.ndarray, int]:
-    """Aligned blocks of a slot list: the distinct blocks' phases (D, k), the
-    index of each block among them, and how many of them open on the plain
-    oracle; those come first, then the blocks that open on the adjoint.
-
-    A list of at least _MIN_BLOCKED slots splits into blocks of
-    k = _block_length(q) slots when k divides q.  Blocks are keyed by their
-    opening dagger and their phases' bytes, so -0.0 and 0.0 never merge.
-    The list stays one block when it is shorter, has no such divisor, or
-    its blocks repeat less than twice on average: then multiplying out the
-    distinct blocks would not halve the work, and would hold more matrices.
-    """
-    q = len(phases)
-    k = _block_length(q) if q >= _MIN_BLOCKED else q
-    if q % k == 0 and k < q:
-        keys = np.column_stack((template_daggers(q)[::k], phases.reshape(-1, k)))
-        rows, index = _distinct_rows(keys)
-        if 2 * len(rows) <= len(index):
-            order = np.argsort(rows[:, 0], kind="stable")
-            plain = int(np.count_nonzero(rows[:, 0] == 0.0))
-            return rows[order, 1:], np.argsort(order)[index], plain
-    return phases[None], np.array([0]), q % 2  # slot 1 is plain when q is odd
 
 
 def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
     """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
     one product per leading index, by broadcast matmul.  No checks.
 
-    The slot list is cut into the blocks of _slot_blocks.  Each distinct
-    block is multiplied out once, all of them together as a (D, ..., 2d, 2d)
-    stack with one step per slot position, and the block products are then
-    multiplied in order.  The daggers alternate inside a block, so at each
-    position the blocks that open on the plain oracle take one oracle and
-    the others take its adjoint.  The first position is a row scaling:
-    diag(g) times the oracle is the oracle with row i multiplied by g_i,
-    so it takes a broadcast multiply and no matmul; every later position
-    scales the running product's columns and multiplies it by the oracle.
-    A list of one block is the plain slot loop opened that way, bit for
-    bit; blocked lists agree with it to rounding.  The loop holds the D
-    block products, one work stack of the same size and the rotation
-    diagonals of as many positions as fit in one oracle.
+    The slot loop multiplies out rows of slots one position at a time, all
+    rows together as a (rows, ..., 2d, 2d) stack; the last slot of a row
+    takes the plain oracle and the daggers alternate back from it.  The
+    first position is a row scaling: diag(g) times the oracle is the
+    oracle with row i multiplied by g_i, so it takes a broadcast multiply
+    and no matmul; every later position scales the running product's
+    columns and multiplies it by the oracle.  The loop holds the row
+    products, one work stack of the same size and the rotation diagonals
+    of as many positions as fit in one oracle.
+
+    When the oracle equals its own adjoint, as the scalar reflection and
+    every Hermitian dilation do, a slot's product does not depend on its
+    dagger, so a list whose blocks repeat is multiplied by
+    _kernels._row_products: each distinct block once, folded by np.matmul.
+    That agrees with the slot loop to rounding.  Any other oracle, and a
+    list whose length has no block divisor (every 5-slot base list), runs
+    the slot loop over the whole list, with neither test.
     """
-    blocks, index, plain = _slot_blocks(phases)
     d = U.shape[-1] // 2
-    shape = (len(blocks),) + (1,) * U.ndim
-    ep, em = np.exp(_PLUS_MINUS_I * blocks.T)  # exp(+-i phi) of every position, in one call
     pair = (U, np.swapaxes(U.conj(), -1, -2))
-    opens = [(s, o) for s, o in ((slice(0, plain), 0), (slice(plain, len(blocks)), 1))
-             if s.start < s.stop]  # the blocks opening on pair[o]
-    M = np.empty((len(blocks),) + U.shape, dtype=np.complex128)
-    work = np.empty_like(M)
-    chunk = max(1, U.size // (len(blocks) * 2 * d))  # positions whose diagonals fit in one oracle
-    diag = np.empty((chunk,) + shape[:-1] + (2 * d,), dtype=np.complex128)
-    for j0 in range(0, len(ep), chunk):
-        c = min(chunk, len(ep) - j0)
-        diag[:c, ..., :d] = ep[j0 : j0 + c].reshape((c,) + shape)
-        diag[:c, ..., d:] = em[j0 : j0 + c].reshape((c,) + shape)
-        for j, g in enumerate(diag[:c], j0):
-            if j == 0:  # diag(g) times the oracle: its rows scaled by g
-                for s, o in opens:
-                    np.multiply(np.swapaxes(g[s], -1, -2), pair[o], out=work[s])
-            else:
-                M *= g
-                for s, o in opens:
-                    np.matmul(M[s], pair[(j + o) % 2], out=work[s])
-            M, work = work, M
-    out = M[index[0]]
-    for b in index[1:]:
-        out = out @ M[b]
-    return out
+
+    def slots(rows: np.ndarray) -> np.ndarray:
+        shape = (len(rows),) + (1,) * U.ndim
+        ep, em = np.exp(_PLUS_MINUS_I * rows.T)  # exp(+-i phi) of every position, in one call
+        first = 1 - rows.shape[1] % 2  # pair[first] opens the row, so the last slot is plain
+        M = np.empty((len(rows),) + U.shape, dtype=np.complex128)
+        work = np.empty_like(M)
+        chunk = max(1, U.size // (len(rows) * 2 * d))  # positions whose diagonals fit in one oracle
+        diag = np.empty((chunk,) + shape[:-1] + (2 * d,), dtype=np.complex128)
+        for j0 in range(0, len(ep), chunk):
+            c = min(chunk, len(ep) - j0)
+            diag[:c, ..., :d] = ep[j0 : j0 + c].reshape((c,) + shape)
+            diag[:c, ..., d:] = em[j0 : j0 + c].reshape((c,) + shape)
+            for j, g in enumerate(diag[:c], j0):
+                if j == 0:  # diag(g) times the oracle: its rows scaled by g
+                    np.multiply(np.swapaxes(g, -1, -2), pair[first], out=work)
+                else:
+                    M *= g
+                    np.matmul(M, pair[(j + first) % 2], out=work)
+                M, work = work, M
+        return M
+
+    q = len(phases)
+    if _block_length(q) < q and np.array_equal(U, pair[1]):
+        return _row_products(phases[None], slots, np.matmul)[0]
+    return slots(phases[None])[0]
 
 
 def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
@@ -123,9 +91,10 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     exp(i phase_j (2P - I)) followed by the oracle or its adjoint per the
     dagger template, so the final slot always carries the plain oracle.
     Over a general dilation the same product acts on singular values.
-    A list of at least 16 slots whose aligned blocks repeat, as every
-    flattened sign list's do, is multiplied block by block, each distinct
-    block once (_phased_product); other lists run slot by slot.
+    On an oracle that equals its own adjoint, a list whose blocks repeat,
+    as every flattened sign list's do, is multiplied by the blocked
+    recursion the scalar chain uses, each distinct block once
+    (_phased_product); other lists and oracles run slot by slot.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
@@ -218,7 +187,8 @@ def _check_dense_cost(slots: int, dim: int) -> None:
     system whose cost estimate exceeds DENSE_BUDGET; the floor of 32 on
     the dilation size stands for the per-slot Python overhead.  The
     estimate assumes no slot repeats: a list whose blocks repeat, as a
-    flattened sign list's do, costs far less (_phased_product)."""
+    flattened sign list's do, costs far less on a Hermitian dilation
+    (_phased_product)."""
     count = slots if slots < 2 ** 53 else f"2^{math.log2(slots):.1f}"
     _check_budget(slots * max(2 * dim, 32) ** 3, f"{count} dense slots at dimension {dim}",
                   "slots x max(2d, 32)^3")
@@ -226,16 +196,14 @@ def _check_dense_cost(slots: int, dim: int) -> None:
 
 def _check_scalar_cost(points: int, phases: int) -> None:
     """Refuse a scalar run that evaluates `phases` chain phases at each of
-    `points` points when it exceeds DENSE_BUDGET.  One point-phase of
-    phase_chain on a list with no repeated blocks (~18 ns: 17.5-19.6 ns
-    for 5^8 to 17^5 random phases at 25-47 points, one core) costs 2^6
-    dense units (~0.24 ns each, from 0.51 ms per d = 64 slot); repeated
-    blocks, as in every flattened sign list, only make it cheaper.  Since
-    phase_chain shares blocks at every scale of a nested list, the charge
-    is far above what such a list costs: 0.16-2.7 ns per point-phase for
-    the sign lists of l = 2, 8 and 20 (5^9 phases at 34 points take
-    ~11 ms).  DENSE_BUDGET stays as it is: the charge still prices a list
-    with no repeats, which phase_chain also accepts."""
+    `points` points when it exceeds DENSE_BUDGET, at 2^6 dense units
+    (~15 ns, from 0.51 ms per d = 64 slot) per point-phase.  Scalar mode
+    only evaluates flattened sign lists, whose blocks repeat at every
+    scale, so phase_chain takes far less than the charge: 0.04-2.5 ns per
+    point-phase for the sign lists of l = 2, 8 and 20 (5^9 phases at 34
+    points take ~3 ms).  The charge stays as it was, so the same runs
+    are admitted; a list that does not repeat runs one position at a
+    time (0.2-0.5 us per point-phase), but no run evaluates one."""
     _check_budget(points * phases * 2 ** 6, f"{points} points x {phases} chain phases",
                   "point-phases x 2^6")
 

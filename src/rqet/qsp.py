@@ -17,7 +17,7 @@ import os
 import numpy as np
 
 from ._kernels import phase_chain
-from .errors import DomainError, NumericError, read_json
+from .errors import DomainError, InputError, NumericError, read_json
 
 _IDENTITY_TOL = 1e-9
 
@@ -39,12 +39,24 @@ def canonicalize_angles(angles) -> np.ndarray:
     return out
 
 
+def _require_finite(phases: np.ndarray) -> None:
+    if not np.isfinite(phases).all():
+        raise InputError("phase angles must be finite")
+
+
 def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Realized polynomial values f(xs) for a reflection sequence (kernel path)."""
+    """Realized polynomial values f(xs) for a reflection sequence (kernel path).
+
+    Phases must be a finite 1-d list and the points a scalar or a 1-d
+    array (InputError); points outside [-1, 1] raise DomainError."""
+    phases = np.asarray(phases, dtype=np.float64)
     xs = np.atleast_1d(np.asarray(xs, dtype=np.float64))
+    if phases.ndim != 1 or xs.ndim != 1:
+        raise InputError("phases and points must be 1-d arrays")
+    _require_finite(phases)
     if not (np.abs(xs) <= 1.0 + 1e-12).all():  # a positive test, so NaN fails it
         raise DomainError("signal points must lie in [-1, 1]")
-    return phase_chain(np.asarray(phases, dtype=np.float64), xs)
+    return phase_chain(phases, xs)
 
 
 def chebyshev_reflection_phases(q: int) -> np.ndarray:

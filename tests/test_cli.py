@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+import time
 import warnings
 
 import pytest
@@ -284,3 +285,12 @@ def test_absurd_level_counts_are_domain_errors(command, capsys):
     assert main(args) == 3
     err = capsys.readouterr().err
     assert err.count("\n") == 1 and len(err) < 200
+
+
+@pytest.mark.parametrize("command", ["sign-run", "polar-run", "perturb"])
+@pytest.mark.parametrize("dim", ["65", "10000000000"])
+def test_oversized_dim_is_refused_before_generating(command, dim, capsys):
+    t0 = time.perf_counter()
+    assert main([command, "--seed", "1", "--dim", dim]) == 3
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err == f"domain error: dimension {dim} exceeds the supported maximum 64\n"

@@ -9,23 +9,31 @@ from hypothesis import example, given, settings, strategies as st
 from rqet import (DomainError, InputError, NumericError, ScalarSignTable,
                   canonicalize_angles, check_flattened_structure,
                   chebyshev_reflection_phases, coherent_perturb,
-                  complexity_estimate, compose_phases, dilate_hermitian,
+                  complexity_estimate, compose_phases, dilate_general, dilate_hermitian,
                   distinct_angles, distinct_nonzero_angles, error_bound, extract,
                   flatten_sign_phases, hermitian_eig, operator_norm, pade,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
                   query_count, recovery_cost, run_sign, scalar_sign_iterate,
                   sign_iterations)
+import rqet.qet
 from rqet import _kernels
-from rqet._kernels import _block_length, phase_chain
+from rqet._kernels import _block_length, _distinct_rows, phase_chain
 from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _check_scalar_cost,
-                      _phased_product, _slot_blocks, scalar_grid, template_daggers)
-from conftest import hermitian_with_spectrum
+                      _phased_product, scalar_grid)
+from conftest import TWO_LEVEL_LENGTHS, hermitian_with_spectrum, two_level_tiled
 
 
 @pytest.fixture
 def gapped8():
     vals = [0.52, -0.61, 0.7, -0.8, 0.88, -0.95, 0.99, -0.55]
     return hermitian_with_spectrum(42, vals)
+
+
+def template_daggers(q: int) -> np.ndarray:
+    """Dagger pattern of the length-q product: slot j holds the plain
+    oracle when j and q share parity, the adjoint otherwise (1-based)."""
+    j = np.arange(1, q + 1)
+    return (j % 2) != (q % 2)
 
 
 def test_template_daggers_pattern():
@@ -569,45 +577,49 @@ def dilation_stack(seed, d, stack):
     return np.stack(Us) if stack else Us[0]
 
 
-def planted_pool(rng, k):
-    """Blocks of k phases that differ in one bit pattern only: a random block,
-    its last-bit neighbour, and two copies with 0.0 and -0.0 in one slot."""
-    a = rng.uniform(-np.pi, np.pi, k)
-    j = int(rng.integers(k))
-    pool = np.stack([a, a, a, a])
-    pool[1, j] = np.nextafter(a[j], np.inf)
-    pool[2, j], pool[3, j] = 0.0, -0.0
-    return pool
-
-
-# list lengths: under 16 slots, prime (no divisor fits), odd and even with
-# odd and even block lengths (k = _block_length(q) in the comment)
-_PRODUCT_LENGTHS = [1, 2, 5, 15, 17, 31,
-                    16, 18, 24, 32, 64,   # k = 4, 3, 4, 4, 8
-                    25, 27, 45, 75, 125,  # k = 5, 3, 5, 5, 5
-                    50, 81, 100, 135]     # k = 5, 9, 10, 9
+# lengths with no block divisor (1, 2, 5, 17, 31) are one block and run the
+# slot loop; the others are tiled two levels deep
+_PRODUCT_LENGTHS = [1, 2, 5, 17, 31, 25, 125] + TWO_LEVEL_LENGTHS[:7]
 
 
 @settings(max_examples=80, deadline=None)
 @given(st.sampled_from(_PRODUCT_LENGTHS), st.sampled_from([1, 2, 4]), st.sampled_from([0, 3]),
-       st.integers(1, 4), st.integers(0, 2 ** 32 - 1))
-def test_phased_product_matches_slot_loop(q, d, stack, kinds, seed):
-    rng = np.random.default_rng(seed)
-    k = _block_length(q)
-    pool = planted_pool(rng, k)[rng.permutation(4)[:kinds]]
-    phases = pool[rng.integers(kinds, size=-(-q // k))].reshape(-1)[:q]
+       st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+def test_phased_product_matches_slot_loop(q, d, stack, subs, kinds, seed):
+    phases = two_level_tiled(np.random.default_rng(seed), q, subs, kinds)
     U = dilation_stack(seed % 1000, d, stack)
     fast, ref = _phased_product(U, phases), slot_loop(U, phases)
     assert fast.shape == ref.shape
-    blocks, index, plain = _slot_blocks(phases)
-    # the blocks rebuild the list bit for bit, each with its own opening dagger
-    assert np.array_equal(blocks[index].reshape(-1).view(np.uint64), phases.view(np.uint64))
-    assert list(np.asarray(index) >= plain) == list(template_daggers(q)[:: blocks.shape[1]])
-    if len(index) == 1:  # under 16 slots, no divisor or too few repeats: the slot loop
+    c = _block_length(q)
+    if c == q or _distinct_rows(phases.reshape(-1, c), q // c // 2) is None:
+        # no divisor, or blocks that repeat too little: the slot loop itself
         assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
     else:
-        assert 2 * len(blocks) <= len(index)
         assert np.abs(fast - ref).max() < 1e-13
+
+
+@pytest.mark.parametrize("q", [625, 1296])
+def test_phased_product_never_merges_blocks_of_a_general_dilation(q):
+    # the blocks of these lists repeat, but this oracle is not its own
+    # adjoint, so a block's product depends on its daggers: the slot loop
+    # runs, opening on the adjoint when q is even
+    A = np.random.default_rng(4).standard_normal((3, 3)) * 0.2 + 0j
+    U = dilate_general(A).unitary
+    assert not np.array_equal(U, U.conj().T)
+    rng = np.random.default_rng(q)
+    phases = flatten_sign_phases(2, 4) if q == 625 else two_level_tiled(rng, q, 2, 2)
+    assert np.array_equal(_phased_product(U, phases).view(np.uint64),
+                          slot_loop(U, phases).view(np.uint64))
+
+
+@pytest.mark.parametrize("l, n", [(2, 4), (4, 3), (8, 2)])
+def test_phased_product_on_reflections_matches_phase_chain(l, n):
+    xs = scalar_grid(0.1)
+    w = np.sqrt(1.0 - xs * xs)
+    U = np.empty((len(xs), 2, 2), dtype=np.complex128)
+    U[:, 0, 0], U[:, 1, 1], U[:, 0, 1], U[:, 1, 0] = xs, -xs, w, w
+    flat = flatten_sign_phases(l, n)
+    assert np.abs(_phased_product(U, flat)[:, 0, 0] - phase_chain(flat, xs)).max() < 1e-13
 
 
 @pytest.mark.parametrize("q", [16, 17, 125, 625])
@@ -618,12 +630,30 @@ def test_phased_product_without_repeats_is_the_slot_loop(q):
                           slot_loop(U, phases).view(np.uint64))
 
 
-def test_phased_product_multiplies_a_flattened_list_by_blocks():
+def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
+    # record the recursion's stacked steps: each slot loop's row length, and
+    # each product of the fold
+    leaves, products = [], []
+    row_products = rqet.qet._row_products
+
+    def recording(rows, leaf, times):
+        def counted_leaf(r):
+            leaves.append(r.shape[1])
+            return leaf(r)
+
+        def counted_times(a, b):
+            products.append(len(a))
+            return times(a, b)
+
+        return row_products(rows, counted_leaf, counted_times)
+
+    monkeypatch.setattr(rqet.qet, "_row_products", recording)
     flat = flatten_sign_phases(2, 4)
-    blocks, index, _ = _slot_blocks(flat)
-    assert blocks.shape == (9, 25) and len(index) == 25
     U = dilation_stack(7, 8, 0)
     assert np.abs(_phased_product(U, flat) - slot_loop(U, flat)).max() < 1e-13
+    # the 625-slot list is folded from 5-slot blocks in 17 steps, not 625
+    assert leaves == [5]
+    assert sum(leaves) + len(products) == 17
 
 
 def test_phased_product_memory_stays_small():

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from functools import lru_cache
 from math import comb
 
@@ -17,7 +18,7 @@ from rqet import (DomainError, InputError, NumericError,
                   reflection_upper_left, save_phases)
 from rqet import _kernels
 from rqet._kernels import _block_length, _distinct_rows, _key_columns, phase_chain
-from conftest import exact_pade_coeffs
+from conftest import TWO_LEVEL_LENGTHS, exact_pade_coeffs, two_level_tiled
 import pade_table
 
 
@@ -289,6 +290,21 @@ def test_phase_chain_matches_direct_product():
     assert np.abs(fast - direct_product(phases, xs)).max() < 1e-13
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_reflection_upper_left_rejects_non_finite_phases(bad):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # refused before any arithmetic warns
+        with pytest.raises(InputError, match="finite"):
+            reflection_upper_left([bad, 0.1], [0.3])
+
+
+@pytest.mark.parametrize("phases, xs", [([[0.1, 0.2]], [0.3]), ([0.1, 0.2], [[0.3, 0.4]]),
+                                        (0.1, [0.3])])
+def test_reflection_upper_left_rejects_non_1d_input(phases, xs):
+    with pytest.raises(InputError, match="1-d"):
+        reflection_upper_left(phases, xs)
+
+
 def tiled_blocks(rng, length, block, kinds=3):
     """`length` phases made of `kinds` random blocks of `block` phases, tiled
     in random order and cut to length."""
@@ -304,14 +320,14 @@ _CHAIN_CASES = [(n, None) for n in (0, 1, 2, 3, 24, 25, 26, 125, 5 ** 5)] + [
 @pytest.mark.parametrize("length, block", _CHAIN_CASES,
                          ids=[f"{n}" if b is None else f"{n}-tiled" for n, b in _CHAIN_CASES])
 def test_blocked_phase_chain_matches_reflection_product(length, block):
-    # 0 is the empty product; 24, 25, 26, 125 and 5^5 split into divisor-length
-    # blocks; 997 (prime) keeps isqrt(N) and leaves tail phases; the tiled lists
-    # repeat their blocks on the kernel's block boundaries
+    # 0 is the empty product; the random lists repeat nothing and run one
+    # position at a time; the tiled lists repeat their blocks on the kernel's
+    # block boundaries, except 997, a prime, which has none and stays whole
     rng = np.random.default_rng(length)
     if block is None:
         phases = rng.uniform(-np.pi, np.pi, length)
     else:
-        assert _block_length(length) == block
+        assert _block_length(length) == (block if length % block == 0 else length)
         phases = tiled_blocks(rng, length, block)
     xs = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
     fast = phase_chain(phases, xs)
@@ -326,34 +342,12 @@ def test_phase_chain_on_tiled_blocks(block, kinds, length, seed):
     assert np.abs(phase_chain(phases, xs) - direct_product(phases, xs)).max() < 1e-12
 
 
-# list lengths N, with blocks of k = _block_length(N) phases made of sub-blocks
-# of c = _block_length(k): (k, c) = (4, 2), (9, 3), (12, 3), (16, 4), (18, 3),
-# (25, 5), (36, 6); the primes 677 and 1031 take blocks of isqrt(N), (26, 2)
-# and (32, 4), and leave 1 and 7 tail phases
-_TWO_LEVEL_LENGTHS = [16, 81, 144, 256, 324, 625, 1296, 677, 1031]
-
-
 @settings(max_examples=30, deadline=None)
-@given(st.sampled_from(_TWO_LEVEL_LENGTHS), st.integers(1, 5), st.integers(1, 3),
+@given(st.sampled_from(TWO_LEVEL_LENGTHS), st.integers(1, 5), st.integers(1, 3),
        st.integers(0, 2 ** 32 - 1))
-@example(1031, 5, 3, 0)
+@example(2401, 5, 3, 0)
 def test_phase_chain_on_two_level_tiled_lists(length, subs, kinds, seed):
-    # `kinds` blocks tiled in random order, each made of sub-blocks drawn from
-    # `subs` of a pool: a random sub-block, its neighbour in the last bit of one
-    # angle, copies with 0.0 and -0.0 there, and a second random sub-block
-    rng = np.random.default_rng(seed)
-    k = _block_length(length)
-    c = _block_length(k)
-    a = rng.uniform(-np.pi, np.pi, c)
-    j = int(rng.integers(c))
-    pool = np.stack([a, a, a, a, rng.uniform(-np.pi, np.pi, c)])
-    pool[1, j] = np.nextafter(a[j], np.inf)
-    pool[2, j], pool[3, j] = 0.0, -0.0
-    pool = pool[rng.permutation(5)[:subs]]
-    blocks = pool[rng.integers(subs, size=(kinds, k // c))].reshape(kinds, k)
-    nb = length // k
-    phases = np.concatenate((blocks[rng.integers(kinds, size=nb)].reshape(-1),
-                             rng.uniform(-np.pi, np.pi, length - nb * k)))
+    phases = two_level_tiled(np.random.default_rng(seed), length, subs, kinds)
     xs = np.array([-0.9, -0.2, 0.5, 1.0])
     assert np.abs(phase_chain(phases, xs) - direct_product(phases, xs)).max() < 1e-12
 
