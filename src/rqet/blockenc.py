@@ -57,10 +57,15 @@ def dilate_hermitian(A: np.ndarray) -> BlockEncoding:
 
 
 def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
-    """dilate_hermitian for a Hermitian A whose spectrum is already solved."""
+    """dilate_hermitian for a Hermitian A whose spectrum is already solved.
+
+    A enters as its Hermitian part (A + A^dag)/2, which is A itself when A
+    is exactly Hermitian, so the dilation equals its own adjoint even for
+    an A that is Hermitian only within HERMITICITY_TOL."""
     w, V = spectrum
     if float(np.abs(w).max()) > 1.0 + _NORM_SLACK:
         raise DomainError(f"operator norm {np.abs(w).max():.12f} exceeds 1")
+    A = (A + A.conj().T) / 2
     B = (V * np.sqrt(np.maximum(0.0, 1.0 - w * w))) @ V.conj().T
     B = (B + B.conj().T) / 2
     U = np.block([[A, B], [B, -A]])

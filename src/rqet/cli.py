@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from .blockenc import dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
-from .linalg import MAX_DIM, load_matrix, operator_norm
+from .linalg import load_matrix, operator_norm, require_dim
 from .poly import check_qet_conditions, load_poly, pade
 from .qet import (_check_dense_cost, _check_phase_count, coherent_perturb, distinct_angles,
                   flatten_sign_phases, qet_recursive_step, query_count, run_sign)
@@ -38,8 +38,7 @@ def _check_generated(dim: int, gap: float) -> None:
         raise InputError("dim must be positive")
     if not (0.0 < gap < 1.0):
         raise InputError("gap must lie strictly between 0 and 1")
-    if dim > MAX_DIM:
-        raise DomainError(f"dimension {dim} exceeds the supported maximum {MAX_DIM}")
+    require_dim(dim)
 
 
 def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:

@@ -52,14 +52,18 @@ def require_hermitian(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def require_dim(n: int) -> None:
+    """Refuse a dimension over MAX_DIM with a domain error."""
+    if n > MAX_DIM:
+        raise DomainError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
+
+
 def _hermitian_solve(solver: Callable, M: np.ndarray):
     """Run a LAPACK Hermitian solver on M after the checks every caller
     shares: Hermitian within HERMITICITY_TOL, at most MAX_DIM rows.  A
     failure to converge is reported as a numeric error."""
     M = require_hermitian(M)
-    n = M.shape[0]
-    if n > MAX_DIM:
-        raise DomainError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
+    require_dim(M.shape[0])
     try:
         return solver(M)
     except np.linalg.LinAlgError as exc:

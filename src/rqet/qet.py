@@ -18,13 +18,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _block_length, _row_products
+from ._kernels import _block_length, _row_products, phase_chain
 from .blockenc import BlockEncoding, _dilate_spectrum, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
 from .poly import pade, poly_eval
-from .qsp import (_IDENTITY_TOL, _require_finite, canonicalize_angles, pade_phases,
-                  reflection_upper_left)
+from .qsp import (_IDENTITY_TOL, _require_finite, _require_signal_points, canonicalize_angles,
+                  pade_phases)
 
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
@@ -489,7 +489,9 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             ms = (time.perf_counter() - t0) * 1e3
             report.add(k, float(np.abs(U[:, 0, 0] - np.sign(pts)).max()), ms)
         vals = U[:, 0, 0].copy()
-        distance = float(np.abs(reflection_upper_left(flatten_sign_phases(l, n), pts) - vals).max())
+        # reflection_upper_left's checks, less the scan of a list built from checked phases
+        _require_signal_points(pts)
+        distance = float(np.abs(phase_chain(flatten_sign_phases(l, n), pts) - vals).max())
         if distance > _IDENTITY_TOL:
             raise NumericError(f"nested and flattened products differ by {distance:.3e} "
                                f"at n = {n}, over {_IDENTITY_TOL:.0e}")

@@ -44,6 +44,11 @@ def _require_finite(phases: np.ndarray) -> None:
         raise InputError("phase angles must be finite")
 
 
+def _require_signal_points(xs: np.ndarray) -> None:
+    if not (np.abs(xs) <= 1.0 + 1e-12).all():  # a positive test, so NaN fails it
+        raise DomainError("signal points must lie in [-1, 1]")
+
+
 def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Realized polynomial values f(xs) for a reflection sequence (kernel path).
 
@@ -54,8 +59,7 @@ def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     if phases.ndim != 1 or xs.ndim != 1:
         raise InputError("phases and points must be 1-d arrays")
     _require_finite(phases)
-    if not (np.abs(xs) <= 1.0 + 1e-12).all():  # a positive test, so NaN fails it
-        raise DomainError("signal points must lie in [-1, 1]")
+    _require_signal_points(xs)
     return phase_chain(phases, xs)
 
 

@@ -30,6 +30,17 @@ def test_dilate_hermitian_random():
     assert np.abs(be.unitary @ be.unitary - np.eye(8)).max() < 1e-11
 
 
+def test_dilation_takes_the_hermitian_part():
+    A, _ = hermitian_with_spectrum(3, [0.9, -0.5, 0.2, -0.85])
+    # exactly Hermitian input enters bit for bit
+    assert np.array_equal(extract(dilate_hermitian(A)).view(np.uint64), A.view(np.uint64))
+    # input Hermitian only within tolerance gives a dilation equal to its own adjoint
+    A[0, 1] += 1e-15
+    U = dilate_hermitian(A).unitary
+    assert np.array_equal(U, U.conj().T)
+    assert np.abs(extract(dilate_hermitian(A)) - A).max() < 1e-15
+
+
 def test_extract_is_a_copy():
     A, _ = hermitian_with_spectrum(5, [0.6, -0.3])
     be = dilate_hermitian(A)

@@ -577,12 +577,17 @@ def dilation_stack(seed, d, stack):
     return np.stack(Us) if stack else Us[0]
 
 
-# lengths with no block divisor (1, 2, 5, 17, 31) are one block and run the
-# slot loop; the others are tiled two levels deep
-_PRODUCT_LENGTHS = [1, 2, 5, 17, 31, 25, 125] + TWO_LEVEL_LENGTHS[:7]
+# list lengths: under 16 slots, prime (no divisor fits, so one block and the
+# slot loop), odd and even with odd and even block lengths (k = _block_length(q)
+# in the comment), and lists tiled two levels deep
+_PRODUCT_LENGTHS = [1, 2, 5, 15, 17, 31,
+                    16, 18, 24, 32, 64,   # k = 4, 3, 4, 4, 8
+                    25, 27, 45, 75, 125,  # k = 5, 3, 5, 5, 5
+                    50, 81, 100, 135]     # k = 5, 9, 10, 9
+_PRODUCT_LENGTHS += [q for q in TWO_LEVEL_LENGTHS if q not in _PRODUCT_LENGTHS]
 
 
-@settings(max_examples=80, deadline=None)
+@settings(max_examples=120, deadline=None)
 @given(st.sampled_from(_PRODUCT_LENGTHS), st.sampled_from([1, 2, 4]), st.sampled_from([0, 3]),
        st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
 def test_phased_product_matches_slot_loop(q, d, stack, subs, kinds, seed):
@@ -656,6 +661,27 @@ def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
     assert sum(leaves) + len(products) == 17
 
 
+def test_flattened_run_merges_blocks_on_a_nearly_hermitian_matrix(monkeypatch):
+    # A is Hermitian only within HERMITICITY_TOL, as a matrix file may be; its
+    # dilation still equals its own adjoint, so every level whose list has a
+    # block divisor takes the blocked product
+    A, _ = hermitian_with_spectrum(5, [-0.9, -0.4, 0.5, 0.8])
+    A[0, 1] += 1e-15
+    assert not np.array_equal(A, A.conj().T)
+    lengths = []
+    row_products = rqet.qet._row_products
+
+    def recording(rows, leaf, times):
+        lengths.append(rows.shape[1])
+        return row_products(rows, leaf, times)
+
+    monkeypatch.setattr(rqet.qet, "_row_products", recording)
+    be, _ = run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)
+    assert lengths == [25, 125, 625]
+    nested, _ = run_sign(A, 0.4, 1e-8, mode="recursive", levels=4)
+    assert operator_norm(be.unitary - nested.unitary) < 1e-9
+
+
 def test_phased_product_memory_stays_small():
     # a random list never repeats a block, so it runs as the slot loop and
     # holds a few matrices, not one per slot (2048 x 16 x 16 x 16 B = 8 MB)
@@ -679,10 +705,17 @@ def test_scalar_run_evaluates_one_chain(monkeypatch):
         return phase_chain(phases, xs)
 
     monkeypatch.setattr("rqet.qsp.phase_chain", counted)
+    monkeypatch.setattr("rqet.qet.phase_chain", counted)
     table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), 0.1, 1e-10, mode="scalar")
     assert rep.rows[-1].n == 8
     assert calls == [5 ** 8]
     assert table.flattened_distance <= 1e-10
+
+
+def test_scalar_run_refuses_an_eigenvalue_just_past_one():
+    # the gap check admits 1 + 1e-9; the chain's points stop at 1 + 1e-12
+    with pytest.raises(DomainError, match="signal points"):
+        run_sign(np.diag([1 + 5e-10, -0.5]).astype(complex), 0.1, 1e-6, mode="scalar")
 
 
 def test_scalar_run_rejects_a_corrupted_flattened_list(monkeypatch):
