@@ -1,30 +1,34 @@
-"""The package's one blocked product of a phase list.
+"""The package's one blocked product of a phase list: planned, then executed.
 
 A phase list of (2l+1)^n slots repeats itself at every scale: the
 5^8-phase sign list has 625 blocks of 625 phases but only 9 distinct
 ones, and they are made of 25-phase blocks that recur in the same way.
-_row_products takes the product of each row of phases by one recursion
-on that, whatever the factors are; the caller passes its arithmetic as
-two plain functions: a leaf that multiplies out rows of phases one step
-per position, vectorized across the rows, and the product of two stacks
-of results.  phase_chain passes the reflection-form 2x2 arithmetic, and
+_plan decides from the phases' bits alone how the product is taken, and
+_execute takes it with the caller's arithmetic, passed as two plain
+functions: a leaf that multiplies out rows of phases one step per
+position, vectorized across the rows, and the product of two stacks of
+results.  phase_chain passes the reflection-form 2x2 arithmetic, and
 qet's dense product passes its slot loop and np.matmul.
 
 - Rows.  A row of k phases is cut into sub-rows of c = _block_length(k)
   phases when c < k.  If the sub-rows repeat (at most half as many
-  distinct ones as sub-rows), each distinct sub-row's product is taken
+  distinct ones as sub-rows), each distinct sub-row's product is planned
   once, the same way one level down, and each row is folded from them.
-  Otherwise the leaf multiplies the rows out.  A list that does not
-  repeat runs one position at a time.
+  Otherwise the rows are the plan's leaf rows.  A list that does not
+  repeat is one leaf row, multiplied out one position at a time.
 - The fold.  Folding m table entries in order is itself a chain.  When
   c = _block_length(m) < m, the sequence is cut into rows of c, the
   distinct rows are folded side by side, and their m/c products are
   folded in turn.  Even without repeats, m steps become ~2*sqrt(m).
 
-The 5^8 sign list takes 33 steps this way instead of ~390,000.  No level
-holds more products than the top split has sub-rows.  The grouping
-differs from a left-to-right loop, so results agree with it to rounding,
-not bit for bit.
+A plan (_Plan) is the leaf rows, then the fold index arrays, each run on
+the table the last one made.  Its products, leaf row-positions plus each
+fold's rows x (steps - 1), are the stacked products executing it forms,
+and what a dense run is charged (qet._check_dense_cost).  The 5^8 sign
+list plans to 249 products in 33 steps, instead of ~390,000.  No fold
+holds more rows than the top split has sub-rows.  The grouping differs
+from a left-to-right loop, so results agree with it to rounding, not bit
+for bit.
 
 Rows, and rows of the fold, merge only when every entry has the same
 bit pattern: -0.0 never merges with 0.0, and a NaN never merges with
@@ -50,6 +54,7 @@ top-left entry divided by the top row's norm.
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 
@@ -124,38 +129,49 @@ def _distinct_rows(blocks: np.ndarray,
     return blocks[first[order]], rank[group].tolist()
 
 
-def _row_products(rows: np.ndarray, leaf, times, most: float = math.inf):
-    """Product of each row of phases: leaf(rows) unless the rows' sub-rows
-    repeat, else each row folded by `times` from the products of the
-    distinct sub-rows, taken the same way.  At most `most`, and at most
-    half of the sub-rows, may be distinct; the top split sets `most`."""
+class _Plan(NamedTuple):
+    """Leaf rows of phases (None in a fold's plan), then fold index arrays in run order."""
+
+    rows: np.ndarray | None
+    folds: list[np.ndarray]
+
+    @property
+    def products(self) -> int:
+        return self.rows.size + sum(len(f) * (f.shape[1] - 1) for f in self.folds)
+
+
+def _plan(rows: np.ndarray, most: float = math.inf, leaf: bool = True) -> _Plan:
+    """Plan of the product of a 1-d phase list, or of each row of a 2-d
+    array that holds phases (leaf) or entries of the table built so far (a
+    fold, whose plan has no leaf rows).  Rows of phases split when at most
+    `most` and at most half of their sub-rows are distinct, and pass on
+    `most` as their sub-row count; rows of a fold split when at most `most`
+    are distinct.  Rows that do not split are the leaf rows, or one fold."""
+    rows = np.atleast_2d(rows)
     k = rows.shape[1]
     c = _block_length(k)
     if c < k:
         subs = rows.reshape(-1, c)
-        most = min(most, len(subs))
-        split = _distinct_rows(subs, min(most, len(subs) // 2))
+        if leaf:
+            most = min(most, len(subs))
+        split = _distinct_rows(subs, min(most, len(subs) // 2) if leaf else most)
         if split is not None:
-            table = _row_products(split[0], leaf, times, most)
-            return _fold(table, np.reshape(split[1], (len(rows), -1)), times, most)
-    return leaf(rows)
+            table, folds = _plan(split[0], most, leaf)
+            index = np.reshape(split[1], (len(rows), -1))
+            return _Plan(table, folds + _plan(index, most, False).folds)
+    return _Plan(rows, []) if leaf else _Plan(None, [rows])
 
 
-def _fold(table: np.ndarray, index: np.ndarray, times, most: float):
-    """Products of the rows of `index`, each an ordered list of entries of
-    `table`; rows of a split are folded side by side when at most `most`
-    are distinct."""
-    m = index.shape[1]
-    c = _block_length(m)
-    if c < m:
-        split = _distinct_rows(index.reshape(-1, c), most)
-        if split is not None:
-            table = _fold(table, split[0], times, most)
-            return _fold(table, np.reshape(split[1], (len(index), -1)), times, most)
-    out = table[index[:, 0]]
-    for g in index.T[1:]:
-        out = times(out, table[g])
-    return out
+def _execute(plan: _Plan, leaf, times):
+    """Product of each row of the planned list: leaf on the plan's rows, then
+    each fold's rows gathered from the table so far and multiplied in order."""
+    table = leaf(plan.rows)
+    for index in plan.folds:
+        out = table[index[:, 0]]
+        for g in index.T[1:]:
+            out = times(out, table[g])
+        table = out
+    return table
 
 
 def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -195,7 +211,5 @@ def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     phases = np.ascontiguousarray(phases, dtype=np.float64)
     x = np.ascontiguousarray(xs, dtype=np.float64)
     w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    if not len(phases):  # the empty product
-        return np.ones(len(x), dtype=np.complex128)
-    r0, r1 = _row_products(phases[None], lambda rows: _block_stage(rows, x, w), _times)[0, 0]
+    r0, r1 = _execute(_plan(phases), lambda rows: _block_stage(rows, x, w), _times)[0, 0]
     return r0 / np.sqrt(np.abs(r0) ** 2 + np.abs(r1) ** 2)

@@ -18,6 +18,7 @@ import sys
 import numpy as np
 
 from . import __version__
+from ._kernels import _plan
 from .blockenc import dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import load_matrix, operator_norm, require_dim
@@ -213,9 +214,9 @@ def _cmd_perturb(args) -> int:
         raise InputError("--iters must be at least 1")
     A, meta = _load_or_generate(args, hermitian=True)
     lo, hi, count = _parse_grid(args.delta_grid)
-    # the reference, the zero perturbation and each grid value: (2l+1)^n slots apiece
-    _check_dense_cost((count + 2) * query_count(args.iters, args.pade_l), A.shape[0])
     flat = flatten_sign_phases(args.pade_l, args.iters)
+    # the reference, the zero perturbation and each grid value: one product of the list apiece
+    _check_dense_cost((count + 2) * _plan(flat).products, A.shape[0])
     largest = float(np.abs(flat).max())
     if not math.isfinite(largest * (1.0 + hi)):  # a Python float overflows to inf, no warning
         raise InputError(f"--delta-grid upper bound {hi:g} scales the phases past float64 "

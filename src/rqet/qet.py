@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _block_length, _row_products, phase_chain
+from ._kernels import _execute, _Plan, _plan, phase_chain
 from .blockenc import BlockEncoding, _dilate_spectrum, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
@@ -29,33 +29,36 @@ from .qsp import (_IDENTITY_TOL, _require_finite, _require_signal_points, canoni
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
 _PLUS_MINUS_I = np.array([1j, -1j])[:, None, None]
-DENSE_BUDGET = 2 ** 32  # slots x max(2d, 32)^3; the largest admitted run takes ~1-4 s on one core
+DENSE_BUDGET = 2 ** 32  # plan products x max(2d, 32)^3; under 1 s of d = 64 products on one core
 
 
-def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
+def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None) -> np.ndarray:
     """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
     one product per leading index, by broadcast matmul.  No checks.
 
-    The slot loop multiplies out rows of slots one position at a time, all
-    rows together as a (rows, ..., 2d, 2d) stack; the last slot of a row
-    takes the plain oracle and the daggers alternate back from it.  The
-    first position is a row scaling: diag(g) times the oracle is the
-    oracle with row i multiplied by g_i, so it takes a broadcast multiply
-    and no matmul; every later position scales the running product's
-    columns and multiplies it by the oracle.  The loop holds the row
-    products, one work stack of the same size and the rotation diagonals
-    of as many positions as fit in one oracle.
-
     When the oracle equals its own adjoint, as the scalar reflection and
     every Hermitian dilation do, a slot's product does not depend on its
-    dagger, so a list whose blocks repeat is multiplied by
-    _kernels._row_products: each distinct block once, folded by np.matmul.
-    That agrees with the slot loop to rounding.  Any other oracle, and a
-    list whose length has no block divisor (every 5-slot base list), runs
-    the slot loop over the whole list, with neither test.
+    dagger, so the list is multiplied by `plan`, or _kernels._plan(phases)
+    if none is given: each distinct block once, folded by np.matmul, which
+    agrees with the slot loop to rounding.  Any other oracle, and a list
+    whose blocks do not repeat, gets the one-row plan: the slot loop.
+
+    The slot loop, the plan's leaf, multiplies out rows of slots one
+    position at a time, all rows together as a (rows, ..., 2d, 2d) stack;
+    the last slot of a row takes the plain oracle and the daggers
+    alternate back from it.  The first position is a row scaling: diag(g)
+    times the oracle is the oracle with row i multiplied by g_i, so it
+    takes a broadcast multiply and no matmul; every later position scales
+    the running product's columns and multiplies it by the oracle.  The
+    loop holds the row products, one work stack of the same size and the
+    rotation diagonals of as many positions as fit in one oracle.
     """
     d = U.shape[-1] // 2
     pair = (U, np.swapaxes(U.conj(), -1, -2))
+    if plan is None:
+        plan = _plan(phases)
+    if plan.folds and not np.array_equal(U, pair[1]):
+        plan = _Plan(phases[None], [])
 
     def slots(rows: np.ndarray) -> np.ndarray:
         shape = (len(rows),) + (1,) * U.ndim
@@ -78,10 +81,7 @@ def _phased_product(U: np.ndarray, phases: np.ndarray) -> np.ndarray:
                 M, work = work, M
         return M
 
-    q = len(phases)
-    if _block_length(q) < q and np.array_equal(U, pair[1]):
-        return _row_products(phases[None], slots, np.matmul)[0]
-    return slots(phases[None])[0]
+    return _execute(plan, slots, np.matmul)[0]
 
 
 def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
@@ -91,10 +91,9 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     exp(i phase_j (2P - I)) followed by the oracle or its adjoint per the
     dagger template, so the final slot always carries the plain oracle.
     Over a general dilation the same product acts on singular values.
-    On an oracle that equals its own adjoint, a list whose blocks repeat,
-    as every flattened sign list's do, is multiplied by the blocked
-    recursion the scalar chain uses, each distinct block once
-    (_phased_product); other lists and oracles run slot by slot.
+    A list whose blocks repeat, as every flattened sign list's do, is
+    multiplied by its plan, each distinct block once, when the oracle
+    equals its own adjoint (_phased_product); others run slot by slot.
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
@@ -176,36 +175,17 @@ def _check_phase_count(levels: int, l: int) -> None:
     raise DomainError(f"{levels} levels need {need} per float64 list), over the cap of {MAX_PHASES}")
 
 
-def _check_budget(cost: int, work: str, estimate: str) -> None:
+def _check_dense_cost(products: int, dim: int) -> None:
+    """Refuse a run of `products` dense products, its plans' count
+    (_Plan.products), on a d = dim system when products x max(2d, 32)^3
+    exceeds DENSE_BUDGET; the floor of 32 on the dilation size stands for
+    the per-product Python overhead."""
+    cost = products * max(2 * dim, 32) ** 3
     if cost > DENSE_BUDGET:
-        raise DomainError(f"{work} cost an estimated 2^{math.log2(cost):.1f} ({estimate}), "
+        count = products if products < 2 ** 53 else f"2^{math.log2(products):.1f}"
+        raise DomainError(f"{count} dense products at dimension {dim} cost an estimated "
+                          f"2^{math.log2(cost):.1f} (products x max(2d, 32)^3), "
                           f"over the budget of 2^{math.log2(DENSE_BUDGET):.0f}")
-
-
-def _check_dense_cost(slots: int, dim: int) -> None:
-    """Refuse a dense run of `slots` phased-product slots on a d = dim
-    system whose cost estimate exceeds DENSE_BUDGET; the floor of 32 on
-    the dilation size stands for the per-slot Python overhead.  The
-    estimate assumes no slot repeats: a list whose blocks repeat, as a
-    flattened sign list's do, costs far less on a Hermitian dilation
-    (_phased_product)."""
-    count = slots if slots < 2 ** 53 else f"2^{math.log2(slots):.1f}"
-    _check_budget(slots * max(2 * dim, 32) ** 3, f"{count} dense slots at dimension {dim}",
-                  "slots x max(2d, 32)^3")
-
-
-def _check_scalar_cost(points: int, phases: int) -> None:
-    """Refuse a scalar run that evaluates `phases` chain phases at each of
-    `points` points when it exceeds DENSE_BUDGET, at 2^6 dense units
-    (~15 ns, from 0.51 ms per d = 64 slot) per point-phase.  Scalar mode
-    only evaluates flattened sign lists, whose blocks repeat at every
-    scale, so phase_chain takes far less than the charge: 0.04-2.5 ns per
-    point-phase for the sign lists of l = 2, 8 and 20 (5^9 phases at 34
-    points take ~3 ms).  The charge stays as it was, so the same runs
-    are admitted; a list that does not repeat runs one position at a
-    time (0.2-0.5 us per point-phase), but no run evaluates one."""
-    _check_budget(points * phases * 2 ** 6, f"{points} points x {phases} chain phases",
-                  "point-phases x 2^6")
 
 
 def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
@@ -441,12 +421,12 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     distance over _IDENTITY_TOL raises NumericError; the table keeps the
     nested values.  Only the last two build lists; recursive mode counts
     distinct angles by distinct_angles.  Every mode refuses runs of more
-    than MAX_PHASES queries; flattened and scalar modes, whose work grows
-    as (2l+1)^n, also refuse runs over DENSE_BUDGET, flattened mode
-    counting the slots of all n levels and scalar mode 2^6 units per
-    point-phase of its one flattened chain.  A row's wall_time_ms covers
-    the level's construction (compose, assemble or nested step), not its
-    error check nor scalar mode's final flattened check.
+    than MAX_PHASES queries.  Flattened mode composes and plans every level
+    first and refuses a run whose plans' products together exceed
+    DENSE_BUDGET before any product is formed; each level then runs its
+    plan.  A row's wall_time_ms covers the level's construction (compose,
+    plan and product, or one nested step), not its error check nor scalar
+    mode's final flattened check.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -463,12 +443,17 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     if n < 0:
         raise InputError("levels must be nonnegative")
     _check_phase_count(n, l)
-    if mode == "flattened":
-        _check_dense_cost(sum(query_count(k, l) for k in range(1, n + 1)), A.shape[0])
+    base = pade_phases(l)
+    if mode == "flattened":  # each level's list, its plan and the seconds spent making them
+        plans, flat = [], base
+        for k in range(n):
+            t0 = time.perf_counter()
+            if k:
+                flat = compose_phases(flat, base)
+            plans.append((flat, _plan(flat), time.perf_counter() - t0))
+        _check_dense_cost(sum(plan.products for _, plan, _ in plans), A.shape[0])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
-        _check_scalar_cost(len(pts), query_count(n, l))  # the one flattened chain
-    base = pade_phases(l)
     target = _sign_of(spectrum)
     report = IterationReport(mode, delta, eps, l)
 
@@ -497,16 +482,15 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
                                f"at n = {n}, over {_IDENTITY_TOL:.0e}")
         return ScalarSignTable(pts, vals, distance), report
 
-    flat = base
     be0 = be = _dilate_spectrum(A, spectrum)
     for k in range(1, n + 1):
         t0 = time.perf_counter()
         if mode == "recursive":
             be = qet_recursive_step(be, base)
         else:
-            if k > 1:
-                flat = compose_phases(flat, base)
-            be = qet_recursive_step(be0, flat)
+            flat, plan, planning = plans[k - 1]
+            t0 -= planning
+            be = BlockEncoding(_phased_product(be0.unitary, flat, plan), be0.system_dim)
         ms = (time.perf_counter() - t0) * 1e3
         report.add(k, operator_norm(extract(be) - target), ms)
     return be, report

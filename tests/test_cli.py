@@ -8,6 +8,7 @@ import pytest
 
 from rqet import save_matrix
 from rqet.cli import main
+from rqet.qet import MAX_PHASES
 from conftest import hermitian_with_spectrum
 
 
@@ -248,32 +249,38 @@ def test_over_cap_runs_fail_before_composing(monkeypatch, capsys):
     assert main(["polar-run", "--seed", "1", "--dim", "2", "--iters", "11"]) == 3
 
 
-def test_over_budget_scalar_runs_fail_before_composing(monkeypatch, capsys):
-    # 85 points x a random chain of 5^10 phases would take ~15 s; nothing may be built
-    def refuse(*_):
-        raise AssertionError("scalar work started past the budget")
-
-    monkeypatch.setattr("rqet.qet.compose_phases", refuse)
-    monkeypatch.setattr("rqet.qet.pade_phases", refuse)
-    assert main(["sign-run", "--seed", "1", "--dim", "64", "--mode", "scalar",
-                 "--iters", "10"]) == 3
-    assert "85 points x 9765625 chain phases" in capsys.readouterr().err
+@pytest.mark.parametrize("l", range(2, 21, 2))
+def test_scalar_runs_at_the_phase_cap_are_admitted(l, capsys):
+    # no scalar run is charged a budget: the deepest list under MAX_PHASES, at
+    # 85 points (d = 64), plans to at most 8,241 products and takes well under
+    # a second; l = 2, n = 10 ends in the nested stack's drift, a numeric error
+    n = max(k for k in range(1, 11) if (2 * l + 1) ** k <= MAX_PHASES)
+    code = main(["sign-run", "--seed", "1", "--dim", "64", "--mode", "scalar",
+                 "--pade-l", str(l), "--iters", str(n)])
+    if (l, n) == (2, 10):
+        assert code == 4
+        assert "nested and flattened products differ" in capsys.readouterr().err
+    else:
+        assert code == 0
 
 
 def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):
-    # 11 x 5^10 slots at d = 64 would take about 15 h; nothing may be built
+    # grid errors come before any list is composed
     def refuse(*_):
         raise AssertionError("dense work started before the input checks")
 
-    monkeypatch.setattr("rqet.qet.qet_assemble", refuse)
     monkeypatch.setattr("rqet.qet.compose_phases", refuse)
     assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "4",
                  "--delta-grid", "nope"]) == 2
     assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "4",
                  "--delta-grid", "1e-6:inf:3"]) == 2
     assert "bounds must be finite" in capsys.readouterr().err
+    # 11 products of the 5^10 list's 321-product plan at d = 64 are over the
+    # budget; the list may be built and planned, but no product formed
+    monkeypatch.undo()
+    monkeypatch.setattr("rqet.qet._phased_product", refuse)
     assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "10"]) == 3
-    assert "107421875 dense slots" in capsys.readouterr().err
+    assert "3531 dense products" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("command", ["phases", "sign-run", "polar-run", "perturb"])

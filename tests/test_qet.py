@@ -18,8 +18,8 @@ from rqet import (DomainError, InputError, NumericError, ScalarSignTable,
 import rqet.qet
 from rqet import _kernels
 from rqet._kernels import _block_length, _distinct_rows, phase_chain
-from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _check_scalar_cost,
-                      _phased_product, scalar_grid)
+from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _phased_product,
+                      scalar_grid)
 from conftest import TWO_LEVEL_LENGTHS, hermitian_with_spectrum, two_level_tiled
 
 
@@ -380,60 +380,32 @@ def test_run_sign_depth_cap(gapped8, monkeypatch):
     _, rep = run_sign(A, 0.5, 1e-14, mode="scalar")
     assert rep.rows[-1].n == 5
 
-    # flattened n = 5 at d = 64 is 5 + 25 + ... + 3125 = 3905 slots, over
-    # the dense budget; nothing may be composed or assembled
+    # flattened n = 5 at d = 64 (3,905 slots) is charged its plans' 345
+    # products, within the dense budget, and runs
+    vals = np.linspace(0.5, 1.0, 64) * np.resize([1.0, -1.0], 64)
+    A64, _ = hermitian_with_spectrum(7, vals)
+    _, rep = run_sign(A64, 0.5, 1e-14, mode="flattened")
+    assert rep.rows[-1].n == 5 and rep.rows[-1].error < 1e-10
+
+    # at l = 8, n = 4 the plans hold 17 + 289 + 849 + 1377 = 2532 products,
+    # over the budget; the lists may be composed and planned, which the phase
+    # cap bounds, but no product may be formed
     def refuse(*_):
         raise AssertionError("dense work started over the budget")
 
-    monkeypatch.setattr("rqet.qet.qet_assemble", refuse)
-    monkeypatch.setattr("rqet.qet.compose_phases", refuse)
-    vals = np.linspace(0.5, 1.0, 64) * np.resize([1.0, -1.0], 64)
-    A64, _ = hermitian_with_spectrum(7, vals)
-    with pytest.raises(DomainError, match="3905 dense slots"):
-        run_sign(A64, 0.5, 1e-14, mode="flattened")
+    monkeypatch.setattr("rqet.qet._phased_product", refuse)
+    with pytest.raises(DomainError, match="2532 dense products"):
+        run_sign(A64, 0.5, 1e-14, l=8, mode="flattened", levels=4)
 
 
 def test_dense_budget_boundary():
     # max(2d, 32)^3 is 2^21 at d = 64 and 2^15 for every d <= 16
     _check_dense_cost(2048, 64)
-    with pytest.raises(DomainError, match="2049 dense slots"):
+    with pytest.raises(DomainError, match="2049 dense products"):
         _check_dense_cost(2049, 64)
     _check_dense_cost(131_072, 8)
-    with pytest.raises(DomainError, match="131073 dense slots"):
+    with pytest.raises(DomainError, match="131073 dense products"):
         _check_dense_cost(131_073, 8)
-
-
-def test_scalar_budget_boundary():
-    # 2^6 units per point-phase of the one flattened chain: 5^9 phases (l = 2,
-    # n = 9) fit 34 points but not 35, 17^5 (l = 8, n = 5) fit 47 but not 48,
-    # 5^10 not even the 21-point grid, and the criterion-4 run (25 points, 5^8)
-    # uses 15% of the budget
-    _check_scalar_cost(34, query_count(9, 2))
-    with pytest.raises(DomainError, match="35 points x 1953125 chain phases"):
-        _check_scalar_cost(35, query_count(9, 2))
-    _check_scalar_cost(47, query_count(5, 8))
-    with pytest.raises(DomainError, match="48 points x 1419857 chain phases"):
-        _check_scalar_cost(48, query_count(5, 8))
-    with pytest.raises(DomainError, match="21 points x 9765625 chain phases"):
-        _check_scalar_cost(21, query_count(10, 2))
-    _check_scalar_cost(25, query_count(8, 2))
-
-
-def test_scalar_run_is_charged_for_its_final_chain(monkeypatch):
-    # 21 grid points plus 13 eigenvalues are admitted at n = 9; counting all
-    # nine levels (2,441,405 phases) refused them, and 14 eigenvalues still are
-    class Admitted(Exception):
-        pass
-
-    def admitted(*_):
-        raise Admitted
-
-    monkeypatch.setattr("rqet.qet.flatten_sign_phases", admitted)
-    for d, outcome in ((13, Admitted), (14, DomainError)):
-        vals = np.linspace(0.05, 0.95, d) * np.resize([1.0, -1.0], d)
-        A, _ = hermitian_with_spectrum(3, vals)
-        with pytest.raises(outcome, match=None if d == 13 else f"{21 + d} points x 1953125 chain"):
-            run_sign(A, 0.03, 1e-6, mode="scalar", levels=9)
 
 
 def test_run_sign_zero_levels(gapped8):
@@ -636,12 +608,12 @@ def test_phased_product_without_repeats_is_the_slot_loop(q):
 
 
 def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
-    # record the recursion's stacked steps: each slot loop's row length, and
+    # record the executor's stacked steps: each slot loop's row length, and
     # each product of the fold
     leaves, products = [], []
-    row_products = rqet.qet._row_products
+    execute = rqet.qet._execute
 
-    def recording(rows, leaf, times):
+    def recording(plan, leaf, times):
         def counted_leaf(r):
             leaves.append(r.shape[1])
             return leaf(r)
@@ -650,9 +622,9 @@ def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
             products.append(len(a))
             return times(a, b)
 
-        return row_products(rows, counted_leaf, counted_times)
+        return execute(plan, counted_leaf, counted_times)
 
-    monkeypatch.setattr(rqet.qet, "_row_products", recording)
+    monkeypatch.setattr(rqet.qet, "_execute", recording)
     flat = flatten_sign_phases(2, 4)
     U = dilation_stack(7, 8, 0)
     assert np.abs(_phased_product(U, flat) - slot_loop(U, flat)).max() < 1e-13
@@ -663,23 +635,85 @@ def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
 
 def test_flattened_run_merges_blocks_on_a_nearly_hermitian_matrix(monkeypatch):
     # A is Hermitian only within HERMITICITY_TOL, as a matrix file may be; its
-    # dilation still equals its own adjoint, so every level whose list has a
-    # block divisor takes the blocked product
+    # dilation still equals its own adjoint, so the levels whose blocks repeat
+    # (125 and 625 slots) run blocked plans, and the products stay right
     A, _ = hermitian_with_spectrum(5, [-0.9, -0.4, 0.5, 0.8])
     A[0, 1] += 1e-15
     assert not np.array_equal(A, A.conj().T)
-    lengths = []
-    row_products = rqet.qet._row_products
+    U = dilate_hermitian(A).unitary
+    assert np.array_equal(U, U.conj().T)
+    blocked = []
+    execute = rqet.qet._execute
 
-    def recording(rows, leaf, times):
-        lengths.append(rows.shape[1])
-        return row_products(rows, leaf, times)
+    def recording(plan, leaf, times):
+        blocked.append(len(plan.folds) > 0)
+        return execute(plan, leaf, times)
 
-    monkeypatch.setattr(rqet.qet, "_row_products", recording)
+    monkeypatch.setattr(rqet.qet, "_execute", recording)
     be, _ = run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)
-    assert lengths == [25, 125, 625]
+    assert blocked == [False, False, True, True]
     nested, _ = run_sign(A, 0.4, 1e-8, mode="recursive", levels=4)
     assert operator_norm(be.unitary - nested.unitary) < 1e-9
+
+
+def _counting_execute(monkeypatch):
+    """Record (plan.products, the work done) for every plan executed: the leaf's
+    row-positions plus the stacked entries of every product of a fold."""
+    runs, execute = [], _kernels._execute
+
+    def counted(plan, leaf, times):
+        work = []
+
+        def counted_leaf(rows):
+            work.append(rows.size)
+            return leaf(rows)
+
+        def counted_times(a, b):
+            work.append(len(a))
+            return times(a, b)
+
+        out = execute(plan, counted_leaf, counted_times)
+        runs.append((plan.products, sum(work)))
+        return out
+
+    monkeypatch.setattr(_kernels, "_execute", counted)
+    monkeypatch.setattr(rqet.qet, "_execute", counted)
+    return runs
+
+
+@pytest.mark.parametrize("source", [(2, 8), (4, 4), (8, 3), (20, 3)]
+                         + [("tiled", q) for q in TWO_LEVEL_LENGTHS])
+def test_plan_charges_the_work_it_does(monkeypatch, source):
+    if source[0] == "tiled":
+        phases = two_level_tiled(np.random.default_rng(source[1]), source[1], 2, 2)
+    else:
+        phases = flatten_sign_phases(*source)
+    runs = _counting_execute(monkeypatch)
+    phase_chain(phases, scalar_grid(0.1))
+    _phased_product(dilation_stack(1, 2, 0), phases)
+    assert len(runs) == 2
+    assert all(products == work for products, work in runs)
+    assert runs[0] == runs[1]
+
+
+def test_each_list_is_planned_once(monkeypatch):
+    pade_phases(2)  # a cold derivation plans the base list for its round-trip check
+    planned, plan = [], _kernels._plan
+
+    def recording(rows, *args):
+        if np.ndim(rows) == 1:  # a list, not the plan's own recursion
+            planned.append(len(rows))
+        return plan(rows, *args)
+
+    monkeypatch.setattr(_kernels, "_plan", recording)
+    monkeypatch.setattr(rqet.qet, "_plan", recording)
+    A, _ = hermitian_with_spectrum(5, [-0.9, -0.4, 0.5, 0.8])
+    run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)
+    assert planned == [5, 25, 125, 625]
+    planned.clear()
+    # the nested levels plan the base list, and the one flattened chain is planned once
+    run_sign(A, 0.4, 1e-8, mode="scalar", levels=6)
+    assert planned == [5] * 6 + [5 ** 6]
 
 
 def test_phased_product_memory_stays_small():
