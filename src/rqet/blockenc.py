@@ -27,8 +27,11 @@ _UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BlockEncoding:
+    """qubitized: the unitary is [[P, Q], [Q^dag, -P^dag]], P and Q commuting normal
+    blocks; set only by the Hermitian dilation, kept by qet_recursive_step on odd lists."""
     unitary: np.ndarray
     system_dim: int
+    qubitized: bool = False
     ancilla_dim: ClassVar[int] = 2
     reference_index: ClassVar[int] = 0   # the encoded block is the top-left one
     alpha: ClassVar[float] = 1.0
@@ -70,7 +73,7 @@ def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
     B = (B + B.conj().T) / 2
     U = np.block([[A, B], [B, -A]])
     _check_unitary(U, "Hermitian dilation")
-    return BlockEncoding(U, A.shape[0])
+    return BlockEncoding(U, A.shape[0], qubitized=True)
 
 
 def dilate_general(A: np.ndarray) -> BlockEncoding:

@@ -18,13 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import _plan
-from .blockenc import dilate_hermitian, extract
+from ._kernels import _Plan, _plan
+from .blockenc import dilate_hermitian
 from .errors import DomainError, InputError, NumericError
 from .linalg import load_matrix, operator_norm, require_dim
 from .poly import check_qet_conditions, load_poly, pade
-from .qet import (_check_dense_cost, _check_phase_count, coherent_perturb, distinct_angles,
-                  flatten_sign_phases, qet_recursive_step, query_count, run_sign)
+from .qet import (_check_dense_cost, _check_phase_count, _phased_product, coherent_perturb,
+                  distinct_angles, flatten_sign_phases, query_count, run_sign)
 from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
 
@@ -215,19 +215,21 @@ def _cmd_perturb(args) -> int:
     A, meta = _load_or_generate(args, hermitian=True)
     lo, hi, count = _parse_grid(args.delta_grid)
     flat = flatten_sign_phases(args.pade_l, args.iters)
-    # the reference, the zero perturbation and each grid value: one product of the list apiece
-    _check_dense_cost((count + 2) * _plan(flat).products, A.shape[0])
+    plan = _plan(flat)
+    # the reference, the zero perturbation and each grid value: one product of the plan apiece
+    _check_dense_cost((count + 2) * plan.products, A.shape[0])
     largest = float(np.abs(flat).max())
     if not math.isfinite(largest * (1.0 + hi)):  # a Python float overflows to inf, no warning
         raise InputError(f"--delta-grid upper bound {hi:g} scales the phases past float64 "
                          f"(largest |phase| {largest:.6g})")
-    be = dilate_hermitian(A)
-    X_ref = extract(qet_recursive_step(be, flat))
+    U, n = dilate_hermitian(A).unitary, A.shape[0]  # its own adjoint: any plan runs as given
+
+    def encoded(rel: float) -> np.ndarray:  # scaling keeps equal rows equal: the plan holds
+        return _phased_product(U, None, _Plan(coherent_perturb(plan.rows, rel), plan.folds))[:n, :n]
+    X_ref = encoded(0.0)
     rows = ["delta,error"]
     for d in np.concatenate(([0.0], np.geomspace(lo, hi, count))):
-        noisy = coherent_perturb(flat, float(d))
-        X = extract(qet_recursive_step(be, noisy))
-        rows.append(f"{float(d):.17g},{operator_norm(X - X_ref):.17g}")
+        rows.append(f"{float(d):.17g},{operator_norm(encoded(float(d)) - X_ref):.17g}")
     _emit("\n".join(rows) + "\n", args.out)
     summary = {"command": "perturb", "levels": args.iters,
                "phase_count": int(len(flat)), **meta}

@@ -29,10 +29,12 @@ from .qsp import (_IDENTITY_TOL, _require_finite, _require_signal_points, canoni
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
 _PLUS_MINUS_I = np.array([1j, -1j])[:, None, None]
-DENSE_BUDGET = 2 ** 32  # plan products x max(2d, 32)^3; under 1 s of d = 64 products on one core
+_DENSE_FLOOR = 32  # dilation size 2d below which a product costs about its Python overhead
+DENSE_BUDGET = 2 ** 32  # products x max(2d, _DENSE_FLOOR)^3: under 1 s of d = 64 ones, one core
 
 
-def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None) -> np.ndarray:
+def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None,
+                    qubitized: bool = False) -> np.ndarray:
     """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
     one product per leading index, by broadcast matmul.  No checks.
 
@@ -51,7 +53,10 @@ def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None
     takes a broadcast multiply and no matmul; every later position scales
     the running product's columns and multiplies it by the oracle.  The
     loop holds the row products, one work stack of the same size and the
-    rotation diagonals of as many positions as fit in one oracle.
+    rotation diagonals of as many positions as fit in one oracle.  A
+    qubitized oracle under the one-row plan at 2d >= _DENSE_FLOOR keeps only
+    the top d rows, bit for bit the slot loop's, and writes the bottom block
+    row from them: k slots give [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(k+1).
     """
     d = U.shape[-1] // 2
     pair = (U, np.swapaxes(U.conj(), -1, -2))
@@ -59,13 +64,16 @@ def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None
         plan = _plan(phases)
     if plan.folds and not np.array_equal(U, pair[1]):
         plan = _Plan(phases[None], [])
+    top = qubitized and not plan.folds and 2 * d >= _DENSE_FLOOR
 
     def slots(rows: np.ndarray) -> np.ndarray:
         shape = (len(rows),) + (1,) * U.ndim
         ep, em = np.exp(_PLUS_MINUS_I * rows.T)  # exp(+-i phi) of every position, in one call
         first = 1 - rows.shape[1] % 2  # pair[first] opens the row, so the last slot is plain
         M = np.empty((len(rows),) + U.shape, dtype=np.complex128)
-        work = np.empty_like(M)
+        work, opener = np.empty_like(M), pair[first]
+        if top:  # (d x 2d)(2d x 2d) products from the second slot on
+            M, work, opener = M[..., :d, :], work[..., :d, :], opener[..., :d, :]
         chunk = max(1, U.size // (len(rows) * 2 * d))  # positions whose diagonals fit in one oracle
         diag = np.empty((chunk,) + shape[:-1] + (2 * d,), dtype=np.complex128)
         for j0 in range(0, len(ep), chunk):
@@ -73,12 +81,17 @@ def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None
             diag[:c, ..., :d] = ep[j0 : j0 + c].reshape((c,) + shape)
             diag[:c, ..., d:] = em[j0 : j0 + c].reshape((c,) + shape)
             for j, g in enumerate(diag[:c], j0):
-                if j == 0:  # diag(g) times the oracle: its rows scaled by g
-                    np.multiply(np.swapaxes(g, -1, -2), pair[first], out=work)
+                if j == 0:  # diag(g) times the oracle: its rows scaled by g (the top d by ep[0])
+                    np.multiply(ep[0].reshape(shape) if top else np.swapaxes(g, -1, -2), opener,
+                                out=work)
                 else:
                     M *= g
                     np.matmul(M, pair[(j + first) % 2], out=work)
                 M, work = work, M
+        if top:  # M.base: the buffer the last slot wrote; T[..., i, b, j]: row i of block b
+            M, T = M.base, M.reshape(M.shape[:-1] + (2, d))
+            np.conjugate(np.swapaxes(T[..., ::-1, :], -1, -3), out=M[..., d:, :].reshape(T.shape))
+            M[..., d:, :] *= np.repeat([1 - 2 * first, 2 * first - 1], d)  # s and -s
         return M
 
     return _execute(plan, slots, np.matmul)[0]
@@ -92,19 +105,21 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     dagger template, so the final slot always carries the plain oracle.
     Over a general dilation the same product acts on singular values.
     A list whose blocks repeat, as every flattened sign list's do, is
-    multiplied by its plan, each distinct block once, when the oracle
-    equals its own adjoint (_phased_product); others run slot by slot.
+    multiplied by its plan when the oracle equals its own adjoint, others
+    slot by slot, over a qubitized encoding by its top block row (_phased_product).
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
         raise InputError("phase list must be a nonempty 1-d array")
     _require_finite(phases)
-    return _phased_product(be.unitary, phases)
+    return _phased_product(be.unitary, phases, qubitized=be.qubitized)
 
 
 def qet_recursive_step(be: BlockEncoding, phases: np.ndarray) -> BlockEncoding:
-    """One nesting level: the assembled unitary becomes the next oracle."""
-    return BlockEncoding(qet_assemble(be, phases), be.system_dim)
+    """One nesting level: the assembled unitary becomes the next oracle, qubitized
+    if this one is and the list is odd (even: [[P, Q], [-Q^dag, P^dag]])."""
+    return BlockEncoding(qet_assemble(be, phases), be.system_dim,
+                         be.qubitized and len(phases) % 2 == 1)
 
 
 def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -178,13 +193,13 @@ def _check_phase_count(levels: int, l: int) -> None:
 def _check_dense_cost(products: int, dim: int) -> None:
     """Refuse a run of `products` dense products, its plans' count
     (_Plan.products), on a d = dim system when products x max(2d, 32)^3
-    exceeds DENSE_BUDGET; the floor of 32 on the dilation size stands for
-    the per-product Python overhead."""
-    cost = products * max(2 * dim, 32) ** 3
+    exceeds DENSE_BUDGET; _DENSE_FLOOR = 32, which also gates the top-row
+    form of _phased_product, stands for the per-product Python overhead."""
+    cost = products * max(2 * dim, _DENSE_FLOOR) ** 3
     if cost > DENSE_BUDGET:
         count = products if products < 2 ** 53 else f"2^{math.log2(products):.1f}"
         raise DomainError(f"{count} dense products at dimension {dim} cost an estimated "
-                          f"2^{math.log2(cost):.1f} (products x max(2d, 32)^3), "
+                          f"2^{math.log2(cost):.1f} (products x max(2d, {_DENSE_FLOOR})^3), "
                           f"over the budget of 2^{math.log2(DENSE_BUDGET):.0f}")
 
 

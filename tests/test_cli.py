@@ -6,6 +6,7 @@ import warnings
 
 import pytest
 
+import rqet.cli
 from rqet import save_matrix
 from rqet.cli import main
 from rqet.qet import MAX_PHASES
@@ -279,8 +280,25 @@ def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):
     # budget; the list may be built and planned, but no product formed
     monkeypatch.undo()
     monkeypatch.setattr("rqet.qet._phased_product", refuse)
+    monkeypatch.setattr("rqet.cli._phased_product", refuse)
     assert main(["perturb", "--seed", "1", "--dim", "64", "--iters", "10"]) == 3
     assert "3531 dense products" in capsys.readouterr().err
+
+
+def test_perturb_plans_its_list_once(monkeypatch):
+    # every perturbed list runs the reference's plan with its rows scaled:
+    # no scaled copy of the list is built and nothing is planned again
+    planned, plan = [], rqet.cli._plan
+
+    def recording(rows, *args):
+        planned.append(len(rows))
+        return plan(rows, *args)
+
+    monkeypatch.setattr("rqet.cli._plan", recording)
+    monkeypatch.setattr("rqet.qet._plan", recording)
+    assert main(["perturb", "--seed", "1", "--dim", "2", "--iters", "4",
+                 "--delta-grid", "1e-6:1e-2:5"]) == 0
+    assert planned == [625]
 
 
 @pytest.mark.parametrize("command", ["phases", "sign-run", "polar-run", "perturb"])

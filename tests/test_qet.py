@@ -1,3 +1,4 @@
+import os
 import tracemalloc
 from math import comb
 
@@ -6,15 +7,16 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from rqet import (DomainError, InputError, NumericError, ScalarSignTable,
+from rqet import (BlockEncoding, DomainError, InputError, NumericError, ScalarSignTable,
                   canonicalize_angles, check_flattened_structure,
                   chebyshev_reflection_phases, coherent_perturb,
                   complexity_estimate, compose_phases, dilate_general, dilate_hermitian,
                   distinct_angles, distinct_nonzero_angles, error_bound, extract,
                   flatten_sign_phases, hermitian_eig, operator_norm, pade,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
-                  query_count, recovery_cost, run_sign, scalar_sign_iterate,
+                  query_count, recovery_cost, run_polar, run_sign, scalar_sign_iterate,
                   sign_iterations)
+import rqet.cli
 import rqet.qet
 from rqet import _kernels
 from rqet._kernels import _block_length, _distinct_rows, phase_chain
@@ -559,9 +561,27 @@ _PRODUCT_LENGTHS = [1, 2, 5, 15, 17, 31,
 _PRODUCT_LENGTHS += [q for q in TWO_LEVEL_LENGTHS if q not in _PRODUCT_LENGTHS]
 
 
+_U = 2.0 ** -53  # unit roundoff of float64
+
+
+def slot_loop_extended(U, phases):
+    """slot_loop in np.clongdouble (64-bit mantissa on x86-64): the exact
+    product, as far as the float64 products' rounding is concerned."""
+    U = np.asarray(U, dtype=np.clongdouble)
+    Ud = np.swapaxes(U.conj(), -1, -2)
+    out = None
+    for phi, dag in zip(phases, template_daggers(len(phases))):
+        e = np.exp(np.clongdouble(1j) * np.longdouble(phi))
+        diag = np.repeat(np.array([e, e.conj()]), U.shape[-1] // 2)
+        oracle = Ud if dag else U
+        out = diag[:, None] * oracle if out is None else (out * diag) @ oracle
+    return out
+
+
 @settings(max_examples=120, deadline=None)
 @given(st.sampled_from(_PRODUCT_LENGTHS), st.sampled_from([1, 2, 4]), st.sampled_from([0, 3]),
        st.integers(1, 5), st.integers(1, 3), st.integers(0, 2 ** 32 - 1))
+@example(q=2401, d=4, stack=3, subs=1, kinds=1, seed=232)  # 1.32e-13 apart, 0.50 q u
 def test_phased_product_matches_slot_loop(q, d, stack, subs, kinds, seed):
     phases = two_level_tiled(np.random.default_rng(seed), q, subs, kinds)
     U = dilation_stack(seed % 1000, d, stack)
@@ -572,7 +592,23 @@ def test_phased_product_matches_slot_loop(q, d, stack, subs, kinds, seed):
         # no divisor, or blocks that repeat too little: the slot loop itself
         assert np.array_equal(fast.view(np.uint64), ref.view(np.uint64))
     else:
-        assert np.abs(fast - ref).max() < 1e-13
+        # a deduplicated block rounds the same way wherever it recurs, so the
+        # errors add coherently, linearly in q: each product is within q u of
+        # the exact one (next test), and the two are within 2 q u of each other
+        assert np.abs(fast - ref).max() < 2 * q * _U
+
+
+# the hypothesis example above, and the largest errors found in 300 random
+# draws of its strategy at q = 100 and q = 16 (0.91 and 0.80 q u, blocked)
+@pytest.mark.parametrize("q, d, stack, subs, kinds, seed", [(2401, 4, 3, 1, 1, 232),
+                                                          (100, 2, 3, 1, 3, 1934192851),
+                                                          (16, 2, 3, 2, 3, 3017867663)])
+def test_products_round_within_q_units(q, d, stack, subs, kinds, seed):
+    phases = two_level_tiled(np.random.default_rng(seed), q, subs, kinds)
+    U = dilation_stack(seed % 1000, d, stack)
+    exact = slot_loop_extended(U, phases)
+    for product in (_phased_product(U, phases), slot_loop(U, phases)):
+        assert np.abs(product - exact).max() < q * _U
 
 
 @pytest.mark.parametrize("q", [625, 1296])
@@ -728,6 +764,88 @@ def test_phased_product_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 21
+
+
+def _hermitian_dilation(d, seed):
+    return dilate_hermitian(hermitian_with_spectrum(seed, np.random.default_rng(seed)
+                                                    .uniform(-1, 1, d))[0])
+
+
+@pytest.mark.parametrize("d", [16, 32, 64])
+@pytest.mark.parametrize("q", [1, 2, 5, 16, 17, 125])
+def test_qubitized_product_carries_the_top_block_row(d, q):
+    # a random list has the one-row plan, so over a Hermitian dilation at
+    # 2d >= 32 the slot loop runs on the top d rows, and the bottom block row
+    # is written from them
+    be = _hermitian_dilation(d, q)
+    assert be.qubitized
+    phases = np.random.default_rng(q).uniform(-np.pi, np.pi, q)
+    got, ref = qet_assemble(be, phases), slot_loop(be.unitary, phases)
+    assert np.array_equal(got[:d].view(np.uint64), ref[:d].view(np.uint64))
+    # the two bottom rows round independently: measured up to 3.8 q u
+    assert np.abs(got[d:] - ref[d:]).max() < 16 * q * _U
+
+
+def test_nested_qubitized_levels_match_full_products_and_the_spectrum():
+    d, base = 64, pade_phases(2)
+    rng = np.random.default_rng(11)
+    w = rng.uniform(0.3, 1.0, d) * rng.choice([-1.0, 1.0], d)
+    A, V = hermitian_with_spectrum(11, w)
+    top = dilate_hermitian(A)
+    full = BlockEncoding(top.unitary, d)  # not qubitized: every slot a full product
+    # the 2x2 reduction: each eigenvalue's reflection, nested as scalar mode does
+    R = np.empty((d, 2, 2), dtype=np.complex128)
+    R[:, 0, 0], R[:, 1, 1] = w, -w
+    R[:, 0, 1] = R[:, 1, 0] = np.sqrt(1.0 - w * w)
+    for n in range(1, 7):
+        top, full = qet_recursive_step(top, base), qet_recursive_step(full, base)
+        R = _phased_product(R, base)
+        reduced = np.block([[(V * R[:, a, b]) @ V.conj().T for b in (0, 1)] for a in (0, 1)])
+        sign_n = (V * [scalar_sign_iterate(x, 2, n) for x in w]) @ V.conj().T
+        bound = 16 * 5 ** n * _U  # rounding grows x5 per level: measured up to 3.6 x 5^n u
+        assert np.abs(top.unitary - full.unitary).max() < bound
+        assert np.abs(top.unitary - reduced).max() < bound
+        assert np.abs(extract(top) - sign_n).max() < bound
+
+
+def test_qubitized_flag_survives_odd_steps_only():
+    A, _ = hermitian_with_spectrum(2, np.linspace(-0.9, 0.9, 16))
+    be = dilate_hermitian(A)
+    odd, even = pade_phases(2), np.array([0.3, -1.1])
+    assert be.qubitized and qet_recursive_step(be, odd).qubitized
+    after_even = qet_recursive_step(be, even)  # [[P, Q], [-Q^dag, P^dag]]
+    assert not after_even.qubitized
+    assert not qet_recursive_step(after_even, odd).qubitized
+    assert not BlockEncoding(be.unitary, 16).qubitized
+    assert not dilate_general(A).qubitized
+    assert not qet_recursive_step(dilate_general(A), odd).qubitized
+    # a product over the even step's output keeps both of its block rows
+    assert np.abs(qet_assemble(after_even, odd) - slot_loop(after_even.unitary, odd)).max() < 1e-14
+
+
+@pytest.mark.parametrize("run, d", [("recursive", 8), ("recursive", 15), ("flattened", 16),
+                                    ("scalar", 16), ("polar", 16), ("perturb", 16)])
+def test_runs_off_the_top_row_form_keep_their_products(monkeypatch, run, d):
+    # every product these runs form is bit for bit the product with both
+    # block rows, the one each formed before the top-row form existed
+    calls, product = [], rqet.qet._phased_product
+
+    def checked(U, phases, plan=None, qubitized=False):
+        out = product(U, phases, plan, qubitized)
+        calls.append(np.array_equal(out.view(np.uint64), product(U, phases, plan).view(np.uint64)))
+        return out
+
+    monkeypatch.setattr(rqet.qet, "_phased_product", checked)
+    monkeypatch.setattr(rqet.cli, "_phased_product", checked)
+    A, Q = hermitian_with_spectrum(d, np.linspace(0.5, 0.95, d) * (-1) ** np.arange(d))
+    if run == "polar":
+        run_polar(Q * np.linspace(0.5, 1.0, d), 0.4, 1e-8, levels=2)  # singular values 0.5..1
+    elif run == "perturb":
+        assert rqet.cli.main(["perturb", "--seed", "1", "--dim", str(d), "--iters", "2",
+                              "--delta-grid", "1e-6:1e-3:2", "--out", os.devnull]) == 0
+    else:
+        run_sign(A, 0.4, 1e-8, mode=run, levels=3)
+    assert calls and all(calls)
 
 
 def test_scalar_run_evaluates_one_chain(monkeypatch):
