@@ -11,13 +11,13 @@ system dimension.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import ClassVar
 
 import numpy as np
 
 from .errors import DomainError, NumericError
-from .linalg import (Spectrum, _unitarity_deviation, hermitian_eig,
+from .linalg import (Spectrum, _gram, _unitarity_deviation, hermitian_eig,
                      matrix_function_hermitian, operator_norm,
                      require_hermitian, require_square)
 
@@ -28,10 +28,10 @@ _UNITARITY_TOL = 1e-12
 @dataclass(frozen=True)
 class BlockEncoding:
     """qubitized: the unitary is [[P, Q], [Q^dag, -P^dag]], P and Q commuting normal
-    blocks; set only by the Hermitian dilation, kept by qet_recursive_step on odd lists."""
+    blocks; set only through _encoding, by the Hermitian dilation and odd recursive steps."""
     unitary: np.ndarray
     system_dim: int
-    qubitized: bool = False
+    qubitized: bool = field(default=False, init=False)
     ancilla_dim: ClassVar[int] = 2
     reference_index: ClassVar[int] = 0   # the encoded block is the top-left one
     alpha: ClassVar[float] = 1.0
@@ -39,6 +39,13 @@ class BlockEncoding:
     @property
     def total_dim(self) -> int:
         return self.system_dim * self.ancilla_dim
+
+
+def _encoding(U: np.ndarray, system_dim: int, qubitized: bool) -> BlockEncoding:
+    """An encoding of U with the qubitized flag set as given."""
+    be = BlockEncoding(U, system_dim)
+    object.__setattr__(be, "qubitized", qubitized)
+    return be
 
 
 def extract(be: BlockEncoding) -> np.ndarray:
@@ -73,7 +80,7 @@ def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
     B = (B + B.conj().T) / 2
     U = np.block([[A, B], [B, -A]])
     _check_unitary(U, "Hermitian dilation")
-    return BlockEncoding(U, A.shape[0], qubitized=True)
+    return _encoding(U, A.shape[0], qubitized=True)
 
 
 def dilate_general(A: np.ndarray) -> BlockEncoding:
@@ -81,10 +88,8 @@ def dilate_general(A: np.ndarray) -> BlockEncoding:
     A = require_square(np.asarray(A, dtype=np.complex128))
     if operator_norm(A) > 1.0 + _NORM_SLACK:
         raise DomainError("operator norm exceeds 1")
-    right = matrix_function_hermitian((A.conj().T @ A + (A.conj().T @ A).conj().T) / 2,
-                                      lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
-    left = matrix_function_hermitian((A @ A.conj().T + (A @ A.conj().T).conj().T) / 2,
-                                     lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
+    right = matrix_function_hermitian(_gram(A), lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
+    left = matrix_function_hermitian(_gram(A.conj().T), lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
     U = np.block([[A, left], [right, -A.conj().T]])
     _check_unitary(U, "general dilation")
     return BlockEncoding(U, A.shape[0])

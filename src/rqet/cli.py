@@ -44,7 +44,6 @@ def _check_generated(dim: int, gap: float) -> None:
 
 def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:
     """Seeded Hermitian test matrix with eigenvalues in +-[gap, 1]."""
-    _check_generated(dim, gap)
     rng = np.random.default_rng(seed)
     Z = rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim))
     Q, R = np.linalg.qr(Z)
@@ -60,7 +59,6 @@ def _random_hermitian(seed: int, dim: int, gap: float) -> np.ndarray:
 
 def _random_general(seed: int, dim: int, gap: float) -> np.ndarray:
     """Seeded non-Hermitian test matrix with singular values in [gap, 1]."""
-    _check_generated(dim, gap)
     rng = np.random.default_rng(seed)
     sv = rng.uniform(gap, 1.0, size=dim)
     U = np.linalg.qr(rng.standard_normal((dim, dim)) + 1j * rng.standard_normal((dim, dim)))[0]
@@ -76,6 +74,7 @@ def _load_or_generate(args, hermitian: bool) -> tuple[np.ndarray, dict]:
     else:
         if args.dim is None:
             raise InputError("provide --matrix PATH or --seed with --dim")
+        _check_generated(args.dim, args.gap)
         gen = _random_hermitian if hermitian else _random_general
         A = gen(args.seed, args.dim, args.gap)
         meta["source"] = f"seed={args.seed} dim={args.dim}"
@@ -112,7 +111,6 @@ def _require_even_pade(l: int) -> None:
 
 
 def _cmd_phases(args) -> int:
-    _require_even_pade(args.pade_l)
     count = query_count(args.iters, args.pade_l) if args.iters >= 1 else 0
     if args.out is None and count > MAX_PRINTED_ANGLES:
         _check_phase_count(args.iters, args.pade_l)  # an over-cap list stays a domain error
@@ -141,14 +139,8 @@ def _cmd_phases(args) -> int:
 def _cmd_conditions(args) -> int:
     p = load_poly(args.poly)
     report = check_qet_conditions(p)
-    payload = {
-        "degree_ok": bool(report.degree_ok),
-        "parity_ok": bool(report.parity_ok),
-        "bounded_inside": bool(report.bounded_inside),
-        "dominating_outside": bool(report.dominating_outside),
-        "even_axis_ok": bool(report.even_axis_ok),
-        "passed": bool(report.passed),
-    }
+    payload = {name: bool(ok) for name, ok in vars(report).items() if name != "witness"}
+    payload["passed"] = bool(report.passed)
     if report.witness is not None:
         name, x, val = report.witness
         payload["witness"] = {"check": name, "x": float(x), "value": float(val)}
@@ -156,41 +148,28 @@ def _cmd_conditions(args) -> int:
     return 0 if report.passed else 3
 
 
+def _finish_run(args, report, meta: dict, head: dict, tail: dict) -> int:
+    """Write a run's CSV and print its summary; exit 0 if it converged, else 4."""
+    _emit(report.to_csv(), args.out)
+    summary = {"command": args.command, **head, "levels": report.rows[-1].n,
+               "final_error": report.final_error, "epsilon": args.epsilon,
+               "converged": report.converged, **tail, **meta}
+    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
+    return 0 if report.converged else 4
+
+
 def _cmd_sign_run(args) -> int:
-    _require_even_pade(args.pade_l)
     A, meta = _load_or_generate(args, hermitian=True)
     result, report = run_sign(A, args.gap, args.epsilon, args.pade_l,
                               mode=args.mode, levels=args.iters)
-    _emit(report.to_csv(), args.out)
-    summary = {
-        "command": "sign-run",
-        "mode": args.mode,
-        "levels": report.rows[-1].n,
-        "final_error": report.final_error,
-        "epsilon": args.epsilon,
-        "converged": report.converged,
-        "flattened_distance": getattr(result, "flattened_distance", None),
-        **meta,
-    }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return 0 if report.converged else 4
+    return _finish_run(args, report, meta, {"mode": args.mode},
+                       {"flattened_distance": getattr(result, "flattened_distance", None)})
 
 
 def _cmd_polar_run(args) -> int:
-    _require_even_pade(args.pade_l)
     A, meta = _load_or_generate(args, hermitian=False)
     _, report = run_polar(A, args.gap, args.epsilon, args.pade_l, levels=args.iters)
-    _emit(report.to_csv(), args.out)
-    summary = {
-        "command": "polar-run",
-        "levels": report.rows[-1].n,
-        "final_error": report.final_error,
-        "epsilon": args.epsilon,
-        "converged": report.converged,
-        **meta,
-    }
-    sys.stdout.write(json.dumps(summary, indent=2) + "\n")
-    return 0 if report.converged else 4
+    return _finish_run(args, report, meta, {}, {})
 
 
 def _parse_grid(spec: str) -> tuple[float, float, int]:
@@ -209,7 +188,6 @@ def _parse_grid(spec: str) -> tuple[float, float, int]:
 
 
 def _cmd_perturb(args) -> int:
-    _require_even_pade(args.pade_l)
     if args.iters < 1:
         raise InputError("--iters must be at least 1")
     A, meta = _load_or_generate(args, hermitian=True)
@@ -247,6 +225,13 @@ def _add_matrix_args(sp, default_gap: float) -> None:
                     help="rescale by the operator norm when it exceeds 1")
 
 
+def _add_run_args(sp) -> None:
+    _add_matrix_args(sp, 0.5)
+    sp.add_argument("--epsilon", type=float, default=1e-8)
+    sp.add_argument("--pade-l", type=int, default=2, dest="pade_l")
+    sp.add_argument("--iters", type=int, help="override the derived level count")
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(prog="rqet",
                                  description="analytic phase factors and sign-iteration drivers")
@@ -264,19 +249,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_conditions)
 
     p = sub.add_parser("sign-run", help="matrix sign iteration with a CSV report")
-    _add_matrix_args(p, 0.5)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--pade-l", type=int, default=2, dest="pade_l")
-    p.add_argument("--iters", type=int, help="override the derived level count")
+    _add_run_args(p)
     p.add_argument("--mode", choices=("recursive", "flattened", "scalar"), default="recursive")
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_sign_run)
 
     p = sub.add_parser("polar-run", help="polar-factor iteration with a CSV report")
-    _add_matrix_args(p, 0.5)
-    p.add_argument("--epsilon", type=float, default=1e-8)
-    p.add_argument("--pade-l", type=int, default=2, dest="pade_l")
-    p.add_argument("--iters", type=int, help="override the derived level count")
+    _add_run_args(p)
     p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_polar_run)
 
@@ -296,6 +275,8 @@ def main(argv: list[str] | None = None) -> int:
     ap = build_parser()
     args = ap.parse_args(argv)
     try:
+        if "pade_l" in args:  # every command but conditions
+            _require_even_pade(args.pade_l)
         return args.func(args)
     except InputError as exc:
         print(f"input error: {exc}", file=sys.stderr)

@@ -11,13 +11,12 @@ desk scale.
 
 from __future__ import annotations
 
-import json
 import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, read_json
+from .errors import DomainError, InputError, NumericError, decode_pairs, read_json, write_json
 
 MAX_DIM = 64
 HERMITICITY_TOL = 1e-12
@@ -96,14 +95,18 @@ def matrix_function_hermitian(M: np.ndarray, f: Callable) -> np.ndarray:
     return (V * fw) @ V.conj().T
 
 
+def _gram(M: np.ndarray) -> np.ndarray:
+    """The Gram matrix M^dag M, symmetrized as (G + G^dag)/2."""
+    G = M.conj().T @ M
+    return (G + G.conj().T) / 2
+
+
 def operator_norm(M: np.ndarray) -> float:
     """Largest singular value, from the spectrum of the Gram matrix."""
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2:
         raise DomainError(f"expected a matrix, got ndim {M.ndim}")
-    G = M.conj().T @ M
-    G = (G + G.conj().T) / 2
-    w = hermitian_eigvals(G)
+    w = hermitian_eigvals(_gram(M))
     return math.sqrt(max(0.0, float(w[-1])))
 
 
@@ -127,9 +130,7 @@ def polar_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     P is the Hermitian positive square root of M^dag M and U = M P^{-1}.
     """
     M = require_square(M)
-    G = M.conj().T @ M
-    G = (G + G.conj().T) / 2
-    w, V = hermitian_eig(G)
+    w, V = hermitian_eig(_gram(M))
     sigma = np.sqrt(np.maximum(0.0, w))
     if sigma[0] < 1e-8:
         raise DomainError(f"polar factor is ill-conditioned: smallest singular value {sigma[0]:.3e}")
@@ -154,24 +155,14 @@ def unitarity_check(U: np.ndarray) -> bool:
 
 def load_matrix(path: str) -> np.ndarray:
     """Read a matrix from JSON: rows, cols, and row-major [re, im] entries."""
-    doc = read_json(path, "matrix")
-    if not isinstance(doc, dict) or not {"rows", "cols", "entries"} <= set(doc):
-        raise InputError(f"matrix file {path} needs keys rows, cols, entries")
+    doc = read_json(path, "matrix", ("rows", "cols", "entries"))
     rows, cols = doc["rows"], doc["cols"]
     if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
         raise InputError("rows and cols must be positive integers")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
-    flat = np.empty(rows * cols, dtype=np.complex128)
-    for k, item in enumerate(entries):
-        if not (isinstance(item, list) and len(item) == 2):
-            raise InputError(f"entry {k} is not a [re, im] pair")
-        re, im = item
-        if not all(isinstance(v, (int, float)) and math.isfinite(v) for v in (re, im)):
-            raise InputError(f"entry {k} holds a non-finite or non-numeric value")
-        flat[k] = complex(re, im)
-    return flat.reshape(rows, cols)
+    return np.array(decode_pairs(entries, "entry"), dtype=np.complex128).reshape(rows, cols)
 
 
 def save_matrix(path: str, M: np.ndarray) -> None:
@@ -185,6 +176,4 @@ def save_matrix(path: str, M: np.ndarray) -> None:
         "cols": int(M.shape[1]),
         "entries": [[float(v.real), float(v.imag)] for v in M.ravel()],
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)

@@ -10,14 +10,13 @@ so double arithmetic below is exact.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DomainError, InputError, read_json
+from .errors import DomainError, InputError, decode_pairs, read_json, write_json
 
 TRIM_TOL = 1e-14
 PARITY_TOL = 1e-12
@@ -88,11 +87,6 @@ def poly_eval(p: ComplexPolynomial | np.ndarray, x):
     return P.polyval(x, c)
 
 
-def conj_poly(p: ComplexPolynomial) -> ComplexPolynomial:
-    """Coefficient-wise conjugate, so conj_poly(p)(x) = conj(p(x)) for real x."""
-    return ComplexPolynomial(np.conj(p.coeffs), p.parity)
-
-
 def pade(l: int) -> ComplexPolynomial:
     """Member l of the odd iteration family, exact in double precision."""
     if not isinstance(l, int) or l < 1:
@@ -113,62 +107,45 @@ def check_qet_conditions(p: ComplexPolynomial) -> ConditionReport:
 
     Inside: |p| <= 1 + 1e-9 on [-1, 1].  Outside: |p| >= 1 - 1e-9 on the
     window [1, 10].  For even degree additionally |p(ix) p*(ix)| >= 1 - 1e-9
-    on [0, 10].  Each window is a grid of _GRID_SIZE points.  The witness
-    records the first failing point.
+    on [0, 10], p* having the conjugate coefficients.  Each window is a grid
+    of _GRID_SIZE points.  The witness records the first failing point.
     """
     degree_ok = p.degree >= 1 and abs(p.coeffs[-1]) > TRIM_TOL
     want = "odd" if p.degree % 2 else "even"
     parity_ok = p.parity == want and _infer_parity(p.coeffs) == want
-    witness = None
     tol = 1e-9
-
     xs = np.linspace(-1.0, 1.0, _GRID_SIZE)
-    vals = np.abs(poly_eval(p, xs))
-    bad = np.nonzero(vals > 1.0 + tol)[0]
-    bounded_inside = len(bad) == 0
-    if not bounded_inside and witness is None:
-        witness = ("bounded_inside", float(xs[bad[0]]), float(vals[bad[0]]))
-
     xo = np.linspace(1.0, _OUTER_LIMIT, _GRID_SIZE)
-    vo = np.abs(poly_eval(p, xo))
-    bad = np.nonzero(vo < 1.0 - tol)[0]
-    dominating_outside = len(bad) == 0
-    if not dominating_outside and witness is None:
-        witness = ("dominating_outside", float(xo[bad[0]]), float(vo[bad[0]]))
-
-    even_axis_ok = True
+    vs, vo = np.abs(poly_eval(p, xs)), np.abs(poly_eval(p, xo))
+    windows = [("bounded_inside", xs, vs, vs > 1.0 + tol),  # (check, grid, values, failures)
+               ("dominating_outside", xo, vo, vo < 1.0 - tol)]
     if p.degree % 2 == 0:
         xa = np.linspace(0.0, _OUTER_LIMIT, _GRID_SIZE)
-        va = np.abs(poly_eval(p, 1j * xa) * poly_eval(conj_poly(p), 1j * xa))
-        bad = np.nonzero(va < 1.0 - tol)[0]
-        even_axis_ok = len(bad) == 0
-        if not even_axis_ok and witness is None:
-            witness = ("even_axis", float(xa[bad[0]]), float(va[bad[0]]))
-
-    return ConditionReport(degree_ok, parity_ok, bounded_inside,
-                           dominating_outside, even_axis_ok, witness)
+        va = np.abs(poly_eval(p, 1j * xa) * poly_eval(np.conj(p.coeffs), 1j * xa))
+        windows.append(("even_axis", xa, va, va < 1.0 - tol))
+    ok, witness = {"even_axis": True}, None
+    for check, grid, vals, bad in windows:
+        ok[check] = not bad.any()
+        if witness is None and bad.any():
+            k = int(np.argmax(bad))  # the first failing point
+            witness = (check, float(grid[k]), float(vals[k]))
+    return ConditionReport(degree_ok, parity_ok, ok["bounded_inside"],
+                           ok["dominating_outside"], ok["even_axis"], witness)
 
 
 # ------------------------------------------------------------------- file io
 
 def load_poly(path: str) -> ComplexPolynomial:
-    doc = read_json(path, "polynomial")
-    if not isinstance(doc, dict) or not {"coeffs", "parity"} <= set(doc):
-        raise InputError(f"polynomial file {path} needs keys coeffs, parity")
+    doc = read_json(path, "polynomial", ("coeffs", "parity"))
     pairs = doc["coeffs"]
     if not isinstance(pairs, list) or not pairs:
         raise InputError("coeffs must be a non-empty list of [re, im] pairs")
-    out = np.empty(len(pairs), dtype=np.complex128)
-    for k, item in enumerate(pairs):
-        if not (isinstance(item, list) and len(item) == 2
-                and all(isinstance(v, (int, float)) and math.isfinite(v) for v in item)):
-            raise InputError(f"coefficient {k} is not a finite [re, im] pair")
-        out[k] = complex(item[0], item[1])
+    coeffs = decode_pairs(pairs, "coefficient")
     parity = doc["parity"]
     if parity not in ("even", "odd", "none"):
         raise InputError(f"parity must be even, odd, or none, got {parity!r}")
     try:
-        return polynomial(out, parity)
+        return polynomial(coeffs, parity)
     except DomainError as exc:
         raise InputError(str(exc)) from exc
 
@@ -178,6 +155,4 @@ def save_poly(path: str, p: ComplexPolynomial) -> None:
         "coeffs": [[float(v.real), float(v.imag)] for v in p.coeffs],
         "parity": p.parity,
     }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)

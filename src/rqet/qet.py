@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import _execute, _Plan, _plan, phase_chain
-from .blockenc import BlockEncoding, _dilate_spectrum, extract
+from .blockenc import BlockEncoding, _dilate_spectrum, _encoding, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
 from .poly import pade, poly_eval
@@ -118,8 +118,8 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
 def qet_recursive_step(be: BlockEncoding, phases: np.ndarray) -> BlockEncoding:
     """One nesting level: the assembled unitary becomes the next oracle, qubitized
     if this one is and the list is odd (even: [[P, Q], [-Q^dag, P^dag]])."""
-    return BlockEncoding(qet_assemble(be, phases), be.system_dim,
-                         be.qubitized and len(phases) % 2 == 1)
+    return _encoding(qet_assemble(be, phases), be.system_dim,
+                     be.qubitized and len(phases) % 2 == 1)
 
 
 def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -300,6 +300,16 @@ def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
     return max(0, math.ceil(math.log(target, l + 1)))
 
 
+def _run_setup(mode: str, delta: float, eps: float, l: int, levels: int | None):
+    """A run's level count (`levels`, else the derived one, refused by
+    _check_phase_count if negative or over MAX_PHASES), base phases and report."""
+    n = sign_iterations(delta, eps, l)  # validates delta and eps even when levels overrides n
+    if levels is not None:
+        n = levels
+    _check_phase_count(n, l)
+    return n, pade_phases(l), IterationReport(mode, delta, eps, l)
+
+
 def query_count(levels: int, l: int = 2) -> int:
     """Oracle calls made by `levels` nested degree-(2l+1) steps."""
     if levels < 0:
@@ -417,11 +427,11 @@ def scalar_grid(delta: float) -> np.ndarray:
     return np.concatenate((np.linspace(-1.0, -delta, 10), np.linspace(delta, 1.0, 11)))
 
 
-def _check_gap(w: np.ndarray, delta: float) -> None:
+def _check_gap(w: np.ndarray, delta: float, what: str) -> None:
+    """Refuse values whose magnitude is outside [delta, 1], listing them after `what`."""
     bad = (np.abs(w) < delta - 1e-9) | (np.abs(w) > 1.0 + 1e-9)
     if bad.any():
-        raise DomainError("eigenvalues outside +-[delta, 1]: "
-                          + ", ".join(f"{v:.6g}" for v in w[bad]))
+        raise DomainError(f"{what}: " + ", ".join(f"{v:.6g}" for v in w[bad]))
 
 
 def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
@@ -451,14 +461,8 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     A = require_hermitian(A)
     spectrum = hermitian_eig(A)  # shared by the gap check, the target and the dilation
     w = spectrum.eigenvalues
-    _check_gap(w, delta)
-    n = sign_iterations(delta, eps, l)  # validates delta and eps even when levels overrides n
-    if levels is not None:
-        n = levels
-    if n < 0:
-        raise InputError("levels must be nonnegative")
-    _check_phase_count(n, l)
-    base = pade_phases(l)
+    _check_gap(w, delta, "eigenvalues outside +-[delta, 1]")
+    n, base, report = _run_setup(mode, delta, eps, l, levels)
     if mode == "flattened":  # each level's list, its plan and the seconds spent making them
         plans, flat = [], base
         for k in range(n):
@@ -470,7 +474,6 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
     target = _sign_of(spectrum)
-    report = IterationReport(mode, delta, eps, l)
 
     if n == 0:
         err = operator_norm(A - target) if mode != "scalar" else float(np.abs(w - np.sign(w)).max())

@@ -10,14 +10,13 @@ of a phase list on scalars.
 
 from __future__ import annotations
 
-import json
 import math
 import os
 
 import numpy as np
 
 from ._kernels import phase_chain
-from .errors import DomainError, InputError, NumericError, read_json
+from .errors import DomainError, InputError, NumericError, read_json, write_json
 
 _IDENTITY_TOL = 1e-9
 
@@ -118,6 +117,4 @@ def pade_phases(l: int) -> np.ndarray:
 def save_phases(path: str, angles: np.ndarray) -> None:
     """Write a reflection-form angle list as JSON."""
     doc = {"form": "reflection", "angles": [float(a) for a in np.asarray(angles).ravel()]}
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    write_json(path, doc)

@@ -17,14 +17,12 @@ import time
 
 import numpy as np
 
-from .blockenc import BlockEncoding, dilate_general, extract
-from .errors import DomainError, InputError, NumericError
-from .linalg import (hermitian_eigvals, operator_norm, polar_oracle,
+from .blockenc import dilate_general, extract
+from .errors import DomainError, NumericError
+from .linalg import (_gram, hermitian_eigvals, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
-from .qet import (IterationReport, _check_phase_count, qet_recursive_step,
-                  run_sign, sign_iterations)
-from .qsp import pade_phases
+from .qet import _check_gap, _run_setup, qet_recursive_step, run_sign
 
 _STEP_TOL = 1e-10
 
@@ -35,14 +33,13 @@ def _gram_update(X: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
     # odd polynomial p(x) = x g(x^2); both orderings must agree exactly
     g_coeffs = p.coeffs[1::2]
     d = X.shape[0]
-    right_g = np.zeros((d, d), dtype=np.complex128)
-    left_g = np.zeros((d, d), dtype=np.complex128)
-    GR = X.conj().T @ X
-    GL = X @ X.conj().T
-    for c in g_coeffs[::-1]:
-        right_g = right_g @ GR + np.real(c) * np.eye(d)
-        left_g = left_g @ GL + np.real(c) * np.eye(d)
-    return X @ right_g, left_g @ X
+
+    def g_of(G: np.ndarray) -> np.ndarray:  # Horner in the Gram factor G
+        out = np.zeros((d, d), dtype=np.complex128)
+        for c in g_coeffs[::-1]:
+            out = out @ G + np.real(c) * np.eye(d)
+        return out
+    return X @ g_of(X.conj().T @ X), g_of(X @ X.conj().T) @ X
 
 
 def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
@@ -55,22 +52,11 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     Returns (encoding, report); extract(encoding) is the final iterate.
     """
     A = require_square(np.asarray(A, dtype=np.complex128))
-    gram = A.conj().T @ A
-    w = hermitian_eigvals((gram + gram.conj().T) / 2)
+    w = hermitian_eigvals(_gram(A))
     sigma = np.sqrt(np.maximum(0.0, w))
-    bad = (sigma < delta - 1e-9) | (sigma > 1.0 + 1e-9)
-    if bad.any():
-        raise DomainError("singular values outside [delta, 1]: "
-                          + ", ".join(f"{v:.6g}" for v in sigma[bad]))
+    _check_gap(sigma, delta, "singular values outside [delta, 1]")
     unitary_factor, _ = polar_oracle(A)
-    n = sign_iterations(delta, eps, l)  # validates delta and eps even when levels overrides n
-    if levels is not None:
-        n = levels
-    if n < 0:
-        raise InputError("levels must be nonnegative")
-    _check_phase_count(n, l)
-    base = pade_phases(l)
-    report = IterationReport("polar", delta, eps, l)
+    n, base, report = _run_setup("polar", delta, eps, l, levels)
     enc = dilate_general(A)
     if n == 0:
         report.add(0, operator_norm(A - unitary_factor), 0.0)
@@ -112,8 +98,6 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> F
     be, report = run_sign(A, delta, eps, l, mode="recursive")
     if not report.converged:
         raise NumericError(f"sign run ended at {report.final_error:.3e}, above eps = {eps:.3e}")
-    if not isinstance(be, BlockEncoding):
-        raise NumericError("sign run did not return a block encoding")
     eye = np.eye(be.total_dim)
     plus, minus = (eye + be.unitary) / 2, (eye - be.unitary) / 2
     full = np.block([[plus, minus], [minus, plus]])

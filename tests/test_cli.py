@@ -228,6 +228,33 @@ def test_explicit_iters_still_checks_epsilon(command, epsilon, capsys):
     assert err == f"domain error: tolerance must be {reason}\n"
 
 
+_SIGN_KEYS = ["command", "mode", "levels", "final_error", "epsilon", "converged",
+              "flattened_distance", "source", "normalization"]
+_POLAR_KEYS = ["command", "levels", "final_error", "epsilon", "converged", "source",
+               "normalization"]
+
+
+@pytest.mark.parametrize("command, extra, keys, code", [
+    ("sign-run", ["--mode", "recursive"], _SIGN_KEYS, 0),
+    ("sign-run", ["--mode", "flattened"], _SIGN_KEYS, 0),
+    ("sign-run", ["--mode", "scalar"], _SIGN_KEYS, 0),
+    ("sign-run", ["--mode", "scalar", "--iters", "0"], _SIGN_KEYS, 4),
+    ("sign-run", ["--iters", "1"], _SIGN_KEYS, 4),
+    ("polar-run", [], _POLAR_KEYS, 0),
+    ("polar-run", ["--iters", "0"], _POLAR_KEYS, 4),
+])
+def test_run_summaries_keep_their_keys_in_order(command, extra, keys, code, tmp_path, capsys):
+    csv = tmp_path / "run.csv"
+    assert main([command, "--seed", "4", "--dim", "3", "--out", str(csv), *extra]) == code
+    summary = json.loads(capsys.readouterr().out)
+    assert list(summary) == keys
+    assert summary["command"] == command and summary["converged"] is (code == 0)
+    assert summary["source"] == "seed=4 dim=3" and summary["normalization"] == 1.0
+    if command == "sign-run":
+        assert summary["mode"] == (extra[1] if extra[0] == "--mode" else "recursive")
+    assert csv.read_text().startswith("n,error,bound,queries,distinct_angles,wall_time_ms\n")
+
+
 def test_main_callable_directly(capsys):
     code = main(["phases", "--pade-l", "2"])
     assert code == 0

@@ -221,6 +221,11 @@ def test_matrix_json_roundtrip(tmp_path):
     save_matrix(str(path), M)
     back = load_matrix(str(path))
     assert np.abs(back - M).max() == 0.0
+    M = np.array([[1.5, -2j], [0.25 + 1j, 3]])
+    save_matrix(str(path), M)
+    assert path.read_bytes() == (b'{"rows": 2, "cols": 2, "entries": '
+                                 b'[[1.5, 0.0], [-0.0, -2.0], [0.25, 1.0], [3.0, 0.0]]}\n')
+    assert np.array_equal(load_matrix(str(path)).view(np.uint64), M.view(np.uint64))
 
 
 def test_matrix_json_rejects_nan(tmp_path):
@@ -228,6 +233,30 @@ def test_matrix_json_rejects_nan(tmp_path):
     path.write_text('{"rows": 1, "cols": 1, "entries": [[NaN, 0.0]]}')
     with pytest.raises(InputError):
         load_matrix(str(path))
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[[0.5, 0.0], [1.0]]', "entry 1 is not a [re, im] pair"),
+    ('[[0.5, 0.0], [1.0, 0.0, 2.0]]', "entry 1 is not a [re, im] pair"),
+    ('[3, [0.5, 0.0]]', "entry 0 is not a [re, im] pair"),
+    ('[[0.5, 0.0], [1e400, 0.0]]', "entry 1 holds a non-finite or non-numeric value"),
+    ('[[0.5, 0.0], [0.0, "a"]]', "entry 1 holds a non-finite or non-numeric value"),
+])
+def test_matrix_file_pair_errors_name_the_entry(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"rows": 1, "cols": 2, "entries": {text}}}')
+    with pytest.raises(InputError) as exc:
+        load_matrix(str(path))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", ['{"rows": 1, "cols": 1}', '[1, 2]'])
+def test_matrix_file_needs_its_keys(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        load_matrix(str(path))
+    assert str(exc.value) == f"matrix file {path} needs keys rows, cols, entries"
 
 
 def test_matrix_json_rejects_shape_mismatch(tmp_path):

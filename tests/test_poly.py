@@ -4,7 +4,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from rqet import (DomainError, check_qet_conditions, load_poly, pade, poly_eval,
+from rqet import (DomainError, InputError, check_qet_conditions, load_poly, pade, poly_eval,
                   polynomial, save_poly)
 from conftest import exact_pade_coeffs
 from pade_table import deflated_roots, exact_deflation, to_mp
@@ -132,6 +132,31 @@ def test_poly_json_roundtrip(tmp_path):
     p = pade(2)
     path = tmp_path / "p.json"
     save_poly(str(path), p)
+    assert path.read_bytes() == (b'{"coeffs": [[0.0, 0.0], [1.875, 0.0], [0.0, 0.0], [-1.25, 0.0], '
+                                 b'[0.0, 0.0], [0.375, 0.0]], "parity": "odd"}\n')
     back = load_poly(str(path))
     assert back.parity == "odd"
     assert np.abs(np.array(back.coeffs) - np.array(p.coeffs)).max() == 0.0
+
+
+@pytest.mark.parametrize("text, message", [
+    ('[[0.0, 0.0], [1.0]]', "coefficient 1 is not a [re, im] pair"),
+    ('[[0.0, 0.0], 1.0]', "coefficient 1 is not a [re, im] pair"),
+    ('[[0.0, 0.0], [1e400, 0.0]]', "coefficient 1 holds a non-finite or non-numeric value"),
+    ('[[0.0, 0.0], [null, 0.0]]', "coefficient 1 holds a non-finite or non-numeric value"),
+])
+def test_poly_file_pair_errors_name_the_coefficient(tmp_path, text, message):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"coeffs": {text}, "parity": "weird"}}')  # pairs are read before parity
+    with pytest.raises(InputError) as exc:
+        load_poly(str(path))
+    assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("text", ['{"coeffs": [[0.0, 0.0]]}', '[1, 2]'])
+def test_poly_file_needs_its_keys(tmp_path, text):
+    path = tmp_path / "bad.json"
+    path.write_text(text)
+    with pytest.raises(InputError) as exc:
+        load_poly(str(path))
+    assert str(exc.value) == f"polynomial file {path} needs keys coeffs, parity"

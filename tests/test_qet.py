@@ -1,3 +1,4 @@
+import dataclasses
 import os
 import tracemalloc
 from math import comb
@@ -817,6 +818,14 @@ def test_qubitized_flag_survives_odd_steps_only():
     assert not after_even.qubitized
     assert not qet_recursive_step(after_even, odd).qubitized
     assert not BlockEncoding(be.unitary, 16).qubitized
+    # a hand-set flag over a unitary of another form would make qet_assemble
+    # write a wrong bottom block row, so only the library sets it
+    with pytest.raises(TypeError):
+        BlockEncoding(be.unitary, 16, True)
+    with pytest.raises(TypeError):
+        BlockEncoding(be.unitary, 16, qubitized=True)
+    assert not dataclasses.replace(be).qubitized
+    assert run_sign(A, 0.05, 1e-8, levels=0)[0].qubitized  # the run's own dilation
     assert not dilate_general(A).qubitized
     assert not qet_recursive_step(dilate_general(A), odd).qubitized
     # a product over the even step's output keeps both of its block rows

@@ -272,6 +272,8 @@ def test_phases_json_roundtrip(tmp_path):
         doc = json.load(fh)
     assert doc["form"] == "reflection"
     assert np.abs(np.asarray(doc["angles"]) - phases).max() == 0.0
+    save_phases(str(path), np.array([0.5, -1.25, np.pi]))
+    assert path.read_bytes() == b'{"form": "reflection", "angles": [0.5, -1.25, 3.141592653589793]}\n'
 
 
 @pytest.mark.parametrize("constant", ["NaN", "Infinity", "-Infinity"])

@@ -19,6 +19,16 @@ def random_with_singulars(seed, sv):
     return (U * sv[None, :]) @ V.conj().T
 
 
+def test_window_errors_list_the_values_outside():
+    A = np.diag([0.2, 0.8, 1.5]).astype(complex)
+    with pytest.raises(DomainError) as exc:
+        run_polar(A, 0.5, 1e-6)
+    assert str(exc.value) == "singular values outside [delta, 1]: 0.2, 1.5"
+    with pytest.raises(DomainError) as exc:
+        run_sign(np.diag([-0.2, 0.8, 1.5]).astype(complex), 0.5, 1e-6)
+    assert str(exc.value) == "eigenvalues outside +-[delta, 1]: -0.2, 1.5"
+
+
 def test_encode_block_is_input():
     A = random_with_singulars(1, [0.6, 0.9])
     assert np.abs(extract(dilate_general(A)) - A).max() < 1e-12
