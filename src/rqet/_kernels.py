@@ -49,6 +49,11 @@ multiplies whole 2x2 products.  The top row of a product of unitaries
 has norm 1, but every float factor is off unitary by about an ulp in the
 same direction, so the norm drifts as (1 + eta)^N; the result is the
 top-left entry divided by the top row's norm.
+
+phase_chain plans its list and runs plan_chain, which executes a given
+plan.  A sign list's plan depends only on (l, n) over the read-only
+phase table, so qet._sign_plan makes each once and caches it read-only
+for scalar mode's check (plan_chain) and the flattened levels' products.
 """
 
 from __future__ import annotations
@@ -206,10 +211,14 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     return a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
 
 
-def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each point of xs."""
-    phases = np.ascontiguousarray(phases, dtype=np.float64)
+def plan_chain(plan: _Plan, xs: np.ndarray) -> np.ndarray:
+    """phase_chain of the list `plan` was made from (by _plan), at each point of xs."""
     x = np.ascontiguousarray(xs, dtype=np.float64)
     w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    r0, r1 = _execute(_plan(phases), lambda rows: _block_stage(rows, x, w), _times)[0, 0]
+    r0, r1 = _execute(plan, lambda rows: _block_stage(rows, x, w), _times)[0, 0]
     return r0 / np.sqrt(np.abs(r0) ** 2 + np.abs(r1) ** 2)
+
+
+def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
+    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each point of xs."""
+    return plan_chain(_plan(np.ascontiguousarray(phases, dtype=np.float64)), xs)

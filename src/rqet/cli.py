@@ -20,7 +20,7 @@ import numpy as np
 from . import __version__
 from ._kernels import _Plan, _plan
 from .blockenc import dilate_hermitian
-from .errors import DomainError, InputError, NumericError
+from .errors import DomainError, InputError, NumericError, opened
 from .linalg import load_matrix, operator_norm, require_dim
 from .poly import check_qet_conditions, load_poly, pade
 from .qet import (_check_dense_cost, _check_phase_count, _phased_product, coherent_perturb,
@@ -30,6 +30,7 @@ from .qsvt import run_polar
 
 _MAX_PADE = 20  # the largest l in the phase table
 MAX_PRINTED_ANGLES = 5 ** 6  # longest flattened list `phases` writes to stdout
+_EXITS = ((InputError, "input", 2), (DomainError, "domain", 3), (NumericError, "numeric", 4))
 
 
 def _check_generated(dim: int, gap: float) -> None:
@@ -91,7 +92,7 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
     else:
-        with open(out, "w", encoding="utf-8") as fh:
+        with opened(out, "w") as fh:
             fh.write(text)
 
 
@@ -278,15 +279,10 @@ def main(argv: list[str] | None = None) -> int:
         if "pade_l" in args:  # every command but conditions
             _require_even_pade(args.pade_l)
         return args.func(args)
-    except InputError as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except DomainError as exc:
-        print(f"domain error: {exc}", file=sys.stderr)
-        return 3
-    except NumericError as exc:
-        print(f"numeric error: {exc}", file=sys.stderr)
-        return 4
+    except (InputError, DomainError, NumericError) as exc:
+        kind, code = next((k, c) for cls, k, c in _EXITS if isinstance(exc, cls))
+        print(f"{kind} error: {exc}", file=sys.stderr)
+        return code
 
 
 if __name__ == "__main__":

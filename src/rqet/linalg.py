@@ -157,7 +157,7 @@ def load_matrix(path: str) -> np.ndarray:
     """Read a matrix from JSON: rows, cols, and row-major [re, im] entries."""
     doc = read_json(path, "matrix", ("rows", "cols", "entries"))
     rows, cols = doc["rows"], doc["cols"]
-    if not (isinstance(rows, int) and isinstance(cols, int) and rows > 0 and cols > 0):
+    if not (type(rows) is int and type(cols) is int and rows > 0 and cols > 0):  # no bool
         raise InputError("rows and cols must be positive integers")
     entries = doc["entries"]
     if not isinstance(entries, list) or len(entries) != rows * cols:
@@ -171,9 +171,5 @@ def save_matrix(path: str, M: np.ndarray) -> None:
         raise InputError(f"expected a matrix, got ndim {M.ndim}")
     if not np.all(np.isfinite(M)):
         raise InputError("refusing to write non-finite entries")
-    doc = {
-        "rows": int(M.shape[0]),
-        "cols": int(M.shape[1]),
-        "entries": [[float(v.real), float(v.imag)] for v in M.ravel()],
-    }
-    write_json(path, doc)
+    write_json(path, {"rows": int(M.shape[0]), "cols": int(M.shape[1]),
+                      "entries": [[float(v.real), float(v.imag)] for v in M.ravel()]})

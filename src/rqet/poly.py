@@ -151,8 +151,5 @@ def load_poly(path: str) -> ComplexPolynomial:
 
 
 def save_poly(path: str, p: ComplexPolynomial) -> None:
-    doc = {
-        "coeffs": [[float(v.real), float(v.imag)] for v in p.coeffs],
-        "parity": p.parity,
-    }
-    write_json(path, doc)
+    write_json(path, {"coeffs": [[float(v.real), float(v.imag)] for v in p.coeffs],
+                      "parity": p.parity})

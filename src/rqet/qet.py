@@ -18,7 +18,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._kernels import _execute, _Plan, _plan, phase_chain
+from ._kernels import _execute, _Plan, _plan, plan_chain
 from .blockenc import BlockEncoding, _dilate_spectrum, _encoding, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
@@ -213,6 +213,17 @@ def flatten_sign_phases(l: int, levels: int) -> np.ndarray:
     for _ in range(levels - 1):
         flat = compose_phases(flat, base)
     return flat
+
+
+@functools.cache
+def _sign_plan(l: int, levels: int) -> _Plan:
+    """_plan of flatten_sign_phases(l, levels), once per (l, levels), as read-only
+    copies: the cache keeps no list alive, and every admitted plan takes 0.51 MB."""
+    plan = _plan(flatten_sign_phases(l, levels))
+    rows, *folds = (np.array(a) for a in (plan.rows, *plan.folds))
+    for a in (rows, *folds):
+        a.flags.writeable = False
+    return _Plan(rows, folds)
 
 
 def distinct_nonzero_angles(phases: np.ndarray) -> int:
@@ -444,14 +455,18 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     21-point grid, one level per step, then evaluates the flattened
     product of all n levels once at the same points.  A nested-flattened
     distance over _IDENTITY_TOL raises NumericError; the table keeps the
-    nested values.  Only the last two build lists; recursive mode counts
-    distinct angles by distinct_angles.  Every mode refuses runs of more
-    than MAX_PHASES queries.  Flattened mode composes and plans every level
-    first and refuses a run whose plans' products together exceed
-    DENSE_BUDGET before any product is formed; each level then runs its
-    plan.  A row's wall_time_ms covers the level's construction (compose,
-    plan and product, or one nested step), not its error check nor scalar
-    mode's final flattened check.
+    nested values.  Every mode refuses runs of more than MAX_PHASES
+    queries.  Flattened mode charges every level's plan before any product
+    is formed and refuses a run whose plans' products together exceed
+    DENSE_BUDGET.  A row's wall_time_ms covers the level's construction
+    (compose and product, or one nested step), not its plan, its error
+    check nor scalar mode's final flattened check.
+
+    Sign-list plans come from _sign_plan, made once per (l, n) and cached
+    read-only.  Flattened levels still compose their lists, which the slot
+    loop needs for an oracle that is not its own adjoint; scalar mode's
+    check runs the cached plan through plan_chain, so after the first run
+    at (l, n) it builds and plans no list.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -463,14 +478,8 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     w = spectrum.eigenvalues
     _check_gap(w, delta, "eigenvalues outside +-[delta, 1]")
     n, base, report = _run_setup(mode, delta, eps, l, levels)
-    if mode == "flattened":  # each level's list, its plan and the seconds spent making them
-        plans, flat = [], base
-        for k in range(n):
-            t0 = time.perf_counter()
-            if k:
-                flat = compose_phases(flat, base)
-            plans.append((flat, _plan(flat), time.perf_counter() - t0))
-        _check_dense_cost(sum(plan.products for _, plan, _ in plans), A.shape[0])
+    if mode == "flattened":  # every level's plan, made and charged before any product
+        _check_dense_cost(sum(_sign_plan(l, k).products for k in range(1, n + 1)), A.shape[0])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
     target = _sign_of(spectrum)
@@ -494,7 +503,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         vals = U[:, 0, 0].copy()
         # reflection_upper_left's checks, less the scan of a list built from checked phases
         _require_signal_points(pts)
-        distance = float(np.abs(phase_chain(flatten_sign_phases(l, n), pts) - vals).max())
+        distance = float(np.abs(plan_chain(_sign_plan(l, n), pts) - vals).max())
         if distance > _IDENTITY_TOL:
             raise NumericError(f"nested and flattened products differ by {distance:.3e} "
                                f"at n = {n}, over {_IDENTITY_TOL:.0e}")
@@ -506,9 +515,8 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         if mode == "recursive":
             be = qet_recursive_step(be, base)
         else:
-            flat, plan, planning = plans[k - 1]
-            t0 -= planning
-            be = BlockEncoding(_phased_product(be0.unitary, flat, plan), be0.system_dim)
+            flat = compose_phases(flat, base) if k > 1 else base
+            be = BlockEncoding(_phased_product(be0.unitary, flat, _sign_plan(l, k)), be0.system_dim)
         ms = (time.perf_counter() - t0) * 1e3
         report.add(k, operator_norm(extract(be) - target), ms)
     return be, report

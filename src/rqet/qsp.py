@@ -116,5 +116,5 @@ def pade_phases(l: int) -> np.ndarray:
 
 def save_phases(path: str, angles: np.ndarray) -> None:
     """Write a reflection-form angle list as JSON."""
-    doc = {"form": "reflection", "angles": [float(a) for a in np.asarray(angles).ravel()]}
-    write_json(path, doc)
+    write_json(path, {"form": "reflection",
+                      "angles": [float(a) for a in np.asarray(angles).ravel()]})

@@ -136,14 +136,10 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -
         raise DomainError(f"the isolated eigenvalue {w[inner][0]:.3e} is not zero")
     if float(np.abs(w).max()) > 1.0 + 1e-9:
         raise DomainError("eigenvalues must lie in [-1, 1]")
-    scale = 1.0 + delta / 2.0
-    eff_gap = delta / (2.0 + delta)
-    eps_each = eps / 2.0
-    d = A.shape[0]
-    plus = (A + (delta / 2.0) * np.eye(d)) / scale
-    minus = -(A - (delta / 2.0) * np.eye(d)) / scale
-    f_plus = filtering_operator(plus, eff_gap, eps_each, l)
-    f_minus = filtering_operator(minus, eff_gap, eps_each, l)
+    scale, eff_gap, eps_each = 1.0 + delta / 2.0, delta / (2.0 + delta), eps / 2.0
+    shift = (delta / 2.0) * np.eye(A.shape[0])
+    f_plus = filtering_operator((A + shift) / scale, eff_gap, eps_each, l)
+    f_minus = filtering_operator(-(A - shift) / scale, eff_gap, eps_each, l)
     P0 = f_plus.projector @ f_minus.projector
     return PreparationResult(P0, eff_gap, eps_each, f_plus.report, f_minus.report)
 

@@ -346,3 +346,27 @@ def test_oversized_dim_is_refused_before_generating(command, dim, capsys):
     assert main([command, "--seed", "1", "--dim", dim]) == 3
     assert time.perf_counter() - t0 < 1.0
     assert capsys.readouterr().err == f"domain error: dimension {dim} exceeds the supported maximum 64\n"
+
+
+@pytest.mark.parametrize("args, message", [
+    (["sign-run", "--matrix", "{d}/missing.json"], "cannot read {d}/missing.json"),
+    (["conditions", "{d}/nothere.json"], "cannot read {d}/nothere.json"),
+    (["sign-run", "--seed", "1", "--dim", "2", "--out", "{d}/no/x.csv"], "cannot write {d}/no/x.csv"),
+    (["perturb", "--seed", "1", "--dim", "2", "--iters", "1", "--out", "{d}"], "cannot write {d}"),
+    (["phases", "--pade-l", "2", "--out", "{d}/no/p.json"], "cannot write {d}/no/p.json"),
+])
+def test_unreadable_and_unwritable_paths_are_input_errors(tmp_path, capsys, args, message):
+    # a missing file or directory exits 2 with one line, not a traceback
+    assert main([a.format(d=tmp_path) for a in args]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"input error: {message.format(d=tmp_path)}: ") and err.count("\n") == 1
+
+
+def test_files_that_are_not_utf8_or_hold_booleans_are_input_errors(tmp_path, capsys):
+    path = tmp_path / "p.json"
+    path.write_bytes(b'\xff{"coeffs": [[0, 0], [1, 0]], "parity": "odd"}')
+    assert main(["conditions", str(path)]) == 2
+    path.write_text('{"coeffs": [[0, 0], [true, false]], "parity": "odd"}')
+    assert main(["conditions", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(
+        "input error: coefficient 1 holds a non-finite or non-numeric value\n")

@@ -241,6 +241,7 @@ def test_matrix_json_rejects_nan(tmp_path):
     ('[3, [0.5, 0.0]]', "entry 0 is not a [re, im] pair"),
     ('[[0.5, 0.0], [1e400, 0.0]]', "entry 1 holds a non-finite or non-numeric value"),
     ('[[0.5, 0.0], [0.0, "a"]]', "entry 1 holds a non-finite or non-numeric value"),
+    ('[[0.5, 0.0], [false, 0.0]]', "entry 1 holds a non-finite or non-numeric value"),
 ])
 def test_matrix_file_pair_errors_name_the_entry(tmp_path, text, message):
     path = tmp_path / "bad.json"
@@ -257,6 +258,14 @@ def test_matrix_file_needs_its_keys(tmp_path, text):
     with pytest.raises(InputError) as exc:
         load_matrix(str(path))
     assert str(exc.value) == f"matrix file {path} needs keys rows, cols, entries"
+
+
+@pytest.mark.parametrize("rows, cols", [("true", "true"), ("0", "1"), ("1.0", "1"), ('"1"', "1")])
+def test_matrix_file_needs_positive_integer_sizes(tmp_path, rows, cols):
+    path = tmp_path / "bad.json"
+    path.write_text(f'{{"rows": {rows}, "cols": {cols}, "entries": [[0.5, 0.0]]}}')
+    with pytest.raises(InputError, match="rows and cols must be positive integers"):
+        load_matrix(str(path))
 
 
 def test_matrix_json_rejects_shape_mismatch(tmp_path):

@@ -144,6 +144,7 @@ def test_poly_json_roundtrip(tmp_path):
     ('[[0.0, 0.0], 1.0]', "coefficient 1 is not a [re, im] pair"),
     ('[[0.0, 0.0], [1e400, 0.0]]', "coefficient 1 holds a non-finite or non-numeric value"),
     ('[[0.0, 0.0], [null, 0.0]]', "coefficient 1 holds a non-finite or non-numeric value"),
+    ('[[0.0, 0.0], [true, false]]', "coefficient 1 holds a non-finite or non-numeric value"),
 ])
 def test_poly_file_pair_errors_name_the_coefficient(tmp_path, text, message):
     path = tmp_path / "bad.json"

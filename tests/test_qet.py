@@ -733,7 +733,16 @@ def test_plan_charges_the_work_it_does(monkeypatch, source):
     assert runs[0] == runs[1]
 
 
-def test_each_list_is_planned_once(monkeypatch):
+@pytest.fixture
+def cold_sign_plans():
+    """An empty sign-plan cache, emptied again afterwards, so no test sees
+    another's plans and none leaves behind a plan of a patched list."""
+    rqet.qet._sign_plan.cache_clear()
+    yield
+    rqet.qet._sign_plan.cache_clear()
+
+
+def test_each_list_is_planned_once(monkeypatch, cold_sign_plans):
     pade_phases(2)  # a cold derivation plans the base list for its round-trip check
     planned, plan = [], _kernels._plan
 
@@ -748,9 +757,15 @@ def test_each_list_is_planned_once(monkeypatch):
     run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)
     assert planned == [5, 25, 125, 625]
     planned.clear()
-    # the nested levels plan the base list, and the one flattened chain is planned once
+    run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)  # every level's plan is cached
+    assert planned == []
+    # the nested levels plan the base list, and the one flattened chain is
+    # planned on the first run at (l, n) only
     run_sign(A, 0.4, 1e-8, mode="scalar", levels=6)
     assert planned == [5] * 6 + [5 ** 6]
+    planned.clear()
+    run_sign(A, 0.4, 1e-8, mode="scalar", levels=6)
+    assert planned == [5] * 6
 
 
 def test_phased_product_memory_stays_small():
@@ -857,20 +872,21 @@ def test_runs_off_the_top_row_form_keep_their_products(monkeypatch, run, d):
     assert calls and all(calls)
 
 
-def test_scalar_run_evaluates_one_chain(monkeypatch):
+def test_scalar_run_evaluates_one_chain(monkeypatch, cold_sign_plans):
     pade_phases(2)  # a cold derivation runs its own round-trip check through the chain
-    calls = []
+    calls, execute = [], _kernels.plan_chain
 
-    def counted(phases, xs):
-        calls.append(len(phases))
-        return phase_chain(phases, xs)
+    def counted(plan, xs):
+        calls.append(plan)
+        return execute(plan, xs)
 
-    monkeypatch.setattr("rqet.qsp.phase_chain", counted)
-    monkeypatch.setattr("rqet.qet.phase_chain", counted)
-    table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), 0.1, 1e-10, mode="scalar")
-    assert rep.rows[-1].n == 8
-    assert calls == [5 ** 8]
-    assert table.flattened_distance <= 1e-10
+    monkeypatch.setattr(_kernels, "plan_chain", counted)  # phase_chain's executor
+    monkeypatch.setattr(rqet.qet, "plan_chain", counted)
+    for _ in range(2):  # cold, then warm: one chain apiece, on the cached 5^8 plan
+        table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), 0.1, 1e-10, mode="scalar")
+        assert rep.rows[-1].n == 8
+        assert table.flattened_distance <= 1e-10
+    assert len(calls) == 2 and all(c is rqet.qet._sign_plan(2, 8) for c in calls)
 
 
 def test_scalar_run_refuses_an_eigenvalue_just_past_one():
@@ -879,7 +895,9 @@ def test_scalar_run_refuses_an_eigenvalue_just_past_one():
         run_sign(np.diag([1 + 5e-10, -0.5]).astype(complex), 0.1, 1e-6, mode="scalar")
 
 
-def test_scalar_run_rejects_a_corrupted_flattened_list(monkeypatch):
+def test_scalar_run_rejects_a_corrupted_flattened_list(monkeypatch, cold_sign_plans):
+    # the cache is empty, so the check plans the corrupted list; the fixture
+    # then drops that plan
     def corrupted(l, levels):
         flat = flatten_sign_phases(l, levels)
         flat[len(flat) // 2] += 1e-3
@@ -888,6 +906,69 @@ def test_scalar_run_rejects_a_corrupted_flattened_list(monkeypatch):
     monkeypatch.setattr("rqet.qet.flatten_sign_phases", corrupted)
     with pytest.raises(NumericError, match="nested and flattened products differ"):
         run_sign(np.diag([0.5, -0.5]).astype(complex), 0.5, 1e-8, mode="scalar")
+
+
+def test_cached_sign_plans_are_read_only(cold_sign_plans):
+    plan = rqet.qet._sign_plan(2, 4)
+    for a in (plan.rows, *plan.folds):
+        with pytest.raises(ValueError):
+            a[(0,) * a.ndim] = 0
+
+
+def test_cached_sign_plans_are_small_and_hold_no_list(monkeypatch, cold_sign_plans):
+    # every admitted (l, n): even l of the table, n >= 1 up to MAX_PHASES queries
+    lists, flatten = {}, flatten_sign_phases
+
+    def recorded(l, levels):
+        lists[l, levels] = flatten(l, levels)
+        return lists[l, levels]
+
+    monkeypatch.setattr("rqet.qet.flatten_sign_phases", recorded)
+    total = 0
+    for l in range(2, rqet.cli._MAX_PADE + 1, 2):
+        n = 1
+        while query_count(n, l) <= MAX_PHASES:
+            plan = rqet.qet._sign_plan(l, n)
+            for a in (plan.rows, *plan.folds):
+                assert not np.shares_memory(a, lists[l, n])
+                total += a.nbytes
+            lists.pop((l, n))
+            n += 1
+    assert total < 2 ** 20  # measured: 510,312 bytes
+
+
+@pytest.mark.parametrize("l, n", [(2, 8), (4, 5), (8, 3), (2, 9)])
+def test_cached_plans_run_bit_for_bit_as_planned_lists(l, n, cold_sign_plans):
+    pts = np.unique(np.concatenate((scalar_grid(0.1), [0.37, -0.91])))
+    got = _kernels.plan_chain(rqet.qet._sign_plan(l, n), pts)
+    assert got.tobytes() == phase_chain(flatten_sign_phases(l, n), pts).tobytes()
+
+
+def _without_times(report):
+    return [dataclasses.replace(r, wall_time_ms=0.0) for r in report.rows]
+
+
+@pytest.mark.parametrize("mode", ["scalar", "flattened"])
+def test_warm_runs_match_cold_runs_byte_for_byte(mode, cold_sign_plans):
+    A, _ = hermitian_with_spectrum(7, [-0.9, -0.3, 0.35, 0.8])
+    cold, cold_report = run_sign(A, 0.3, 1e-8, mode=mode, levels=5)
+    warm, warm_report = run_sign(A, 0.3, 1e-8, mode=mode, levels=5)
+    assert _without_times(cold_report) == _without_times(warm_report)
+    if mode == "flattened":
+        assert cold.unitary.tobytes() == warm.unitary.tobytes()
+    else:
+        assert cold.points.tobytes() == warm.points.tobytes()
+        assert cold.values.tobytes() == warm.values.tobytes()
+        assert cold.flattened_distance == warm.flattened_distance
+
+
+def test_warm_scalar_run_composes_no_list(monkeypatch, cold_sign_plans):
+    A = np.diag([0.5, -0.5]).astype(complex)
+    run_sign(A, 0.1, 1e-10, mode="scalar")
+    composed = []
+    monkeypatch.setattr("rqet.qet.compose_phases", lambda *a: composed.append(a))
+    table, _ = run_sign(A, 0.1, 1e-10, mode="scalar")
+    assert composed == [] and table.flattened_distance <= 1e-10
 
 
 def test_coherent_perturb_first_order():
