@@ -33,12 +33,8 @@ for bit.
 Rows, and rows of the fold, merge only when every entry has the same
 bit pattern: -0.0 never merges with 0.0, and a NaN never merges with
 anything but the same NaN, so merging never mixes blocks that differ,
-even in the last bit of one angle.  _distinct_rows finds them without
-hashing every byte: rows are grouped by a key taken from a few sampled
-columns, and each row is then compared bitwise with its group's first
-row, in numpy.  Only rows that fail that comparison are split further,
-by their full bytes.  The one pass over the list costs about as much as
-reading it.
+even in the last bit of one angle.  _distinct_rows keys a dictionary by
+each row's bytes.
 
 phase_chain's leaf multiplies out only the top row of each product: a
 product of k factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]]
@@ -53,7 +49,8 @@ top-left entry divided by the top row's norm.
 phase_chain plans its list and runs plan_chain, which executes a given
 plan.  A sign list's plan depends only on (l, n) over the read-only
 phase table, so qet._sign_plan makes each once and caches it read-only
-for scalar mode's check (plan_chain) and the flattened levels' products.
+for scalar mode's check (plan_chain), the flattened levels' products and
+perturb's grid.
 """
 
 from __future__ import annotations
@@ -71,67 +68,21 @@ def _block_length(n: int) -> int:
     return next((k for k in range(r, max(2, -(-r // 8)) - 1, -1) if n % k == 0), n)
 
 
-def _key_columns(k: int) -> list[int]:
-    """Columns a row's key samples: the first two, where the blocks of a
-    nested list differ most often, and six spread evenly over the row."""
-    return sorted({0, min(1, k - 1), *((k - 1) * i // 5 for i in range(6))})
-
-
-# odd multipliers, one per sampled column: a row's key is the wrapping sum
-# of its sampled bits times these, so rows that differ in one sampled
-# column never share a key
-_KEY_MULTIPLIERS = np.cumprod(np.full(8, 0x9E3779B97F4A7C15, dtype=np.uint64))
-_CHECK_BYTES = 2 ** 18  # bytes of rows compared per numpy step, so temporaries stay in cache
-
-
-def _row_keys(bits: np.ndarray) -> np.ndarray:
-    """Wrapping sum of each row's sampled bits times _KEY_MULTIPLIERS."""
-    cols = _key_columns(bits.shape[1])
-    return bits.take(cols, axis=1) @ _KEY_MULTIPLIERS[: len(cols)]
-
-
 def _distinct_rows(blocks: np.ndarray,
                    most: float = math.inf) -> tuple[np.ndarray, list[int]] | None:
     """Bitwise-distinct rows of a 2-d array of 8-byte items in order of first
-    appearance, and the index of each row among them; None when more than
-    `most` rows are distinct.
-
-    Rows are grouped by a key hashed from the bits of their _key_columns,
-    then every row is compared bit for bit with its group's first row, all
-    in numpy, _CHECK_BYTES of rows at a time.  Rows with different keys
-    differ, so more than `most` keys, among the first most + 1 rows or
-    among all, settle None before any row is compared; n distinct keys
-    settle that every row is distinct.  Only the rows that fail the
-    comparison are split further, by their full bytes.
-    """
-    bits = np.ascontiguousarray(blocks).view(np.uint64)
-    n, k = bits.shape
-    if most < n:  # the first most + 1 rows may already hold too many keys
-        head = np.sort(_row_keys(bits[: most + 1]))
-        if np.count_nonzero(head[1:] != head[:-1]) >= most:
-            return None
-    _, first, group = np.unique(_row_keys(bits), return_index=True, return_inverse=True)
-    if len(first) > most:
-        return None
-    if len(first) == n:  # every key differs, so every row is its own group
-        return blocks, list(range(n))
-    reps, same = bits[first], np.ones(n, dtype=bool)
-    step = max(1, _CHECK_BYTES // (8 * k))
-    for s in range(0, n, step):
-        equal = bits[s : s + step] == reps[group[s : s + step]]
-        if not equal.all():
-            same[s : s + step] = equal.all(axis=1)
-    if not same.all():
-        seen: dict[bytes, int] = {}
-        for i in np.flatnonzero(~same):
-            group[i] = len(first) + seen.setdefault(bits[i].tobytes(), len(seen))
-        _, first, group = np.unique(group, return_index=True, return_inverse=True)
-        if len(first) > most:
-            return None
-    order = np.argsort(first)
-    rank = np.empty_like(order)
-    rank[order] = np.arange(len(order))
-    return blocks[first[order]], rank[group].tolist()
+    appearance, and the index of each row among them; None once more than
+    `most` rows are distinct."""
+    seen: dict[bytes, int] = {}
+    first, index = [], []
+    for i, row in enumerate(blocks):
+        j = seen.setdefault(row.tobytes(), len(seen))
+        if j == len(first):  # a new row
+            if len(seen) > most:
+                return None
+            first.append(i)
+        index.append(j)
+    return blocks[first], index
 
 
 class _Plan(NamedTuple):

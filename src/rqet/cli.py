@@ -18,13 +18,13 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import _Plan, _plan
+from ._kernels import _Plan
 from .blockenc import dilate_hermitian
 from .errors import DomainError, InputError, NumericError, opened
 from .linalg import load_matrix, operator_norm, require_dim
 from .poly import check_qet_conditions, load_poly, pade
-from .qet import (_check_dense_cost, _check_phase_count, _phased_product, coherent_perturb,
-                  distinct_angles, flatten_sign_phases, query_count, run_sign)
+from .qet import (_check_dense_cost, _check_phase_count, _phased_product, _sign_plan,
+                  coherent_perturb, distinct_angles, flatten_sign_phases, query_count, run_sign)
 from .qsp import pade_phases, save_phases
 from .qsvt import run_polar
 
@@ -193,11 +193,10 @@ def _cmd_perturb(args) -> int:
         raise InputError("--iters must be at least 1")
     A, meta = _load_or_generate(args, hermitian=True)
     lo, hi, count = _parse_grid(args.delta_grid)
-    flat = flatten_sign_phases(args.pade_l, args.iters)
-    plan = _plan(flat)
+    plan = _sign_plan(args.pade_l, args.iters)
     # the reference, the zero perturbation and each grid value: one product of the plan apiece
     _check_dense_cost((count + 2) * plan.products, A.shape[0])
-    largest = float(np.abs(flat).max())
+    largest = float(np.abs(plan.rows).max())  # every phase of the list is in a leaf row
     if not math.isfinite(largest * (1.0 + hi)):  # a Python float overflows to inf, no warning
         raise InputError(f"--delta-grid upper bound {hi:g} scales the phases past float64 "
                          f"(largest |phase| {largest:.6g})")
@@ -211,7 +210,7 @@ def _cmd_perturb(args) -> int:
         rows.append(f"{float(d):.17g},{operator_norm(encoded(float(d)) - X_ref):.17g}")
     _emit("\n".join(rows) + "\n", args.out)
     summary = {"command": "perturb", "levels": args.iters,
-               "phase_count": int(len(flat)), **meta}
+               "phase_count": query_count(args.iters, args.pade_l), **meta}
     sys.stdout.write(json.dumps(summary, indent=2) + "\n")
     return 0
 

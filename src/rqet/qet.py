@@ -33,7 +33,7 @@ _DENSE_FLOOR = 32  # dilation size 2d below which a product costs about its Pyth
 DENSE_BUDGET = 2 ** 32  # products x max(2d, _DENSE_FLOOR)^3: under 1 s of d = 64 ones, one core
 
 
-def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None,
+def _phased_product(U: np.ndarray, phases: np.ndarray | None, plan: _Plan | None = None,
                     qubitized: bool = False) -> np.ndarray:
     """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
     one product per leading index, by broadcast matmul.  No checks.
@@ -44,6 +44,8 @@ def _phased_product(U: np.ndarray, phases: np.ndarray, plan: _Plan | None = None
     if none is given: each distinct block once, folded by np.matmul, which
     agrees with the slot loop to rounding.  Any other oracle, and a list
     whose blocks do not repeat, gets the one-row plan: the slot loop.
+    `phases` may be None when `plan` is given for an oracle that equals its
+    own adjoint, since only the slot-loop fallback reads the list.
 
     The slot loop, the plan's leaf, multiplies out rows of slots one
     position at a time, all rows together as a (rows, ..., 2d, 2d) stack;
@@ -459,14 +461,13 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     queries.  Flattened mode charges every level's plan before any product
     is formed and refuses a run whose plans' products together exceed
     DENSE_BUDGET.  A row's wall_time_ms covers the level's construction
-    (compose and product, or one nested step), not its plan, its error
-    check nor scalar mode's final flattened check.
+    (its product, or one nested step), not its plan, its error check nor
+    scalar mode's final flattened check.
 
     Sign-list plans come from _sign_plan, made once per (l, n) and cached
-    read-only.  Flattened levels still compose their lists, which the slot
-    loop needs for an oracle that is not its own adjoint; scalar mode's
-    check runs the cached plan through plan_chain, so after the first run
-    at (l, n) it builds and plans no list.
+    read-only: flattened levels run them over the dilation, which equals
+    its own adjoint, and scalar mode's check runs one through plan_chain,
+    so after the first run at (l, n) neither builds nor plans a list.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.
@@ -515,8 +516,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         if mode == "recursive":
             be = qet_recursive_step(be, base)
         else:
-            flat = compose_phases(flat, base) if k > 1 else base
-            be = BlockEncoding(_phased_product(be0.unitary, flat, _sign_plan(l, k)), be0.system_dim)
+            be = BlockEncoding(_phased_product(be0.unitary, None, _sign_plan(l, k)), be0.system_dim)
         ms = (time.perf_counter() - t0) * 1e3
         report.add(k, operator_norm(extract(be) - target), ms)
     return be, report

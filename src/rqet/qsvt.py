@@ -22,7 +22,7 @@ from .errors import DomainError, NumericError
 from .linalg import (_gram, hermitian_eigvals, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
-from .qet import _check_gap, _run_setup, qet_recursive_step, run_sign
+from .qet import _check_gap, _run_setup, IterationReport, qet_recursive_step, run_sign
 
 _STEP_TOL = 1e-10
 

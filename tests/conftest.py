@@ -2,13 +2,24 @@ from fractions import Fraction
 from math import comb
 
 import numpy as np
+import pytest
 
+import rqet.qet
 from rqet._kernels import _block_length
 
 # list lengths N, with blocks of k = _block_length(N) phases made of sub-blocks
 # of c = _block_length(k): (k, c) = (4, 2), (9, 3), (12, 3), (16, 4), (18, 3),
 # (25, 5), (36, 6), (32, 4) and (49, 7)
 TWO_LEVEL_LENGTHS = [16, 81, 144, 256, 324, 625, 1296, 1024, 2401]
+
+
+@pytest.fixture
+def cold_sign_plans():
+    """An empty sign-plan cache, emptied again afterwards, so no test sees
+    another's plans and none leaves behind a plan of a patched list."""
+    rqet.qet._sign_plan.cache_clear()
+    yield
+    rqet.qet._sign_plan.cache_clear()
 
 
 def hermitian_with_spectrum(seed: int, eigenvalues) -> tuple[np.ndarray, np.ndarray]:

@@ -4,10 +4,10 @@ import sys
 import time
 import warnings
 
+import numpy as np
 import pytest
 
-import rqet.cli
-from rqet import save_matrix
+from rqet import _kernels, pade_phases, save_matrix
 from rqet.cli import main
 from rqet.qet import MAX_PHASES
 from conftest import hermitian_with_spectrum
@@ -312,20 +312,28 @@ def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):
     assert "3531 dense products" in capsys.readouterr().err
 
 
-def test_perturb_plans_its_list_once(monkeypatch):
-    # every perturbed list runs the reference's plan with its rows scaled:
-    # no scaled copy of the list is built and nothing is planned again
-    planned, plan = [], rqet.cli._plan
+def test_perturb_plans_its_list_once(monkeypatch, capsys, cold_sign_plans):
+    # perturb takes the cached sign-list plan and runs every grid value on it
+    # with the rows scaled: a cold run plans the 5^4 list once, a warm one
+    # plans nothing, and both print the same
+    pade_phases(2)  # a cold derivation plans the base list for its round-trip check
+    planned, plan = [], _kernels._plan
 
     def recording(rows, *args):
-        planned.append(len(rows))
+        if np.ndim(rows) == 1:  # a list, not the plan's own recursion
+            planned.append(len(rows))
         return plan(rows, *args)
 
-    monkeypatch.setattr("rqet.cli._plan", recording)
+    monkeypatch.setattr(_kernels, "_plan", recording)
     monkeypatch.setattr("rqet.qet._plan", recording)
-    assert main(["perturb", "--seed", "1", "--dim", "2", "--iters", "4",
-                 "--delta-grid", "1e-6:1e-2:5"]) == 0
-    assert planned == [625]
+    args = ["perturb", "--seed", "1", "--dim", "2", "--iters", "4", "--delta-grid", "1e-6:1e-2:5"]
+    outputs = []
+    for expected in ([625], []):
+        planned.clear()
+        assert main(args) == 0
+        assert planned == expected
+        outputs.append(capsys.readouterr())
+    assert outputs[0] == outputs[1]
 
 
 @pytest.mark.parametrize("command", ["phases", "sign-run", "polar-run", "perturb"])

@@ -733,15 +733,6 @@ def test_plan_charges_the_work_it_does(monkeypatch, source):
     assert runs[0] == runs[1]
 
 
-@pytest.fixture
-def cold_sign_plans():
-    """An empty sign-plan cache, emptied again afterwards, so no test sees
-    another's plans and none leaves behind a plan of a patched list."""
-    rqet.qet._sign_plan.cache_clear()
-    yield
-    rqet.qet._sign_plan.cache_clear()
-
-
 def test_each_list_is_planned_once(monkeypatch, cold_sign_plans):
     pade_phases(2)  # a cold derivation plans the base list for its round-trip check
     planned, plan = [], _kernels._plan
@@ -969,6 +960,17 @@ def test_warm_scalar_run_composes_no_list(monkeypatch, cold_sign_plans):
     monkeypatch.setattr("rqet.qet.compose_phases", lambda *a: composed.append(a))
     table, _ = run_sign(A, 0.1, 1e-10, mode="scalar")
     assert composed == [] and table.flattened_distance <= 1e-10
+
+
+def test_warm_flattened_run_composes_no_list(monkeypatch, cold_sign_plans):
+    # the dilation equals its own adjoint, so each level runs its cached plan
+    # and the slot-loop fallback, the only reader of a list, never runs
+    A, _ = hermitian_with_spectrum(7, [-0.9, -0.3, 0.35, 0.8])
+    cold, _ = run_sign(A, 0.3, 1e-8, mode="flattened", levels=4)
+    composed = []
+    monkeypatch.setattr("rqet.qet.compose_phases", lambda *a: composed.append(a))
+    warm, _ = run_sign(A, 0.3, 1e-8, mode="flattened", levels=4)
+    assert composed == [] and warm.unitary.tobytes() == cold.unitary.tobytes()
 
 
 def test_coherent_perturb_first_order():

@@ -13,11 +13,11 @@ from hypothesis import example, given, settings, strategies as st
 
 import rqet
 from rqet import (DomainError, InputError, NumericError,
-                  canonicalize_angles, chebyshev_reflection_phases,
+                  canonicalize_angles, chebyshev_reflection_phases, flatten_sign_phases,
                   load_poly, pade, pade_phases, poly_eval, qsp,
                   reflection_upper_left, save_phases)
 from rqet import _kernels
-from rqet._kernels import _block_length, _distinct_rows, _key_columns, phase_chain
+from rqet._kernels import _block_length, _distinct_rows, _plan, phase_chain
 from conftest import TWO_LEVEL_LENGTHS, exact_pade_coeffs, two_level_tiled
 import pade_table
 
@@ -367,20 +367,23 @@ def test_phase_chain_blocks_merge_only_when_bitwise_equal():
     assert np.array_equal(distinct[index].view(np.uint64), blocks.view(np.uint64))
 
 
-def _distinct_rows_by_bytes(blocks, most=np.inf):
-    """Reference: a dict keyed by every row's bytes, stopping once more than
-    `most` rows are distinct."""
-    seen, index = {}, []
-    for row in blocks:
-        index.append(seen.setdefault(row.tobytes(), len(seen)))
-        if len(seen) > most:
-            return None
-    distinct = np.frombuffer(b"".join(seen), dtype=blocks.dtype)
-    return distinct.reshape(len(seen), blocks.shape[1]), index
+def _distinct_rows_by_scan(blocks, most=np.inf):
+    """Reference: each row's uint64 view compared with every distinct row
+    found so far, stopping once more than `most` rows are distinct."""
+    bits = np.ascontiguousarray(blocks).view(np.uint64)
+    first, index = [], []
+    for i, row in enumerate(bits):
+        j = next((j for j, f in enumerate(first) if np.array_equal(bits[f], row)), len(first))
+        if j == len(first):
+            if len(first) + 1 > most:
+                return None
+            first.append(i)
+        index.append(j)
+    return blocks[first], index
 
 
 def _assert_same_rows(blocks, most=np.inf):
-    got, ref = _distinct_rows(blocks, most), _distinct_rows_by_bytes(blocks, most)
+    got, ref = _distinct_rows(blocks, most), _distinct_rows_by_scan(blocks, most)
     if ref is None:
         assert got is None
         return
@@ -390,6 +393,12 @@ def _assert_same_rows(blocks, most=np.inf):
     assert got[1] == ref[1]
 
 
+def _old_key_columns(k):
+    """Columns an earlier, sampled-key _distinct_rows hashed: rows that differ
+    only elsewhere shared its key, so they are the inputs worth planting."""
+    return sorted({0, min(1, k - 1), *((k - 1) * i // 5 for i in range(6))})
+
+
 _NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF8000000000000],
                          dtype=np.uint64).view(np.float64)
 
@@ -397,12 +406,12 @@ _NAN_PAYLOADS = np.array([0x7FF8000000000000, 0x7FF8000000000001, 0xFFF800000000
 @st.composite
 def _planted_rows(draw):
     """Rows tiled from a pool of variants of one random row, each differing
-    from it in a single column the key does not sample (when there is one):
+    from it in a single column outside _old_key_columns (when there is one):
     a nextafter neighbour, 0.0 and -0.0, and NaNs with different payloads."""
     k = draw(st.integers(1, 40))
     rng = np.random.default_rng(draw(st.integers(0, 2 ** 16)))
     row = rng.uniform(-np.pi, np.pi, k)
-    hidden = np.setdiff1d(np.arange(k), _key_columns(k))
+    hidden = np.setdiff1d(np.arange(k), _old_key_columns(k))
     col = int(rng.choice(hidden)) if len(hidden) else draw(st.integers(0, k - 1))
     pool = [row]
     for value in (np.nextafter(row[col], np.inf), 0.0, -0.0, *_NAN_PAYLOADS):
@@ -431,12 +440,10 @@ def test_distinct_rows_matches_bytewise_dedup_on_index_rows(c, n, values, seed, 
 
 
 def test_distinct_rows_splits_a_group_past_the_first_comparison_step():
-    # the 625 x 625 top split of the 5^8 sign list is compared in several
-    # steps; plant last-bit differences in unsampled columns of late rows
-    from rqet import flatten_sign_phases
+    # the 625 x 625 top split of the 5^8 sign list, with last-bit differences
+    # planted in late rows, in columns outside _old_key_columns
     blocks = flatten_sign_phases(2, 8).reshape(625, 625).copy()
-    hidden = np.setdiff1d(np.arange(625), _key_columns(625))
-    assert 625 * 625 * 8 > 2 * _kernels._CHECK_BYTES
+    hidden = np.setdiff1d(np.arange(625), _old_key_columns(625))
     _assert_same_rows(blocks)
     for row, col in ((600, hidden[-1]), (601, hidden[3]), (624, hidden[-1])):
         blocks[row, col] = np.nextafter(blocks[row, col], np.inf)
@@ -444,3 +451,16 @@ def test_distinct_rows_splits_a_group_past_the_first_comparison_step():
     assert len(_distinct_rows(blocks)[0]) == 11
     _assert_same_rows(blocks, 10)
     assert _distinct_rows(blocks, 10) is None
+
+
+@pytest.mark.parametrize("l, n", [(2, 8), (2, 9), (4, 5), (8, 4), (20, 3)])
+def test_plan_is_the_same_under_the_reference_dedup(monkeypatch, l, n):
+    flat = flatten_sign_phases(l, n)
+    got = _plan(flat)
+    monkeypatch.setattr(_kernels, "_distinct_rows", _distinct_rows_by_scan)
+    ref = _plan(flat)
+    assert got.rows.dtype == ref.rows.dtype and got.rows.shape == ref.rows.shape
+    assert got.rows.tobytes() == ref.rows.tobytes()
+    assert len(got.folds) == len(ref.folds)
+    for a, b in zip(got.folds, ref.folds):
+        assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()

@@ -1,7 +1,11 @@
+import dataclasses
+import typing
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import rqet
 from rqet import (DomainError, NumericError, dilate_general, distinct_nonzero_angles,
                   extract, filtering_operator, flatten_sign_phases, matrix_sign,
                   operator_norm, pade_phases, polar_oracle, preparation_projector,
@@ -185,3 +189,12 @@ def test_recursive_drivers_never_flatten(monkeypatch):
     monkeypatch.setattr("rqet.qet.compose_phases", refuse)
     for name, call in calls.items():
         assert _rows(call()) == expected[name], name
+
+
+def test_every_exported_dataclass_has_resolvable_annotations():
+    exported = [getattr(rqet, name) for name in dir(rqet)]
+    classes = [c for c in exported if isinstance(c, type) and dataclasses.is_dataclass(c)]
+    assert {rqet.FilterResult, rqet.PreparationResult} <= set(classes)
+    for cls in classes:
+        hints = typing.get_type_hints(cls)
+        assert {f.name for f in dataclasses.fields(cls)} <= set(hints), cls.__name__
