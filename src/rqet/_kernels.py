@@ -7,7 +7,7 @@ _plan decides from the phases' bits alone how the product is taken, and
 _execute takes it with the caller's arithmetic, passed as two plain
 functions: a leaf that multiplies out rows of phases one step per
 position, vectorized across the rows, and the product of two stacks of
-results.  phase_chain passes the reflection-form 2x2 arithmetic, and
+results.  plan_chain passes the reflection-form 2x2 arithmetic, and
 qet's dense product passes its slot loop and np.matmul.
 
 - Rows.  A row of k phases is cut into sub-rows of c = _block_length(k)
@@ -36,7 +36,7 @@ anything but the same NaN, so merging never mixes blocks that differ,
 even in the last bit of one angle.  _distinct_rows keys a dictionary by
 each row's bytes.
 
-phase_chain's leaf multiplies out only the top row of each product: a
+plan_chain's leaf multiplies out only the top row of each product: a
 product of k factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]]
 with s = (-1)^(k+1), and the leaf reads the bottom row off the top one.
 Conjugation commutes with complex rounding, and u - v == -(v - u), so
@@ -46,11 +46,10 @@ has norm 1, but every float factor is off unitary by about an ulp in the
 same direction, so the norm drifts as (1 + eta)^N; the result is the
 top-left entry divided by the top row's norm.
 
-phase_chain plans its list and runs plan_chain, which executes a given
-plan.  A sign list's plan depends only on (l, n) over the read-only
-phase table, so qet._sign_plan makes each once and caches it read-only
-for scalar mode's check (plan_chain), the flattened levels' products and
-perturb's grid.
+plan_chain executes a given plan (qsp.reflection_upper_left plans its
+list first).  A sign list's plan depends only on (l, n) over the
+read-only phase table, so qet._sign_plan makes each once and caches it
+read-only for scalar mode's check, the flattened levels and perturb.
 """
 
 from __future__ import annotations
@@ -163,13 +162,8 @@ def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 
 
 def plan_chain(plan: _Plan, xs: np.ndarray) -> np.ndarray:
-    """phase_chain of the list `plan` was made from (by _plan), at each point of xs."""
+    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each of xs, phi the list `plan` is of."""
     x = np.ascontiguousarray(xs, dtype=np.float64)
     w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     r0, r1 = _execute(plan, lambda rows: _block_stage(rows, x, w), _times)[0, 0]
     return r0 / np.sqrt(np.abs(r0) ** 2 + np.abs(r1) ** 2)
-
-
-def phase_chain(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
-    """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each point of xs."""
-    return plan_chain(_plan(np.ascontiguousarray(phases, dtype=np.float64)), xs)

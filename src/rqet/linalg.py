@@ -146,11 +146,6 @@ def _unitarity_deviation(U: np.ndarray) -> float:
     return float(np.abs(U.conj().T @ U - np.eye(U.shape[0])).max())
 
 
-def unitarity_check(U: np.ndarray) -> bool:
-    """True when U^dag U = I entrywise within 1e-10."""
-    return _unitarity_deviation(require_square(U)) <= _RESIDUAL_TOL
-
-
 # ------------------------------------------------------------------- file io
 
 def load_matrix(path: str) -> np.ndarray:

@@ -5,8 +5,8 @@ eigenvalue of an encoded Hermitian matrix through a phased product of
 oracle calls.  Levels nest: the output unitary of one level is the
 oracle of the next, so n levels realize the n-fold composite while the
 phase list can equally be flattened into a single product up front.
-The three drivers (recursive, flattened, scalar) must agree; tests and
-the acceptance suite hold them to that.
+Sign runs in three modes (recursive, flattened, scalar) and polar runs
+share one level loop (_nest); tests and the acceptance suite hold the modes to agree.
 """
 
 from __future__ import annotations
@@ -391,7 +391,7 @@ class IterationRow:
 
 @dataclass
 class IterationReport:
-    """Per-level convergence table shared by the sign and polar drivers."""
+    """Per-level convergence table shared by the sign and polar runs (rows from _nest)."""
 
     mode: str
     delta: float
@@ -447,6 +447,21 @@ def _check_gap(w: np.ndarray, delta: float, what: str) -> None:
         raise DomainError(f"{what}: " + ", ".join(f"{v:.6g}" for v in w[bad]))
 
 
+def _nest(U, n: int, report: IterationReport, step, error_of):
+    """The one nested-level loop of every run: U = step(U, k) for k = 1..n,
+    each adding the row (k, error_of(U), the step's time alone), or the one
+    row (0, error_of(U), 0 ms) when n = 0.  U is scalar mode's (points, 2, 2)
+    stack or an encoding; the last one is returned."""
+    if n == 0:
+        report.add(0, error_of(U), 0.0)
+    for k in range(1, n + 1):
+        t0 = time.perf_counter()
+        U = step(U, k)
+        ms = (time.perf_counter() - t0) * 1e3
+        report.add(k, error_of(U), ms)
+    return U
+
+
 def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
              mode: str = "recursive", levels: int | None = None):
     """Drive the sign iteration to tolerance and report per level.
@@ -454,15 +469,16 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     mode "recursive" nests block encodings, "flattened" rebuilds each
     level from one composed phase list, "scalar" nests the 2x2 dilations
     [[x, w], [w, -x]], w = sqrt(1 - x^2), of the eigenvalues plus a
-    21-point grid, one level per step, then evaluates the flattened
-    product of all n levels once at the same points.  A nested-flattened
-    distance over _IDENTITY_TOL raises NumericError; the table keeps the
-    nested values.  Every mode refuses runs of more than MAX_PHASES
-    queries.  Flattened mode charges every level's plan before any product
-    is formed and refuses a run whose plans' products together exceed
-    DENSE_BUDGET.  A row's wall_time_ms covers the level's construction
-    (its product, or one nested step), not its plan, its error check nor
-    scalar mode's final flattened check.
+    21-point grid, then, if n > 0, evaluates the flattened product of all
+    n levels once at the same points.  A nested-flattened distance over
+    _IDENTITY_TOL raises NumericError; the table keeps the nested values.
+    Every mode refuses runs of more than MAX_PHASES queries.  Flattened
+    mode charges every level's plan before any product is formed and
+    refuses a run whose plans' products together exceed DENSE_BUDGET.
+    Levels run in _nest, so row 0 of a zero-level run measures the points
+    or block every later row does, and a row's wall_time_ms covers only
+    its level's step (a nested step or a flattened level's product), not
+    its plan, its error check nor scalar mode's final flattened check.
 
     Sign-list plans come from _sign_plan, made once per (l, n) and cached
     read-only: flattened levels run them over the dilation, which equals
@@ -483,40 +499,26 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         _check_dense_cost(sum(_sign_plan(l, k).products for k in range(1, n + 1)), A.shape[0])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
-    target = _sign_of(spectrum)
-
-    if n == 0:
-        err = operator_norm(A - target) if mode != "scalar" else float(np.abs(w - np.sign(w)).max())
-        report.add(0, err, 0.0)
-        if mode == "scalar":
-            return ScalarSignTable(pts, pts.astype(np.complex128)), report
-        return _dilate_spectrum(A, spectrum), report
-
-    if mode == "scalar":
         U = np.empty((len(pts), 2, 2), dtype=np.complex128)
         U[:, 0, 0], U[:, 1, 1] = pts, -pts
         U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
-        for k in range(1, n + 1):
-            t0 = time.perf_counter()
-            U = _phased_product(U, base)
-            ms = (time.perf_counter() - t0) * 1e3
-            report.add(k, float(np.abs(U[:, 0, 0] - np.sign(pts)).max()), ms)
-        vals = U[:, 0, 0].copy()
-        # reflection_upper_left's checks, less the scan of a list built from checked phases
-        _require_signal_points(pts)
-        distance = float(np.abs(plan_chain(_sign_plan(l, n), pts) - vals).max())
-        if distance > _IDENTITY_TOL:
-            raise NumericError(f"nested and flattened products differ by {distance:.3e} "
-                               f"at n = {n}, over {_IDENTITY_TOL:.0e}")
+        U = _nest(U, n, report, lambda U, k: _phased_product(U, base),
+                  lambda U: float(np.abs(U[:, 0, 0] - np.sign(pts)).max()))
+        vals, distance = U[:, 0, 0].copy(), None
+        if n:  # reflection_upper_left's checks, less the scan of a list built from checked phases
+            _require_signal_points(pts)
+            distance = float(np.abs(plan_chain(_sign_plan(l, n), pts) - vals).max())
+            if distance > _IDENTITY_TOL:
+                raise NumericError(f"nested and flattened products differ by {distance:.3e} "
+                                   f"at n = {n}, over {_IDENTITY_TOL:.0e}")
         return ScalarSignTable(pts, vals, distance), report
 
-    be0 = be = _dilate_spectrum(A, spectrum)
-    for k in range(1, n + 1):
-        t0 = time.perf_counter()
-        if mode == "recursive":
-            be = qet_recursive_step(be, base)
-        else:
-            be = BlockEncoding(_phased_product(be0.unitary, None, _sign_plan(l, k)), be0.system_dim)
-        ms = (time.perf_counter() - t0) * 1e3
-        report.add(k, operator_norm(extract(be) - target), ms)
-    return be, report
+    target = _sign_of(spectrum)
+    be0 = _dilate_spectrum(A, spectrum)
+    if mode == "recursive":
+        def step(be, k):
+            return qet_recursive_step(be, base)
+    else:  # every level from be0, so the U passed in goes unused
+        def step(be, k):
+            return BlockEncoding(_phased_product(be0.unitary, None, _sign_plan(l, k)), be0.system_dim)
+    return _nest(be0, n, report, step, lambda be: operator_norm(extract(be) - target)), report

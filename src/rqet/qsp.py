@@ -4,8 +4,8 @@ A length-q reflection sequence realizes a degree-q polynomial f as the
 top-left entry of prod_{i=1..q} exp(i*phi_i*Z) R(x), with the i = q factor
 rightmost.  The phases of the even family members l = 2..20 are loaded
 from a table shipped with the package (see pade_phases) and checked on
-load in reflection form by the chain kernel, the package's one evaluator
-of a phase list on scalars.
+load in reflection form by reflection_upper_left, the package's one public
+evaluator of a phase list on scalars (the chain kernel on the list's plan).
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ import os
 
 import numpy as np
 
-from ._kernels import phase_chain
+from ._kernels import _plan, plan_chain
 from .errors import DomainError, InputError, NumericError, read_json, write_json
 
 _IDENTITY_TOL = 1e-9
@@ -59,7 +59,7 @@ def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
         raise InputError("phases and points must be 1-d arrays")
     _require_finite(phases)
     _require_signal_points(xs)
-    return phase_chain(phases, xs)
+    return plan_chain(_plan(np.ascontiguousarray(phases)), xs)
 
 
 def chebyshev_reflection_phases(q: int) -> np.ndarray:

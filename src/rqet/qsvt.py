@@ -13,7 +13,6 @@ projector onto a chosen eigenspace, which is the preparation primitive.
 from __future__ import annotations
 
 from dataclasses import dataclass
-import time
 
 import numpy as np
 
@@ -22,7 +21,7 @@ from .errors import DomainError, NumericError
 from .linalg import (_gram, hermitian_eigvals, operator_norm, polar_oracle,
                      require_hermitian, require_square)
 from .poly import pade
-from .qet import _check_gap, _run_setup, IterationReport, qet_recursive_step, run_sign
+from .qet import _check_gap, _nest, _run_setup, IterationReport, qet_recursive_step, run_sign
 
 _STEP_TOL = 1e-10
 
@@ -46,10 +45,12 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
               levels: int | None = None):
     """Iterate the singular-value sign transform toward the polar factor.
 
-    Requires all singular values in [delta, 1].  Each step is checked
-    against both Gram-side closed forms of the iteration polynomial; the
-    reported error is against an independently computed polar factor.
-    Returns (encoding, report); extract(encoding) is the final iterate.
+    Requires all singular values in [delta, 1].  Levels run in qet._nest,
+    so a row's wall_time_ms covers only its level's step.  Each level's
+    block is checked against both Gram-side closed forms of the iteration
+    polynomial on the previous level's block; the reported error is
+    against an independently computed polar factor.  Returns (encoding,
+    report); extract(encoding) is the final iterate.
     """
     A = require_square(np.asarray(A, dtype=np.complex128))
     w = hermitian_eigvals(_gram(A))
@@ -57,23 +58,20 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     _check_gap(sigma, delta, "singular values outside [delta, 1]")
     unitary_factor, _ = polar_oracle(A)
     n, base, report = _run_setup("polar", delta, eps, l, levels)
-    enc = dilate_general(A)
-    if n == 0:
-        report.add(0, operator_norm(A - unitary_factor), 0.0)
-        return enc, report
-    X_prev = A
-    for k in range(1, n + 1):
-        t0 = time.perf_counter()
-        enc = qet_recursive_step(enc, base)
-        ms = (time.perf_counter() - t0) * 1e3
+    X_prev = A if n else None  # level 0 has no step to check
+
+    def error_of(enc) -> float:
+        nonlocal X_prev
         X = extract(enc)
-        via_right, via_left = _gram_update(X_prev, l)
-        dev = max(float(np.abs(X - via_right).max()), float(np.abs(X - via_left).max()))
-        if dev > _STEP_TOL:
-            raise NumericError(f"transform step disagrees with the Gram closed forms by {dev:.3e}")
-        report.add(k, operator_norm(X - unitary_factor), ms)
+        if X_prev is not None:
+            via_right, via_left = _gram_update(X_prev, l)
+            dev = max(float(np.abs(X - via_right).max()), float(np.abs(X - via_left).max()))
+            if dev > _STEP_TOL:
+                raise NumericError(f"transform step disagrees with the Gram closed forms by {dev:.3e}")
         X_prev = X
-    return enc, report
+        return operator_norm(X - unitary_factor)
+    return _nest(dilate_general(A), n, report, lambda enc, k: qet_recursive_step(enc, base),
+                 error_of), report
 
 
 @dataclass(frozen=True)

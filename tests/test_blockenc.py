@@ -1,14 +1,14 @@
 import numpy as np
 import pytest
 
-from rqet import (DomainError, dilate_general, dilate_hermitian, extract,
-                  unitarity_check)
+from rqet import DomainError, dilate_general, dilate_hermitian, extract
+from rqet.linalg import _unitarity_deviation
 from conftest import hermitian_with_spectrum
 
 
 def test_dilate_zero_matrix():
     be = dilate_hermitian(np.zeros((3, 3), dtype=complex))
-    assert unitarity_check(be.unitary)
+    assert _unitarity_deviation(be.unitary) <= 1e-10
     assert np.abs(extract(be)).max() == 0.0
     # the lower-left block must carry the full weight
     assert np.abs(be.unitary[3:, :3] - np.eye(3)).max() < 1e-12
@@ -17,7 +17,7 @@ def test_dilate_zero_matrix():
 def test_dilate_identity():
     be = dilate_hermitian(np.eye(2, dtype=complex))
     assert np.abs(extract(be) - np.eye(2)).max() < 1e-12
-    assert unitarity_check(be.unitary)
+    assert _unitarity_deviation(be.unitary) <= 1e-10
 
 
 def test_dilate_hermitian_random():
@@ -25,7 +25,7 @@ def test_dilate_hermitian_random():
     be = dilate_hermitian(A)
     assert be.system_dim == 4 and be.ancilla_dim == 2
     assert np.abs(extract(be) - A).max() < 1e-12
-    assert unitarity_check(be.unitary)
+    assert _unitarity_deviation(be.unitary) <= 1e-10
     # Hermitian dilation squares to the identity
     assert np.abs(be.unitary @ be.unitary - np.eye(8)).max() < 1e-11
 
@@ -58,7 +58,7 @@ def test_dilate_rejects_large_norm():
 def test_dilate_norm_one_edge():
     A = np.diag([1.0, -1.0]).astype(complex)
     be = dilate_hermitian(A)
-    assert unitarity_check(be.unitary)
+    assert _unitarity_deviation(be.unitary) <= 1e-10
 
 
 def test_dilate_general_nonhermitian():
@@ -69,7 +69,7 @@ def test_dilate_general_nonhermitian():
     A = (U * sv[None, :]) @ V.conj().T
     be = dilate_general(A)
     assert np.abs(extract(be) - A).max() < 1e-12
-    assert unitarity_check(be.unitary)
+    assert _unitarity_deviation(be.unitary) <= 1e-10
     # adjoint sits in the lower-right corner with a sign flip
     d = be.system_dim
     assert np.abs(be.unitary[d:, d:] + A.conj().T).max() < 1e-12
@@ -79,7 +79,7 @@ def test_ancilla_rotation_structure():
     A, _ = hermitian_with_spectrum(4, [0.5, -0.5])
     be = dilate_hermitian(A)
     R = np.diag(np.repeat(np.exp([1j * np.pi / 3, -1j * np.pi / 3]), be.system_dim))
-    assert unitarity_check(R)
+    assert _unitarity_deviation(R) <= 1e-10
     d = be.system_dim
     assert np.abs(np.diag(R)[:d] - np.exp(1j * np.pi / 3)).max() < 1e-15
     assert np.abs(np.diag(R)[d:] - np.exp(-1j * np.pi / 3)).max() < 1e-15

@@ -15,12 +15,12 @@ from rqet import (BlockEncoding, DomainError, InputError, NumericError, ScalarSi
                   distinct_angles, distinct_nonzero_angles, error_bound, extract,
                   flatten_sign_phases, hermitian_eig, operator_norm, pade,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
-                  query_count, recovery_cost, run_polar, run_sign, scalar_sign_iterate,
-                  sign_iterations)
+                  query_count, recovery_cost, reflection_upper_left, run_polar, run_sign,
+                  scalar_sign_iterate, sign_iterations)
 import rqet.cli
 import rqet.qet
 from rqet import _kernels
-from rqet._kernels import _block_length, _distinct_rows, phase_chain
+from rqet._kernels import _block_length, _distinct_rows, _plan
 from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _phased_product,
                       scalar_grid)
 from conftest import TWO_LEVEL_LENGTHS, hermitian_with_spectrum, two_level_tiled
@@ -243,7 +243,6 @@ def test_phase_cap_admits_five_to_the_tenth():
 def test_compose_scalar_against_iterate():
     base = pade_phases(2)
     flat = compose_phases(base, base)
-    from rqet import reflection_upper_left
     xs = np.linspace(-1, 1, 41)
     f = reflection_upper_left(flat, xs)
     ref = np.array([scalar_sign_iterate(float(x), 2, 2) for x in xs])
@@ -275,7 +274,7 @@ def test_eight_angle_structure(n):
 
 @pytest.mark.parametrize("l, n", [(2, 6), (4, 4), (6, 3), (8, 3)])
 def test_flattened_blocks_repeat(l, n):
-    # phase_chain multiplies out each distinct block once; on a nested list every
+    # the chain kernel multiplies out each distinct block once; on a nested list every
     # aligned block of (2l+1)^j phases is one of at most 4l + 1 bit patterns
     flat = flatten_sign_phases(l, n)
     for j in range(1, n):
@@ -419,6 +418,17 @@ def test_run_sign_zero_levels(gapped8):
     assert operator_norm(extract(be) - A) < 1e-12
 
 
+@pytest.mark.parametrize("delta", [0.3, 0.5])
+def test_zero_level_scalar_run_measures_the_grid(delta):
+    # eigenvalues 0.9 and -0.8 sit closer to +-1 than the grid's +-delta, so
+    # row 0 must be the grid's 1 - delta, like every later row's maximum
+    table, rep = run_sign(np.diag([0.9, -0.8]).astype(complex), delta, 0.49, mode="scalar",
+                          levels=0)
+    assert [(r.n, r.error) for r in rep.rows] == [(0, 1 - delta)]
+    assert not rep.converged
+    assert np.array_equal(table.values, table.points) and table.flattened_distance is None
+
+
 def test_report_csv_format(gapped8):
     A, _ = gapped8
     _, rep = run_sign(A, 0.5, 1e-4, mode="recursive")
@@ -481,7 +491,7 @@ def test_flattened_chain_matches_high_precision_iteration(monkeypatch, l, n):
     monkeypatch.setattr(_kernels, "_block_stage", recording)
     xs = scalar_grid(0.1)
     ref = np.array([float(_mp_iterates(l, n, x)[-1]) for x in xs])
-    assert np.abs(phase_chain(flatten_sign_phases(l, n), xs) - ref).max() <= _CHAIN_BOUNDS[l, n]
+    assert np.abs(reflection_upper_left(flatten_sign_phases(l, n), xs) - ref).max() <= _CHAIN_BOUNDS[l, n]
     # a nested list repeats its blocks at every scale, down to blocks of 2l + 1
     assert max(stage) <= 2 * l + 1
 
@@ -496,7 +506,7 @@ def test_phased_product_on_a_stack_of_points():
     for x, P in zip(xs, stacked):
         per_point = qet_assemble(dilate_hermitian(np.array([[x]], dtype=complex)), base)
         assert np.abs(P - per_point).max() < 1e-15
-    assert np.abs(stacked[:, 0, 0] - phase_chain(base, xs)).max() < 1e-15
+    assert np.abs(stacked[:, 0, 0] - reflection_upper_left(base, xs)).max() < 1e-15
 
 
 def slot_loop(U, phases):
@@ -633,7 +643,7 @@ def test_phased_product_on_reflections_matches_phase_chain(l, n):
     U = np.empty((len(xs), 2, 2), dtype=np.complex128)
     U[:, 0, 0], U[:, 1, 1], U[:, 0, 1], U[:, 1, 0] = xs, -xs, w, w
     flat = flatten_sign_phases(l, n)
-    assert np.abs(_phased_product(U, flat)[:, 0, 0] - phase_chain(flat, xs)).max() < 1e-13
+    assert np.abs(_phased_product(U, flat)[:, 0, 0] - reflection_upper_left(flat, xs)).max() < 1e-13
 
 
 @pytest.mark.parametrize("q", [16, 17, 125, 625])
@@ -726,7 +736,7 @@ def test_plan_charges_the_work_it_does(monkeypatch, source):
     else:
         phases = flatten_sign_phases(*source)
     runs = _counting_execute(monkeypatch)
-    phase_chain(phases, scalar_grid(0.1))
+    _kernels.plan_chain(_plan(phases), scalar_grid(0.1))
     _phased_product(dilation_stack(1, 2, 0), phases)
     assert len(runs) == 2
     assert all(products == work for products, work in runs)
@@ -871,7 +881,7 @@ def test_scalar_run_evaluates_one_chain(monkeypatch, cold_sign_plans):
         calls.append(plan)
         return execute(plan, xs)
 
-    monkeypatch.setattr(_kernels, "plan_chain", counted)  # phase_chain's executor
+    monkeypatch.setattr(rqet.qsp, "plan_chain", counted)  # reflection_upper_left's executor
     monkeypatch.setattr(rqet.qet, "plan_chain", counted)
     for _ in range(2):  # cold, then warm: one chain apiece, on the cached 5^8 plan
         table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), 0.1, 1e-10, mode="scalar")
@@ -932,7 +942,7 @@ def test_cached_sign_plans_are_small_and_hold_no_list(monkeypatch, cold_sign_pla
 def test_cached_plans_run_bit_for_bit_as_planned_lists(l, n, cold_sign_plans):
     pts = np.unique(np.concatenate((scalar_grid(0.1), [0.37, -0.91])))
     got = _kernels.plan_chain(rqet.qet._sign_plan(l, n), pts)
-    assert got.tobytes() == phase_chain(flatten_sign_phases(l, n), pts).tobytes()
+    assert got.tobytes() == _kernels.plan_chain(_plan(flatten_sign_phases(l, n)), pts).tobytes()
 
 
 def _without_times(report):

@@ -17,7 +17,7 @@ from rqet import (DomainError, InputError, NumericError,
                   load_poly, pade, pade_phases, poly_eval, qsp,
                   reflection_upper_left, save_phases)
 from rqet import _kernels
-from rqet._kernels import _block_length, _distinct_rows, _plan, phase_chain
+from rqet._kernels import _block_length, _distinct_rows, _plan
 from conftest import TWO_LEVEL_LENGTHS, exact_pade_coeffs, two_level_tiled
 import pade_table
 
@@ -332,7 +332,7 @@ def test_blocked_phase_chain_matches_reflection_product(length, block):
         assert _block_length(length) == (block if length % block == 0 else length)
         phases = tiled_blocks(rng, length, block)
     xs = np.array([-1.0, -0.6, 0.0, 0.3, 1.0])
-    fast = phase_chain(phases, xs)
+    fast = reflection_upper_left(phases, xs)
     assert np.abs(fast - direct_product(phases, xs)).max() < 1e-12
 
 
@@ -341,7 +341,7 @@ def test_blocked_phase_chain_matches_reflection_product(length, block):
 def test_phase_chain_on_tiled_blocks(block, kinds, length, seed):
     phases = tiled_blocks(np.random.default_rng(seed), length, block, kinds)
     xs = np.array([-0.9, -0.2, 0.5, 1.0])
-    assert np.abs(phase_chain(phases, xs) - direct_product(phases, xs)).max() < 1e-12
+    assert np.abs(reflection_upper_left(phases, xs) - direct_product(phases, xs)).max() < 1e-12
 
 
 @settings(max_examples=30, deadline=None)
@@ -351,7 +351,7 @@ def test_phase_chain_on_tiled_blocks(block, kinds, length, seed):
 def test_phase_chain_on_two_level_tiled_lists(length, subs, kinds, seed):
     phases = two_level_tiled(np.random.default_rng(seed), length, subs, kinds)
     xs = np.array([-0.9, -0.2, 0.5, 1.0])
-    assert np.abs(phase_chain(phases, xs) - direct_product(phases, xs)).max() < 1e-12
+    assert np.abs(reflection_upper_left(phases, xs) - direct_product(phases, xs)).max() < 1e-12
 
 
 def test_phase_chain_blocks_merge_only_when_bitwise_equal():

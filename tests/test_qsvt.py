@@ -79,6 +79,43 @@ def test_run_polar_depth_cap():
     assert rep.rows[-1].n == 5 and rep.converged
 
 
+def test_run_polar_checks_every_level_against_the_gram_forms(monkeypatch):
+    A = random_with_singulars(9, [0.6, 0.9])
+    calls, gram_update = [], rqet.qsvt._gram_update
+
+    def counted(X, l):
+        calls.append(X.copy())
+        return gram_update(X, l)
+
+    monkeypatch.setattr(rqet.qsvt, "_gram_update", counted)
+    enc, _ = run_polar(A, 0.5, 1e-12, levels=3)
+    assert len(calls) == 3 and np.array_equal(calls[0], A)  # level 1 against A itself
+    calls.clear()
+    run_polar(A, 0.5, 1e-12, levels=0)
+    assert not calls  # level 0 has no step to check
+
+    def perturbed(X, l):
+        right, left = gram_update(X, l)
+        return right, left + 1e-8
+
+    monkeypatch.setattr(rqet.qsvt, "_gram_update", perturbed)
+    with pytest.raises(NumericError, match="disagrees with the Gram closed forms"):
+        run_polar(A, 0.5, 1e-12, levels=2)
+
+
+@pytest.mark.parametrize("run", ["recursive", "flattened", "scalar", "polar"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_nested_runs_report_one_row_per_level(run, n):
+    # _nest's contract: n >= 1 gives rows 1..n, each timed, and no row 0;
+    # n = 0 gives exactly one row 0, timed 0 ms
+    if run == "polar":
+        _, rep = run_polar(random_with_singulars(9, [0.6, 0.9]), 0.5, 1e-8, levels=n)
+    else:
+        _, rep = run_sign(np.diag([0.6, -0.9]).astype(complex), 0.5, 1e-8, mode=run, levels=n)
+    assert [r.n for r in rep.rows] == (list(range(1, n + 1)) if n else [0])
+    assert all((r.wall_time_ms > 0) == (n > 0) for r in rep.rows)
+
+
 def test_filtering_projects_positive_eigenspace():
     A = np.diag([0.5, -0.7]).astype(complex)
     res = filtering_operator(A, 0.5, 1e-6)
