@@ -40,8 +40,9 @@ plan_chain's leaf multiplies out only the top row of each product: a
 product of k factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]]
 with s = (-1)^(k+1), and the leaf reads the bottom row off the top one.
 Conjugation commutes with complex rounding, and u - v == -(v - u), so
-that row is bit for bit the row a full multiply gives, and the fold
-multiplies whole 2x2 products.  The top row of a product of unitaries
+that row is bit for bit the row a full multiply gives, up to the sign of
+an exact zero (w = 0 at x = +-1), and the fold multiplies whole 2x2
+products.  The top row of a product of unitaries
 has norm 1, but every float factor is off unitary by about an ulp in the
 same direction, so the norm drifts as (1 + eta)^N; the result is the
 top-left entry divided by the top row's norm.
@@ -137,21 +138,14 @@ def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray
     # (m00, m01) times [[ep x, ep w], [em w, -em x]]
     m00 = np.ones((len(blocks), len(x)), dtype=np.complex128)
     m01 = np.zeros_like(m00)
-    a, b, t = np.empty_like(m00), np.empty_like(m00), np.empty_like(m00)
-    # factors for len(x) positions at a time: one exp call per chunk, no more
-    # memory than a work buffer, however long the blocks are
+    # one exp call per len(x) positions: the factors take no more memory than
+    # a row of products, however long the blocks are
     c = max(1, len(x))
     for j0 in range(0, blocks.shape[1], c):
         ep = np.exp(1j * blocks[:, j0 : j0 + c].T)[:, :, None]
         for e, em in zip(ep, ep.conj()):
-            np.multiply(m00, e, out=a)
-            np.multiply(m01, em, out=b)
-            np.multiply(a, x, out=m00)
-            np.multiply(b, w, out=t)
-            m00 += t
-            np.multiply(a, w, out=m01)
-            np.multiply(b, x, out=t)
-            m01 -= t
+            a, b = m00 * e, m01 * em
+            m00, m01 = a * x + b * w, a * w - b * x
     bottom = (m01.conj(), -m00.conj()) if blocks.shape[1] % 2 else (-m01.conj(), m00.conj())
     return np.stack((m00, m01) + bottom, axis=1).reshape(len(blocks), 2, 2, len(x))
 

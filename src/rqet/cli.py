@@ -33,9 +33,11 @@ MAX_PRINTED_ANGLES = 5 ** 6  # longest flattened list `phases` writes to stdout
 _EXITS = ((InputError, "input", 2), (DomainError, "domain", 3), (NumericError, "numeric", 4))
 
 
-def _check_generated(dim: int, gap: float) -> None:
+def _check_generated(seed: int, dim: int, gap: float) -> None:
     """Refuse generator arguments before any matrix is built: a dimension
     over MAX_DIM is the same domain error the eigensolver would raise."""
+    if seed < 0:
+        raise InputError(f"seed must be nonnegative, got {seed}")
     if dim < 1:
         raise InputError("dim must be positive")
     if not (0.0 < gap < 1.0):
@@ -75,7 +77,7 @@ def _load_or_generate(args, hermitian: bool) -> tuple[np.ndarray, dict]:
     else:
         if args.dim is None:
             raise InputError("provide --matrix PATH or --seed with --dim")
-        _check_generated(args.dim, args.gap)
+        _check_generated(args.seed, args.dim, args.gap)
         gen = _random_hermitian if hermitian else _random_general
         A = gen(args.seed, args.dim, args.gap)
         meta["source"] = f"seed={args.seed} dim={args.dim}"
@@ -112,9 +114,11 @@ def _require_even_pade(l: int) -> None:
 
 
 def _cmd_phases(args) -> int:
-    count = query_count(args.iters, args.pade_l) if args.iters >= 1 else 0
-    if args.out is None and count > MAX_PRINTED_ANGLES:
+    count = 0
+    if args.iters >= 1:
         _check_phase_count(args.iters, args.pade_l)  # an over-cap list stays a domain error
+        count = query_count(args.iters, args.pade_l)
+    if args.out is None and count > MAX_PRINTED_ANGLES:
         raise InputError(f"{count} flattened angles exceed the stdout limit of "
                          f"{MAX_PRINTED_ANGLES}; write them to a file with --out")
     base = pade_phases(args.pade_l)

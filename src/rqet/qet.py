@@ -54,11 +54,11 @@ def _phased_product(U: np.ndarray, phases: np.ndarray | None, plan: _Plan | None
     times the oracle is the oracle with row i multiplied by g_i, so it
     takes a broadcast multiply and no matmul; every later position scales
     the running product's columns and multiplies it by the oracle.  The
-    loop holds the row products, one work stack of the same size and the
-    rotation diagonals of as many positions as fit in one oracle.  A
-    qubitized oracle under the one-row plan at 2d >= _DENSE_FLOOR keeps only
-    the top d rows, bit for bit the slot loop's, and writes the bottom block
-    row from them: k slots give [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(k+1).
+    loop holds the row products and the rotation diagonals of as many
+    positions as fit in one oracle.  A qubitized oracle under the one-row
+    plan at 2d >= _DENSE_FLOOR keeps only the top d rows, bit for bit the
+    slot loop's, and writes the bottom block row from them: k slots give
+    [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(k+1).
     """
     d = U.shape[-1] // 2
     pair = (U, np.swapaxes(U.conj(), -1, -2))
@@ -72,10 +72,7 @@ def _phased_product(U: np.ndarray, phases: np.ndarray | None, plan: _Plan | None
         shape = (len(rows),) + (1,) * U.ndim
         ep, em = np.exp(_PLUS_MINUS_I * rows.T)  # exp(+-i phi) of every position, in one call
         first = 1 - rows.shape[1] % 2  # pair[first] opens the row, so the last slot is plain
-        M = np.empty((len(rows),) + U.shape, dtype=np.complex128)
-        work, opener = np.empty_like(M), pair[first]
-        if top:  # (d x 2d)(2d x 2d) products from the second slot on
-            M, work, opener = M[..., :d, :], work[..., :d, :], opener[..., :d, :]
+        opener = pair[first][..., :d, :] if top else pair[first]  # top: (d x 2d)(2d x 2d) products
         chunk = max(1, U.size // (len(rows) * 2 * d))  # positions whose diagonals fit in one oracle
         diag = np.empty((chunk,) + shape[:-1] + (2 * d,), dtype=np.complex128)
         for j0 in range(0, len(ep), chunk):
@@ -84,16 +81,13 @@ def _phased_product(U: np.ndarray, phases: np.ndarray | None, plan: _Plan | None
             diag[:c, ..., d:] = em[j0 : j0 + c].reshape((c,) + shape)
             for j, g in enumerate(diag[:c], j0):
                 if j == 0:  # diag(g) times the oracle: its rows scaled by g (the top d by ep[0])
-                    np.multiply(ep[0].reshape(shape) if top else np.swapaxes(g, -1, -2), opener,
-                                out=work)
+                    M = (ep[0].reshape(shape) if top else np.swapaxes(g, -1, -2)) * opener
                 else:
-                    M *= g
-                    np.matmul(M, pair[(j + first) % 2], out=work)
-                M, work = work, M
-        if top:  # M.base: the buffer the last slot wrote; T[..., i, b, j]: row i of block b
-            M, T = M.base, M.reshape(M.shape[:-1] + (2, d))
-            np.conjugate(np.swapaxes(T[..., ::-1, :], -1, -3), out=M[..., d:, :].reshape(T.shape))
-            M[..., d:, :] *= np.repeat([1 - 2 * first, 2 * first - 1], d)  # s and -s
+                    M = np.matmul(M * g, pair[(j + first) % 2])
+        if top:  # T[..., i, b, j]: row i of block b; the bottom block row is [s Q^dag, -s P^dag]
+            T = M.reshape(M.shape[:-1] + (2, d))
+            bottom = np.swapaxes(T[..., ::-1, :], -1, -3).conj().reshape(M.shape)
+            M = np.concatenate((M, bottom * np.repeat([1 - 2 * first, 2 * first - 1], d)), axis=-2)
         return M
 
     return _execute(plan, slots, np.matmul)[0]
@@ -143,12 +137,12 @@ def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     alternate with the daggers.  Only those values are canonicalized:
     the q heads, and each pattern once.  canonicalize_angles maps every
     element on its own, so the result is bit for bit the canonicalized
-    whole list.  The list is written at memory speed: the first two rows
-    once, then copies of the written prefix doubling in length, then the
-    heads at stride len(inner).  canonicalize_angles leaves in-range
-    angles alone, so a list built from in-range phases holds exactly the
-    bits of its inputs, and the adjoint pattern is the exact negation of
-    the plain one.  Non-finite angles raise InputError.
+    whole list.  The rows are written as one (q, len(inner)) array: the
+    two body patterns at stride 2, the heads in column 0, then raveled.
+    canonicalize_angles leaves in-range angles alone, so a list built from
+    in-range phases holds exactly the bits of its inputs, and the adjoint
+    pattern is the exact negation of the plain one.  Non-finite angles
+    raise InputError.
     """
     outer = np.asarray(outer, dtype=np.float64)
     inner = np.asarray(inner, dtype=np.float64)
@@ -162,33 +156,29 @@ def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
     carry[adj + 1 :: 2] = -inner[0]  # every adjoint slot is followed by a plain one
     head = outer + carry
     head[1 - adj :: 2] += inner[0]
-    out = np.empty(q * L)
-    rows = out[: min(2, q) * L].reshape(-1, L)
-    rows[adj::2, 1:] = canonicalize_angles(-inner[:0:-1])
-    rows[1 - adj :: 2, 1:] = canonicalize_angles(inner[1:])
-    done = len(rows) * L
-    while done < len(out):
-        step = min(done, len(out) - done)
-        out[done : done + step] = out[:step]
-        done += step
-    out[::L] = canonicalize_angles(head)
-    return out
+    out = np.empty((q, L))
+    out[adj::2, 1:] = canonicalize_angles(-inner[:0:-1])
+    out[1 - adj :: 2, 1:] = canonicalize_angles(inner[1:])
+    out[:, 0] = canonicalize_angles(head)
+    return out.ravel()
 
 
 def _check_phase_count(levels: int, l: int) -> None:
     """Refuse a run of more than MAX_PHASES oracle queries, (2l+1)^levels.
 
     This caps the queries of every run as well as the length of any
-    flattened list that is built.  Counts past float64's exact integers
-    (2^53) are stated as powers, so no level count can overflow the message.
+    flattened list that is built.  The count is formed exactly only below
+    float64's exact integers (2^53); past them it is compared and stated in
+    logarithms, so no level count takes long to refuse or overflows the message.
     """
-    count = query_count(levels, l)
-    if count <= MAX_PHASES:
-        return
-    if count < 2 ** 53:
+    bits = levels * math.log2(2 * l + 1)
+    if bits < 53:  # query_count refuses a negative level count
+        count = query_count(levels, l)
+        if count <= MAX_PHASES:
+            return
         need = f"{count} phases (~{8 * count / 1e6:,.0f} MB"
     else:
-        need = f"{2 * l + 1}^{levels} phases (~2^{math.log2(8 * count) - math.log2(1e6):.1f} MB"
+        need = f"{2 * l + 1}^{levels} phases (~2^{bits + 3 - math.log2(1e6):.1f} MB"
     raise DomainError(f"{levels} levels need {need} per float64 list), over the cap of {MAX_PHASES}")
 
 
@@ -297,7 +287,8 @@ def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
 
     Ceiling of the base-(l+1) logarithm of delta^-2 ln(1/eps), floored at
     zero: one level cubes (l=1 case) or better the deviation exponent, so
-    the requirement compounds double-exponentially.
+    the requirement compounds double-exponentially.  It is taken in
+    logarithms, so no gap underflows delta^2 and no tolerance overflows 1/eps.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError("spectral gap must lie strictly between 0 and 1")
@@ -307,10 +298,9 @@ def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
         raise DomainError(f"tolerance must be finite, got {eps}")
     if l < 1:
         raise DomainError("polynomial index must be a positive integer")
-    target = math.log(1.0 / eps) / (delta * delta)
-    if target <= 1.0:
+    if eps >= 1.0:  # ln(1/eps) <= 0: every eigenvalue is already within eps
         return 0
-    return max(0, math.ceil(math.log(target, l + 1)))
+    return max(0, math.ceil((math.log(-math.log(eps)) - 2.0 * math.log(delta)) / math.log(l + 1)))
 
 
 def _run_setup(mode: str, delta: float, eps: float, l: int, levels: int | None):

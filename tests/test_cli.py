@@ -378,3 +378,47 @@ def test_files_that_are_not_utf8_or_hold_booleans_are_input_errors(tmp_path, cap
     assert main(["conditions", str(path)]) == 2
     assert capsys.readouterr().err.endswith(
         "input error: coefficient 1 holds a non-finite or non-numeric value\n")
+
+
+@pytest.mark.parametrize("command", ["sign-run", "polar-run", "perturb"])
+def test_negative_seed_is_an_input_error(command, tmp_path, capsys):
+    # np.random.default_rng refuses a negative seed with a traceback
+    assert main([command, "--seed", "-1", "--dim", "2"]) == 2
+    assert capsys.readouterr().err == "input error: seed must be nonnegative, got -1\n"
+    # a matrix file is read, not generated, so the seed goes unused
+    mpath = tmp_path / "m.json"
+    save_matrix(str(mpath), hermitian_with_spectrum(2, [0.6, -0.7])[0])
+    assert main([command, "--seed", "-1", "--matrix", str(mpath)]) == 0
+
+
+@pytest.mark.parametrize("args, code, err", [
+    # 842 levels: delta^2 underflows, so the count is taken in logarithms
+    (["sign-run", "--gap", "1e-200"], 3, "domain error: 842 levels need 5^842 phases"),
+    (["polar-run", "--gap", "1e-200"], 3, "domain error: 842 levels need 5^842 phases"),
+    # 1/eps overflows; the run takes its 8 levels and ends above epsilon
+    (["sign-run", "--gap", "0.5", "--epsilon", "1e-320"], 4, ""),
+    (["sign-run", "--iters", "100000000"], 3, "domain error: 100000000 levels need 5^100000000"),
+    (["polar-run", "--iters", "100000000"], 3, "domain error: 100000000 levels need 5^100000000"),
+    (["perturb", "--iters", "100000000"], 3, "domain error: 100000000 levels need 5^100000000"),
+    (["phases", "--iters", "100000000"], 3, "domain error: 100000000 levels need 5^100000000"),
+], ids=["sign-gap", "polar-gap", "sign-epsilon", "sign-iters", "polar-iters", "perturb-iters",
+        "phases-iters"])
+def test_absurd_inputs_fail_fast(args, code, err, capsys):
+    if args[0] != "phases":
+        args = args + ["--seed", "1", "--dim", "2"]
+    t0 = time.perf_counter()
+    assert main(args) == code
+    assert time.perf_counter() - t0 < 1.0
+    assert capsys.readouterr().err.startswith(err)
+
+
+@pytest.mark.parametrize("doc, message", [
+    ('{"coeffs": [[0, 0], [1, 0]], "parity": "weird"}', "parity must be even, odd, or none, got 'weird'"),
+    ('{"coeffs": [[1, 0], [0, 0], [1, 0]], "parity": "odd"}',
+     "declared parity 'odd' conflicts with the coefficients"),
+])
+def test_conditions_refuses_a_wrong_parity_as_input(tmp_path, capsys, doc, message):
+    path = tmp_path / "p.json"
+    path.write_text(doc)
+    assert main(["conditions", str(path)]) == 2
+    assert capsys.readouterr().err == f"input error: {message}\n"

@@ -8,7 +8,7 @@ from rqet import (DomainError, InputError, NumericError, hermitian_eig,
                   hermitian_eigvals, load_matrix, matrix_function_hermitian, matrix_sign,
                   operator_norm, polar_oracle, run_polar, run_sign,
                   save_matrix)
-from rqet.linalg import _unitarity_deviation
+from rqet.linalg import _unitarity_deviation, require_square
 from conftest import hermitian_with_spectrum
 
 
@@ -280,3 +280,9 @@ def test_save_matrix_rejects_nonfinite(tmp_path):
     M = np.array([[np.inf]], dtype=complex)
     with pytest.raises(InputError):
         save_matrix(str(tmp_path / "x.json"), M)
+
+
+def test_require_square_refuses_a_rectangle():
+    with pytest.raises(DomainError) as exc:
+        require_square(np.zeros((2, 3)))
+    assert str(exc.value) == "expected a square matrix, got shape (2, 3)"

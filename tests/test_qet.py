@@ -1,4 +1,5 @@
 import dataclasses
+import math
 import os
 import tracemalloc
 from math import comb
@@ -315,6 +316,50 @@ def test_sign_iterations_guards():
             sign_iterations(0.5, eps)
 
 
+def _sign_iterations_directly(delta, eps, l):
+    """The level count as first written: delta^-2 ln(1/eps) formed outright."""
+    target = math.log(1.0 / eps) / (delta * delta)
+    return 0 if target <= 1.0 else max(0, math.ceil(math.log(target, l + 1)))
+
+
+def test_sign_iterations_in_logarithms_match_the_direct_formula():
+    # 800,000 grid points, where delta^2 and 1/eps are both representable
+    grid = [(d, e) for d in np.geomspace(1e-3, 0.999, 400).tolist()
+            for e in np.geomspace(1e-15, 0.9, 200).tolist()]
+    for l in range(2, 21, 2):
+        assert [sign_iterations(d, e, l) for d, e in grid] == \
+               [_sign_iterations_directly(d, e, l) for d, e in grid], l
+
+
+def test_sign_iterations_survive_extreme_gaps_and_tolerances():
+    # delta^2 underflows to 0 and 1/eps overflows: both once ended in a traceback
+    assert sign_iterations(1e-200, 1e-8) == 842
+    assert sign_iterations(0.5, 1e-320) == 8
+    assert sign_iterations(0.5, 5e-324) == 8
+    assert sign_iterations(0.5, 1.0) == sign_iterations(0.5, 3.0) == 0
+
+
+@pytest.mark.parametrize("levels", [10 ** 8, 10 ** 12])
+def test_huge_level_counts_are_refused_without_forming_the_count(levels):
+    with pytest.raises(DomainError, match=rf"^{levels} levels need 5\^{levels} phases \(~2\^"):
+        _check_phase_count(levels, 2)
+    with pytest.raises(InputError, match="levels must be nonnegative"):
+        _check_phase_count(-levels, 2)
+
+
+@pytest.mark.parametrize("call, error, message", [
+    (lambda: run_sign(np.diag([0.5, -0.5]), 0.5, 1e-8, mode="bogus"), InputError,
+     "unknown mode 'bogus'"),
+    (lambda: chebyshev_reflection_phases(0), DomainError, "degree must be at least 1"),
+    (lambda: compose_phases([], pade_phases(2)), InputError, "phase lists must be nonempty 1-d arrays"),
+    (lambda: flatten_sign_phases(2, 0), InputError, "levels must be at least 1"),
+])
+def test_degenerate_requests_are_refused(call, error, message):
+    with pytest.raises(error) as exc:
+        call()
+    assert type(exc.value) is error and str(exc.value) == message
+
+
 def test_error_bound_monotone():
     b = [error_bound(0.5, n) for n in range(5)]
     assert all(x > y for x, y in zip(b, b[1:]))
@@ -494,6 +539,36 @@ def test_flattened_chain_matches_high_precision_iteration(monkeypatch, l, n):
     assert np.abs(reflection_upper_left(flatten_sign_phases(l, n), xs) - ref).max() <= _CHAIN_BOUNDS[l, n]
     # a nested list repeats its blocks at every scale, down to blocks of 2l + 1
     assert max(stage) <= 2 * l + 1
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.uint64)
+
+
+def _full_stage(blocks, x, w):
+    """Each block's product as whole 2x2 matrices: every row times the factor
+    [[e x, e w], [e* w, -e* x]] in the leaf's order of operations."""
+    ones, zeros = np.ones((len(blocks), len(x)), complex), np.zeros((len(blocks), len(x)), complex)
+    M = [[ones, zeros], [zeros, ones]]
+    for phi in blocks.T:
+        e = np.exp(1j * phi)[:, None]
+        M = [[(r0 * e) * x + (r1 * e.conj()) * w, (r0 * e) * w - (r1 * e.conj()) * x]
+             for r0, r1 in M]
+    return np.array(M).transpose(2, 0, 1, 3)
+
+
+@pytest.mark.parametrize("k, points", [(1, 5), (2, 5), (5, 21), (8, 3), (13, 4)])
+def test_block_stage_is_the_full_2x2_product_bit_for_bit(k, points):
+    # the leaf multiplies out the top row and reads the bottom one off it;
+    # rows longer than the points take several exp chunks.  At x = +-1 the
+    # bottom-left entry is an exact zero whose sign the two orders set
+    # differently, so zeros are compared after + 0.0 makes them all +0.0
+    rng = np.random.default_rng(k)
+    blocks = rng.uniform(-np.pi, np.pi, (3, k))
+    x = np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, points - 2)))
+    w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
+    got, ref = _kernels._block_stage(blocks, x, w), _full_stage(blocks, x, w)
+    assert np.array_equal(_bits(got + 0.0), _bits(ref + 0.0))
 
 
 def test_phased_product_on_a_stack_of_points():
@@ -801,6 +876,11 @@ def test_qubitized_product_carries_the_top_block_row(d, q):
     assert np.array_equal(got[:d].view(np.uint64), ref[:d].view(np.uint64))
     # the two bottom rows round independently: measured up to 3.8 q u
     assert np.abs(got[d:] - ref[d:]).max() < 16 * q * _U
+    # q slots give [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(q+1): the bottom
+    # block row is exactly that of the product's own top row
+    P, Q, s = got[:d, :d], got[:d, d:], (-1) ** (q + 1)
+    bottom = np.concatenate((Q.conj().T, P.conj().T), axis=1) * np.repeat([s, -s], d)
+    assert np.array_equal(_bits(got[d:]), _bits(bottom))
 
 
 def test_nested_qubitized_levels_match_full_products_and_the_spectrum():

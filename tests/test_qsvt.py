@@ -177,14 +177,27 @@ def test_preparation_projector_rank_one():
 
 def test_preparation_rejects_missing_zero():
     A, _ = hermitian_with_spectrum(20, [0.6, -0.8, 0.9])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^need exactly one eigenvalue inside \+-0.5, found 0$"):
         preparation_projector(A, 0.5, 1e-6)
 
 
 def test_preparation_rejects_two_inner_eigenvalues():
     A, _ = hermitian_with_spectrum(21, [0.0, 0.1, 0.9])
-    with pytest.raises(DomainError):
+    with pytest.raises(DomainError, match=r"^need exactly one eigenvalue inside \+-0.5, found 2$"):
         preparation_projector(A, 0.5, 1e-6)
+
+
+@pytest.mark.parametrize("vals, delta, message", [
+    ([0.2, 0.6, -0.8], 0.5, "the isolated eigenvalue 2.000e-01 is not zero"),
+    ([0.0, 0.6, -1.5], 0.5, "eigenvalues must lie in [-1, 1]"),
+    ([0.0, 0.6, -0.8], 1.0, "spectral gap must lie strictly between 0 and 1"),
+    ([0.0, 0.6, -0.8], 0.0, "spectral gap must lie strictly between 0 and 1"),
+])
+def test_preparation_refusals_name_their_reason(vals, delta, message):
+    A, _ = hermitian_with_spectrum(22, vals)
+    with pytest.raises(DomainError) as exc:
+        preparation_projector(A, delta, 1e-6)
+    assert str(exc.value) == message
 
 
 
