@@ -413,7 +413,8 @@ def test_absurd_inputs_fail_fast(args, code, err, capsys):
 
 
 @pytest.mark.parametrize("doc, message", [
-    ('{"coeffs": [[0, 0], [1, 0]], "parity": "weird"}', "parity must be even, odd, or none, got 'weird'"),
+    ('{"coeffs": [[0, 0], [1, 0]], "parity": "weird"}',
+     "parity must be even, odd, or none, got 'weird'"),
     ('{"coeffs": [[1, 0], [0, 0], [1, 0]], "parity": "odd"}',
      "declared parity 'odd' conflicts with the coefficients"),
 ])

@@ -351,7 +351,8 @@ def test_huge_level_counts_are_refused_without_forming_the_count(levels):
     (lambda: run_sign(np.diag([0.5, -0.5]), 0.5, 1e-8, mode="bogus"), InputError,
      "unknown mode 'bogus'"),
     (lambda: chebyshev_reflection_phases(0), DomainError, "degree must be at least 1"),
-    (lambda: compose_phases([], pade_phases(2)), InputError, "phase lists must be nonempty 1-d arrays"),
+    (lambda: compose_phases([], pade_phases(2)), InputError,
+     "phase lists must be nonempty 1-d arrays"),
     (lambda: flatten_sign_phases(2, 0), InputError, "levels must be at least 1"),
 ])
 def test_degenerate_requests_are_refused(call, error, message):
