@@ -8,14 +8,11 @@ from .linalg import (hermitian_eig, hermitian_eigvals, load_matrix,
                      polar_oracle, save_matrix)
 from .poly import (ComplexPolynomial, check_qet_conditions, load_poly, pade,
                    poly_eval, polynomial, save_poly)
-from .qet import (IterationReport, ScalarSignTable, check_flattened_structure,
-                  coherent_perturb, complexity_estimate, compose_phases,
+from .qet import (IterationReport, ScalarSignTable, coherent_perturb, compose_phases,
                   distinct_angles, distinct_nonzero_angles, error_bound,
                   flatten_sign_phases, qet_assemble, qet_recursive_step,
-                  query_count, recovery_cost, run_sign, scalar_sign_iterate,
-                  sign_iterations)
-from .qsp import (canonicalize_angles, chebyshev_reflection_phases, pade_phases,
-                  reflection_upper_left, save_phases)
+                  query_count, run_sign, sign_iterations)
+from .qsp import canonicalize_angles, pade_phases, reflection_upper_left, save_phases
 from .qsvt import (FilterResult, PreparationResult, filtering_operator,
                    preparation_projector, run_polar)
 

@@ -5,8 +5,8 @@ unitary twice its size.  The Hermitian dilation [[A, B], [B, -A]] with
 B = sqrt(I - A^2) also squares to the identity, which is what the
 eigenvalue-transformation product relies on.  The layout is fixed: the
 encoded matrix is the top-left block, the ancilla is one qubit and the
-scale alpha is 1, so an encoding carries only its unitary and the
-system dimension.
+scale alpha is 1, so an encoding carries only its unitary, and the
+system dimension is half the unitary's size.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from typing import ClassVar
 
 import numpy as np
 
-from .errors import DomainError, NumericError
+from .errors import DomainError, InputError, NumericError
 from .linalg import (Spectrum, _gram, _unitarity_deviation, hermitian_eig,
                      matrix_function_hermitian, operator_norm,
                      require_hermitian, require_square)
@@ -30,20 +30,30 @@ class BlockEncoding:
     """qubitized: the unitary is [[P, Q], [Q^dag, -P^dag]], P and Q commuting normal
     blocks; set only through _encoding, by the Hermitian dilation and odd recursive steps."""
     unitary: np.ndarray
-    system_dim: int
     qubitized: bool = field(default=False, init=False)
     ancilla_dim: ClassVar[int] = 2
     reference_index: ClassVar[int] = 0   # the encoded block is the top-left one
     alpha: ClassVar[float] = 1.0
 
+    def __post_init__(self):
+        U = np.asarray(self.unitary)
+        if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % 2 or not U.size:
+            raise InputError(f"a block encoding needs a square unitary of even, positive size, "
+                             f"got shape {U.shape}")
+        object.__setattr__(self, "unitary", U)
+
+    @property
+    def system_dim(self) -> int:
+        return self.unitary.shape[0] // self.ancilla_dim
+
     @property
     def total_dim(self) -> int:
-        return self.system_dim * self.ancilla_dim
+        return self.unitary.shape[0]
 
 
-def _encoding(U: np.ndarray, system_dim: int, qubitized: bool) -> BlockEncoding:
+def _encoding(U: np.ndarray, qubitized: bool) -> BlockEncoding:
     """An encoding of U with the qubitized flag set as given."""
-    be = BlockEncoding(U, system_dim)
+    be = BlockEncoding(U)
     object.__setattr__(be, "qubitized", qubitized)
     return be
 
@@ -80,7 +90,7 @@ def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
     B = (B + B.conj().T) / 2
     U = np.block([[A, B], [B, -A]])
     _check_unitary(U, "Hermitian dilation")
-    return _encoding(U, A.shape[0], qubitized=True)
+    return _encoding(U, qubitized=True)
 
 
 def dilate_general(A: np.ndarray) -> BlockEncoding:
@@ -92,4 +102,4 @@ def dilate_general(A: np.ndarray) -> BlockEncoding:
     left = matrix_function_hermitian(_gram(A.conj().T), lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
     U = np.block([[A, left], [right, -A.conj().T]])
     _check_unitary(U, "general dilation")
-    return BlockEncoding(U, A.shape[0])
+    return BlockEncoding(U)

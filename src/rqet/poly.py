@@ -22,6 +22,7 @@ TRIM_TOL = 1e-14
 PARITY_TOL = 1e-12
 _OUTER_LIMIT = 10.0     # right end of the domination window checked outside [-1, 1]
 _GRID_SIZE = 10_000     # points per window in check_qet_conditions
+MAX_DEGREE = 2_000      # highest degree load_poly accepts (~0.5 s to check); the family's is 41
 
 
 @dataclass(frozen=True)
@@ -109,6 +110,8 @@ def check_qet_conditions(p: ComplexPolynomial) -> ConditionReport:
     window [1, 10].  For even degree additionally |p(ix) p*(ix)| >= 1 - 1e-9
     on [0, 10], p* having the conjugate coefficients.  Each window is a grid
     of _GRID_SIZE points.  The witness records the first failing point.
+    Values that overflow, to inf or to NaN (inf * 0), print no warning; inf
+    fails the inside bound and passes the outside ones, NaN fails none.
     """
     degree_ok = p.degree >= 1 and abs(p.coeffs[-1]) > TRIM_TOL
     want = "odd" if p.degree % 2 else "even"
@@ -116,13 +119,14 @@ def check_qet_conditions(p: ComplexPolynomial) -> ConditionReport:
     tol = 1e-9
     xs = np.linspace(-1.0, 1.0, _GRID_SIZE)
     xo = np.linspace(1.0, _OUTER_LIMIT, _GRID_SIZE)
-    vs, vo = np.abs(poly_eval(p, xs)), np.abs(poly_eval(p, xo))
-    windows = [("bounded_inside", xs, vs, vs > 1.0 + tol),  # (check, grid, values, failures)
-               ("dominating_outside", xo, vo, vo < 1.0 - tol)]
-    if p.degree % 2 == 0:
-        xa = np.linspace(0.0, _OUTER_LIMIT, _GRID_SIZE)
-        va = np.abs(poly_eval(p, 1j * xa) * poly_eval(np.conj(p.coeffs), 1j * xa))
-        windows.append(("even_axis", xa, va, va < 1.0 - tol))
+    with np.errstate(over="ignore", invalid="ignore"):
+        vs, vo = np.abs(poly_eval(p, xs)), np.abs(poly_eval(p, xo))
+        windows = [("bounded_inside", xs, vs, vs > 1.0 + tol),  # (check, grid, values, failures)
+                   ("dominating_outside", xo, vo, vo < 1.0 - tol)]
+        if p.degree % 2 == 0:
+            xa = np.linspace(0.0, _OUTER_LIMIT, _GRID_SIZE)
+            va = np.abs(poly_eval(p, 1j * xa) * poly_eval(np.conj(p.coeffs), 1j * xa))
+            windows.append(("even_axis", xa, va, va < 1.0 - tol))
     ok, witness = {"even_axis": True}, None
     for check, grid, vals, bad in windows:
         ok[check] = not bad.any()
@@ -140,6 +144,8 @@ def load_poly(path: str) -> ComplexPolynomial:
     pairs = doc["coeffs"]
     if not isinstance(pairs, list) or not pairs:
         raise InputError("coeffs must be a non-empty list of [re, im] pairs")
+    if len(pairs) > MAX_DEGREE + 1:
+        raise InputError(f"{len(pairs)} coefficients make a degree over the limit of {MAX_DEGREE}")
     coeffs = decode_pairs(pairs, "coefficient")
     parity = doc["parity"]
     if parity not in ("even", "odd", "none"):

@@ -22,7 +22,6 @@ from ._kernels import _execute, _Plan, _plan, plan_chain
 from .blockenc import BlockEncoding, _dilate_spectrum, _encoding, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
-from .poly import pade, poly_eval
 from .qsp import (_IDENTITY_TOL, _require_finite, _require_signal_points, canonicalize_angles,
                   pade_phases)
 
@@ -114,8 +113,7 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
 def qet_recursive_step(be: BlockEncoding, phases: np.ndarray) -> BlockEncoding:
     """One nesting level: the assembled unitary becomes the next oracle, qubitized
     if this one is and the list is odd (even: [[P, Q], [-Q^dag, P^dag]])."""
-    return _encoding(qet_assemble(be, phases), be.system_dim,
-                     be.qubitized and len(phases) % 2 == 1)
+    return _encoding(qet_assemble(be, phases), be.qubitized and len(phases) % 2 == 1)
 
 
 def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -259,29 +257,6 @@ def distinct_angles(l: int, levels: int) -> int:
     return distinct_nonzero_angles(np.concatenate((base, -base)))
 
 
-def check_flattened_structure(phases: np.ndarray, base: np.ndarray) -> bool:
-    """Verify the run-length structure of a flattened list against its base.
-
-    In blocks the length of the base list, positions 1..end must equal the
-    base tail or its reversed negation, and each block-leading junction
-    must be zero or one of the base angles up to sign.
-    """
-    phases = canonicalize_angles(np.asarray(phases, dtype=np.float64))
-    base = canonicalize_angles(np.asarray(base, dtype=np.float64))
-    L = len(base)
-    if len(phases) % L != 0:
-        return False
-    blocks = phases.reshape(-1, L)
-    fwd = base[1:]
-    rev = canonicalize_angles(-base[:0:-1])
-    junction_ok = np.concatenate(([0.0], base, canonicalize_angles(-base)))
-    tails = blocks[:, 1:]
-    tail_ok = ((np.abs(tails - fwd) <= _ANGLE_TOL).all(axis=1)
-               | (np.abs(tails - rev) <= _ANGLE_TOL).all(axis=1))
-    head_ok = (np.abs(blocks[:, :1] - junction_ok) <= _ANGLE_TOL).any(axis=1)
-    return bool((tail_ok & head_ok).all())
-
-
 def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
     """Levels needed to push every eigenvalue in +-[delta, 1] within eps of +-1.
 
@@ -303,14 +278,14 @@ def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
     return max(0, math.ceil((math.log(-math.log(eps)) - 2.0 * math.log(delta)) / math.log(l + 1)))
 
 
-def _run_setup(mode: str, delta: float, eps: float, l: int, levels: int | None):
+def _run_setup(delta: float, eps: float, l: int, levels: int | None):
     """A run's level count (`levels`, else the derived one, refused by
     _check_phase_count if negative or over MAX_PHASES), base phases and report."""
     n = sign_iterations(delta, eps, l)  # validates delta and eps even when levels overrides n
     if levels is not None:
         n = levels
     _check_phase_count(n, l)
-    return n, pade_phases(l), IterationReport(mode, delta, eps, l)
+    return n, pade_phases(l), IterationReport(delta, eps, l)
 
 
 def query_count(levels: int, l: int = 2) -> int:
@@ -321,43 +296,11 @@ def query_count(levels: int, l: int = 2) -> int:
 
 
 def error_bound(delta: float, levels: int, l: int = 2) -> float:
-    """(1 - delta^2) to the (l+1)^levels: worst-case sign deviation."""
-    return (1.0 - delta * delta) ** ((l + 1) ** levels)
-
-
-def complexity_estimate(delta: float, eps: float, l: int = 2) -> tuple[float, float]:
-    """Query bound (2l+1) (delta^-2 ln(1/eps))^nu and the exponent nu.
-
-    nu = log_(l+1)(2l+1) drops toward 1 as l grows; l = 2 gives
-    log_3 5, about 1.465, for the gap-dependence exponent 2 nu.
-    """
-    if not (0.0 < delta < 1.0):
-        raise DomainError("spectral gap must lie strictly between 0 and 1")
-    if not (0.0 < eps < 1.0):
-        raise DomainError("tolerance must lie strictly between 0 and 1")
-    nu = math.log(2 * l + 1, l + 1)
-    bound = (2 * l + 1) * (math.log(1.0 / eps) / (delta * delta)) ** nu
-    return bound, nu
-
-
-def recovery_cost(k: int, c_phi: int = 8, q: int = 1) -> int:
-    """Classical phase-list bookkeeping cost 2^k c_phi^(k^2) q for k levels.
-
-    Exact integer arithmetic; the value is astronomically large already
-    for modest k, which is the point of tabulating it.
-    """
-    if k < 0 or c_phi < 1 or q < 1:
-        raise InputError("levels must be nonnegative and the cost factors positive")
-    return (2 ** k) * (c_phi ** (k * k)) * q
-
-
-def scalar_sign_iterate(x: float, l: int, levels: int) -> float:
-    """The composite polynomial applied to a scalar by direct iteration."""
-    p = pade(l)
-    y = float(x)
-    for _ in range(levels):
-        y = float(np.real(poly_eval(p, y)))
-    return y
+    """(1 - delta^2) to the (l+1)^levels: worst-case sign deviation.  Past
+    2^1000 the exponent is taken as inf, which gives the value the exact power
+    would (0.0, or 1.0 when delta^2 rounds to 0) without overflowing a float."""
+    power = (l + 1) ** levels if levels * math.log2(l + 1) <= 1000 else math.inf
+    return (1.0 - delta * delta) ** power
 
 
 def coherent_perturb(phases: np.ndarray, rel: float) -> np.ndarray:
@@ -383,7 +326,6 @@ class IterationRow:
 class IterationReport:
     """Per-level convergence table shared by the sign and polar runs (rows from _nest)."""
 
-    mode: str
     delta: float
     eps: float
     l: int
@@ -484,7 +426,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     spectrum = hermitian_eig(A)  # shared by the gap check, the target and the dilation
     w = spectrum.eigenvalues
     _check_gap(w, delta, "eigenvalues outside +-[delta, 1]")
-    n, base, report = _run_setup(mode, delta, eps, l, levels)
+    n, base, report = _run_setup(delta, eps, l, levels)
     if mode == "flattened":  # every level's plan, made and charged before any product
         _check_dense_cost(sum(_sign_plan(l, k).products for k in range(1, n + 1)), A.shape[0])
     if mode == "scalar":
@@ -510,5 +452,5 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             return qet_recursive_step(be, base)
     else:  # every level from be0, so the U passed in goes unused
         def step(be, k):
-            return BlockEncoding(_phased_product(be0.unitary, None, _sign_plan(l, k)), be0.system_dim)
+            return BlockEncoding(_phased_product(be0.unitary, None, _sign_plan(l, k)))
     return _nest(be0, n, report, step, lambda be: operator_norm(extract(be) - target)), report

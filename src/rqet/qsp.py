@@ -62,15 +62,6 @@ def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     return plan_chain(_plan(np.ascontiguousarray(phases)), xs)
 
 
-def chebyshev_reflection_phases(q: int) -> np.ndarray:
-    """Reflection phases realizing the degree-q Chebyshev polynomial T_q."""
-    if q < 1:
-        raise DomainError("degree must be at least 1")
-    out = np.full(q, -np.pi / 2.0)
-    out[0] = (q - 1) * np.pi / 2.0
-    return canonicalize_angles(out)
-
-
 _PHASE_CACHE: dict[int, np.ndarray] = {}
 _TABLE_PATH = os.path.join(os.path.dirname(__file__), "pade_phases.json")
 

@@ -57,7 +57,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     sigma = np.sqrt(np.maximum(0.0, w))
     _check_gap(sigma, delta, "singular values outside [delta, 1]")
     unitary_factor, _ = polar_oracle(A)
-    n, base, report = _run_setup("polar", delta, eps, l, levels)
+    n, base, report = _run_setup(delta, eps, l, levels)
     X_prev = A if n else None  # level 0 has no step to check
 
     def error_of(enc) -> float:

@@ -5,7 +5,9 @@ import numpy as np
 import pytest
 
 import rqet.qet
+from rqet import DomainError, InputError, canonicalize_angles, pade, poly_eval
 from rqet._kernels import _block_length
+from rqet.qet import _ANGLE_TOL
 
 # list lengths N, with blocks of k = _block_length(N) phases made of sub-blocks
 # of c = _block_length(k): (k, c) = (4, 2), (9, 3), (12, 3), (16, 4), (18, 3),
@@ -42,6 +44,58 @@ def exact_pade_coeffs(l):
         for j in range(k + 1):
             acc[1 + 2 * j] += c * comb(k, j) * (-1) ** j
     return acc
+
+
+def scalar_sign_iterate(x: float, l: int, levels: int) -> float:
+    """The composite polynomial applied to a scalar by direct iteration."""
+    p = pade(l)
+    y = float(x)
+    for _ in range(levels):
+        y = float(np.real(poly_eval(p, y)))
+    return y
+
+
+def chebyshev_reflection_phases(q: int) -> np.ndarray:
+    """Reflection phases realizing the degree-q Chebyshev polynomial T_q."""
+    if q < 1:
+        raise DomainError("degree must be at least 1")
+    out = np.full(q, -np.pi / 2.0)
+    out[0] = (q - 1) * np.pi / 2.0
+    return canonicalize_angles(out)
+
+
+def check_flattened_structure(phases: np.ndarray, base: np.ndarray) -> bool:
+    """Verify the run-length structure of a flattened list against its base.
+
+    In blocks the length of the base list, positions 1..end must equal the
+    base tail or its reversed negation, and each block-leading junction
+    must be zero or one of the base angles up to sign.
+    """
+    phases = canonicalize_angles(np.asarray(phases, dtype=np.float64))
+    base = canonicalize_angles(np.asarray(base, dtype=np.float64))
+    L = len(base)
+    if len(phases) % L != 0:
+        return False
+    blocks = phases.reshape(-1, L)
+    fwd = base[1:]
+    rev = canonicalize_angles(-base[:0:-1])
+    junction_ok = np.concatenate(([0.0], base, canonicalize_angles(-base)))
+    tails = blocks[:, 1:]
+    tail_ok = ((np.abs(tails - fwd) <= _ANGLE_TOL).all(axis=1)
+               | (np.abs(tails - rev) <= _ANGLE_TOL).all(axis=1))
+    head_ok = (np.abs(blocks[:, :1] - junction_ok) <= _ANGLE_TOL).any(axis=1)
+    return bool((tail_ok & head_ok).all())
+
+
+def recovery_cost(k: int, c_phi: int = 8, q: int = 1) -> int:
+    """Classical phase-list bookkeeping cost 2^k c_phi^(k^2) q for k levels.
+
+    Exact integer arithmetic; the value is astronomically large already
+    for modest k, which is the point of tabulating it.
+    """
+    if k < 0 or c_phi < 1 or q < 1:
+        raise InputError("levels must be nonnegative and the cost factors positive")
+    return (2 ** k) * (c_phi ** (k * k)) * q
 
 
 def two_level_tiled(rng, length, subs, kinds):

@@ -1,7 +1,9 @@
 import numpy as np
 import pytest
 
-from rqet import DomainError, dilate_general, dilate_hermitian, extract
+import rqet.blockenc
+from rqet import (BlockEncoding, DomainError, InputError, NumericError, dilate_general,
+                  dilate_hermitian, extract)
 from rqet.linalg import _unitarity_deviation
 from conftest import hermitian_with_spectrum
 
@@ -90,3 +92,29 @@ def test_ancilla_rotation_pi_gives_global_minus():
     be = dilate_hermitian(A)
     R = np.diag(np.repeat(np.exp([1j * np.pi, -1j * np.pi]), be.system_dim))
     assert np.abs(R + np.eye(be.total_dim)).max() < 1e-12
+
+
+@pytest.mark.parametrize("U", [np.eye(3), np.ones((2, 4)), np.zeros((0, 0)), np.ones(4),
+                               np.ones((2, 2, 2)), [[1.0]]],
+                         ids=["odd", "rectangle", "empty", "1-d", "3-d", "1x1-list"])
+def test_encoding_refuses_what_is_not_a_square_even_unitary(U):
+    with pytest.raises(InputError, match="^a block encoding needs a square unitary of even, "
+                                         "positive size, got shape"):
+        BlockEncoding(U)
+
+
+def test_encoding_dimensions_come_from_the_unitary():
+    be = BlockEncoding(np.eye(6))
+    assert (be.system_dim, be.total_dim) == (3, 6)
+    assert np.array_equal(extract(be), np.eye(3))
+    with pytest.raises(TypeError):  # the system dimension is no longer an argument
+        BlockEncoding(np.eye(6), 2)
+
+
+def test_dilations_refuse_a_failed_unitarity_check(monkeypatch):
+    monkeypatch.setattr(rqet.blockenc, "_UNITARITY_TOL", 0.0)
+    A, _ = hermitian_with_spectrum(3, [0.9, -0.5, 0.2, -0.85])
+    with pytest.raises(NumericError, match=r"^Hermitian dilation failed the unitarity check by \d"):
+        dilate_hermitian(A)
+    with pytest.raises(NumericError, match=r"^general dilation failed the unitarity check by \d"):
+        dilate_general(A)

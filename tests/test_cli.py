@@ -182,6 +182,23 @@ def test_conditions_rejects_odd(tmp_path):
     assert payload["witness"]["check"] == "dominating_outside"
 
 
+def test_conditions_on_an_oversized_polynomial_fail_fast(tmp_path):
+    from rqet import polynomial, save_poly
+    from rqet.poly import MAX_DEGREE
+    over, at = tmp_path / "over.json", tmp_path / "at.json"
+    save_poly(str(over), polynomial(np.ones(MAX_DEGREE + 2)))
+    save_poly(str(at), polynomial(np.ones(MAX_DEGREE + 1)))
+    t0 = time.perf_counter()
+    r = run_cli(["conditions", str(over)])
+    assert (r.returncode, r.stdout) == (2, "")
+    assert r.stderr == (f"input error: {MAX_DEGREE + 2} coefficients make a degree over the "
+                        f"limit of {MAX_DEGREE}\n")
+    r = run_cli(["conditions", str(at)])
+    assert r.returncode == 3 and r.stderr == ""  # no overflow warning
+    assert json.loads(r.stdout)["witness"]["check"] == "bounded_inside"
+    assert time.perf_counter() - t0 < 10.0
+
+
 def test_perturb_baseline_row(tmp_path):
     out = tmp_path / "pert.csv"
     r = run_cli(["perturb", "--seed", "5", "--dim", "3", "--gap", "0.5",

@@ -8,6 +8,7 @@ from rqet import (DomainError, InputError, NumericError, hermitian_eig,
                   hermitian_eigvals, load_matrix, matrix_function_hermitian, matrix_sign,
                   operator_norm, polar_oracle, run_polar, run_sign,
                   save_matrix)
+import rqet.linalg
 from rqet.linalg import _unitarity_deviation, require_square
 from conftest import hermitian_with_spectrum
 
@@ -192,6 +193,15 @@ def test_polar_oracle_properties():
     assert np.abs(U @ P - M).max() < 1e-10
     w = np.linalg.eigvalsh((P + P.conj().T) / 2)
     assert w.min() > -1e-12
+
+
+def test_polar_oracle_refuses_a_residual_over_its_tolerance(monkeypatch):
+    monkeypatch.setattr(rqet.linalg, "_RESIDUAL_TOL", 0.0)
+    rng = np.random.default_rng(31)
+    M = rng.standard_normal((5, 5)) + 1j * rng.standard_normal((5, 5))
+    with pytest.raises(NumericError) as exc:
+        polar_oracle(M)
+    assert str(exc.value) == "polar factorization residual exceeded 0"
 
 
 def test_polar_oracle_rejects_singular():

@@ -1,3 +1,4 @@
+import warnings
 from fractions import Fraction
 
 import mpmath
@@ -6,6 +7,7 @@ import pytest
 
 from rqet import (DomainError, InputError, check_qet_conditions, load_poly, pade, poly_eval,
                   polynomial, save_poly)
+from rqet.poly import MAX_DEGREE
 from conftest import exact_pade_coeffs
 from pade_table import deflated_roots, exact_deflation, to_mp
 
@@ -161,3 +163,24 @@ def test_poly_file_needs_its_keys(tmp_path, text):
     with pytest.raises(InputError) as exc:
         load_poly(str(path))
     assert str(exc.value) == f"polynomial file {path} needs keys coeffs, parity"
+
+
+def test_load_poly_refuses_a_degree_over_the_limit(tmp_path):
+    path = tmp_path / "p.json"
+    save_poly(str(path), polynomial(np.ones(MAX_DEGREE + 2)))
+    with pytest.raises(InputError) as exc:
+        load_poly(str(path))
+    assert str(exc.value) == (f"{MAX_DEGREE + 2} coefficients make a degree over the limit "
+                              f"of {MAX_DEGREE}")
+    save_poly(str(path), polynomial(np.ones(MAX_DEGREE + 1)))
+    assert load_poly(str(path)).degree == MAX_DEGREE
+
+
+def test_overflowing_values_give_verdicts_without_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        top = check_qet_conditions(polynomial(np.ones(MAX_DEGREE + 1)))  # inf and NaN outside
+        # Horner overflows inside too, to inf and to NaN (at x = -1, where the value is 1e308)
+        huge = check_qet_conditions(polynomial(1e308 * np.array([0, 1, 1, -1])))
+    assert not top.bounded_inside and top.dominating_outside and top.witness[0] == "bounded_inside"
+    assert not huge.bounded_inside and huge.witness[0] == "bounded_inside"

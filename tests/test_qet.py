@@ -10,21 +10,20 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from rqet import (BlockEncoding, DomainError, InputError, NumericError, ScalarSignTable,
-                  canonicalize_angles, check_flattened_structure,
-                  chebyshev_reflection_phases, coherent_perturb,
-                  complexity_estimate, compose_phases, dilate_general, dilate_hermitian,
-                  distinct_angles, distinct_nonzero_angles, error_bound, extract,
-                  flatten_sign_phases, hermitian_eig, operator_norm, pade,
+                  canonicalize_angles, coherent_perturb, compose_phases, dilate_general,
+                  dilate_hermitian, distinct_angles, distinct_nonzero_angles, error_bound,
+                  extract, flatten_sign_phases, hermitian_eig, operator_norm, pade,
                   pade_phases, poly_eval, qet_assemble, qet_recursive_step,
-                  query_count, recovery_cost, reflection_upper_left, run_polar, run_sign,
-                  scalar_sign_iterate, sign_iterations)
+                  query_count, reflection_upper_left, run_polar, run_sign, sign_iterations)
 import rqet.cli
 import rqet.qet
 from rqet import _kernels
 from rqet._kernels import _block_length, _distinct_rows, _plan
 from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _phased_product,
                       scalar_grid)
-from conftest import TWO_LEVEL_LENGTHS, hermitian_with_spectrum, two_level_tiled
+from conftest import (TWO_LEVEL_LENGTHS, check_flattened_structure, chebyshev_reflection_phases,
+                      hermitian_with_spectrum, recovery_cost, scalar_sign_iterate,
+                      two_level_tiled)
 
 
 @pytest.fixture
@@ -367,15 +366,16 @@ def test_error_bound_monotone():
     assert b[0] == 0.75
 
 
-def test_complexity_estimate_exponent():
-    bound, nu = complexity_estimate(0.1, 1e-10, 2)
-    assert abs(nu - np.log(5.0) / np.log(3.0)) < 1e-15
-    # gap exponent 2*nu is below the square-root-free baseline of 2
-    assert 1.0 < nu < 2.0
-    assert bound > 0
-    for eps in (0.0, 1.0, np.nan):
-        with pytest.raises(DomainError):
-            complexity_estimate(0.1, eps, 2)
+def test_error_bound_is_the_direct_power_and_never_overflows():
+    for l in (1, 2, 3, 4, 8, 20):
+        for delta in (1e-200, 1e-8, 1e-3, 0.1, 0.5, 0.9, 1.0 - 1e-9, 1.0):
+            for levels in range(1100):  # the direct power overflows from (l+1)^levels > 2^1024
+                try:
+                    want = (1.0 - delta * delta) ** ((l + 1) ** levels)
+                except OverflowError:  # any power over 2^1000 of a base in [0, 1) is 0.0
+                    want = 0.0 if delta * delta > 0.0 else 1.0
+                assert error_bound(delta, levels, l).hex() == want.hex(), (l, delta, levels)
+    assert error_bound(0.5, 1000) == 0.0 and error_bound(1e-200, 10 ** 12) == 1.0
 
 
 def test_recovery_cost_exact_integers():
@@ -890,7 +890,7 @@ def test_nested_qubitized_levels_match_full_products_and_the_spectrum():
     w = rng.uniform(0.3, 1.0, d) * rng.choice([-1.0, 1.0], d)
     A, V = hermitian_with_spectrum(11, w)
     top = dilate_hermitian(A)
-    full = BlockEncoding(top.unitary, d)  # not qubitized: every slot a full product
+    full = BlockEncoding(top.unitary)  # not qubitized: every slot a full product
     # the 2x2 reduction: each eigenvalue's reflection, nested as scalar mode does
     R = np.empty((d, 2, 2), dtype=np.complex128)
     R[:, 0, 0], R[:, 1, 1] = w, -w
@@ -914,13 +914,13 @@ def test_qubitized_flag_survives_odd_steps_only():
     after_even = qet_recursive_step(be, even)  # [[P, Q], [-Q^dag, P^dag]]
     assert not after_even.qubitized
     assert not qet_recursive_step(after_even, odd).qubitized
-    assert not BlockEncoding(be.unitary, 16).qubitized
+    assert not BlockEncoding(be.unitary).qubitized
     # a hand-set flag over a unitary of another form would make qet_assemble
     # write a wrong bottom block row, so only the library sets it
     with pytest.raises(TypeError):
-        BlockEncoding(be.unitary, 16, True)
+        BlockEncoding(be.unitary, True)
     with pytest.raises(TypeError):
-        BlockEncoding(be.unitary, 16, qubitized=True)
+        BlockEncoding(be.unitary, qubitized=True)
     assert not dataclasses.replace(be).qubitized
     assert run_sign(A, 0.05, 1e-8, levels=0)[0].qubitized  # the run's own dilation
     assert not dilate_general(A).qubitized

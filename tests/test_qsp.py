@@ -13,12 +13,13 @@ from hypothesis import example, given, settings, strategies as st
 
 import rqet
 from rqet import (DomainError, InputError, NumericError,
-                  canonicalize_angles, chebyshev_reflection_phases, flatten_sign_phases,
+                  canonicalize_angles, flatten_sign_phases,
                   load_poly, pade, pade_phases, poly_eval, qsp,
                   reflection_upper_left, save_phases)
 from rqet import _kernels
 from rqet._kernels import _block_length, _distinct_rows, _plan
-from conftest import TWO_LEVEL_LENGTHS, exact_pade_coeffs, two_level_tiled
+from conftest import (TWO_LEVEL_LENGTHS, chebyshev_reflection_phases, exact_pade_coeffs,
+                      two_level_tiled)
 import pade_table
 
 

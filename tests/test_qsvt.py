@@ -6,7 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rqet
-from rqet import (DomainError, NumericError, dilate_general, distinct_nonzero_angles,
+from rqet import (DomainError, NumericError, dilate_general, dilate_hermitian,
+                  distinct_nonzero_angles,
                   extract, filtering_operator, flatten_sign_phases, matrix_sign,
                   operator_norm, pade_phases, polar_oracle, preparation_projector,
                   qet_recursive_step, run_polar, run_sign)
@@ -211,6 +212,16 @@ def test_filtering_raises_when_sign_run_misses_eps():
     C, _ = hermitian_with_spectrum(3, vals)
     with pytest.raises(NumericError, match="above eps"):
         preparation_projector(C, 0.1, 1e-10)
+
+
+def test_filtering_refuses_a_block_that_is_no_projector(monkeypatch):
+    A, _ = hermitian_with_spectrum(5, [0.6, -0.7, 0.8, -0.9])
+    be, report = run_sign(A, 0.5, 1e-8)
+    assert report.converged
+    # a converged report over the starting dilation: its top block (I + A)/2 is no projector
+    monkeypatch.setattr(rqet.qsvt, "run_sign", lambda *args, **kw: (dilate_hermitian(A), report))
+    with pytest.raises(NumericError, match=r"^filter block violates idempotency by \d"):
+        filtering_operator(A, 0.5, 1e-8)
 
 
 def _rows(report):
