@@ -18,7 +18,6 @@ import sys
 import numpy as np
 
 from . import __version__
-from ._kernels import _Plan
 from .blockenc import dilate_hermitian
 from .errors import DomainError, InputError, NumericError, opened
 from .linalg import load_matrix, operator_norm, require_dim
@@ -207,7 +206,7 @@ def _cmd_perturb(args) -> int:
     U, n = dilate_hermitian(A).unitary, A.shape[0]  # its own adjoint: any plan runs as given
 
     def encoded(rel: float) -> np.ndarray:  # scaling keeps equal rows equal: the plan holds
-        return _phased_product(U, None, _Plan(coherent_perturb(plan.rows, rel), plan.folds))[:n, :n]
+        return _phased_product(U, plan._replace(rows=coherent_perturb(plan.rows, rel)))[:n, :n]
     X_ref = encoded(0.0)
     rows = ["delta,error"]
     for d in np.concatenate(([0.0], np.geomspace(lo, hi, count))):

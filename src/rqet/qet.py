@@ -32,19 +32,11 @@ _DENSE_FLOOR = 32  # dilation size 2d below which a product costs about its Pyth
 DENSE_BUDGET = 2 ** 32  # products x max(2d, _DENSE_FLOOR)^3: under 1 s of d = 64 ones, one core
 
 
-def _phased_product(U: np.ndarray, phases: np.ndarray | None, plan: _Plan | None = None,
-                    qubitized: bool = False) -> np.ndarray:
-    """qet_assemble's product on a stack of oracles of shape (..., 2d, 2d),
-    one product per leading index, by broadcast matmul.  No checks.
-
-    When the oracle equals its own adjoint, as the scalar reflection and
-    every Hermitian dilation do, a slot's product does not depend on its
-    dagger, so the list is multiplied by `plan`, or _kernels._plan(phases)
-    if none is given: each distinct block once, folded by np.matmul, which
-    agrees with the slot loop to rounding.  Any other oracle, and a list
-    whose blocks do not repeat, gets the one-row plan: the slot loop.
-    `phases` may be None when `plan` is given for an oracle that equals its
-    own adjoint, since only the slot-loop fallback reads the list.
+def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.ndarray:
+    """qet_assemble's product of the list `plan` is of, on a stack of oracles
+    of shape (..., 2d, 2d), one product per leading index, by broadcast
+    matmul.  No checks: a plan with folds, whose np.matmul folds agree with
+    the slot loop to rounding, is only for an oracle equal to its own adjoint.
 
     The slot loop, the plan's leaf, multiplies out rows of slots one
     position at a time, all rows together as a (rows, ..., 2d, 2d) stack;
@@ -61,10 +53,6 @@ def _phased_product(U: np.ndarray, phases: np.ndarray | None, plan: _Plan | None
     """
     d = U.shape[-1] // 2
     pair = (U, np.swapaxes(U.conj(), -1, -2))
-    if plan is None:
-        plan = _plan(phases)
-    if plan.folds and not np.array_equal(U, pair[1]):
-        plan = _Plan(phases[None], [])
     top = qubitized and not plan.folds and 2 * d >= _DENSE_FLOOR
 
     def slots(rows: np.ndarray) -> np.ndarray:
@@ -99,15 +87,21 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     exp(i phase_j (2P - I)) followed by the oracle or its adjoint per the
     dagger template, so the final slot always carries the plain oracle.
     Over a general dilation the same product acts on singular values.
-    A list whose blocks repeat, as every flattened sign list's do, is
-    multiplied by its plan when the oracle equals its own adjoint, others
-    slot by slot, over a qubitized encoding by its top block row (_phased_product).
+    The list is multiplied by its plan (_kernels._plan) when the oracle
+    equals its own adjoint, as every Hermitian dilation does: a slot's
+    product then does not depend on its dagger, so each distinct block is
+    multiplied once.  Any other oracle, and a list whose blocks do not
+    repeat, gets the one-row plan: the slot loop, over a qubitized encoding
+    by its top block row (_phased_product).
     """
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
         raise InputError("phase list must be a nonempty 1-d array")
     _require_finite(phases)
-    return _phased_product(be.unitary, phases, qubitized=be.qubitized)
+    plan, U = _plan(phases), be.unitary
+    if plan.folds and not np.array_equal(U, U.conj().T):
+        plan = _Plan(phases[None], [])
+    return _phased_product(U, plan, be.qubitized)
 
 
 def qet_recursive_step(be: BlockEncoding, phases: np.ndarray) -> BlockEncoding:
@@ -431,14 +425,15 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         _check_dense_cost(sum(_sign_plan(l, k).products for k in range(1, n + 1)), A.shape[0])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))
+        _require_signal_points(pts)  # at every n, before any level
         U = np.empty((len(pts), 2, 2), dtype=np.complex128)
         U[:, 0, 0], U[:, 1, 1] = pts, -pts
         U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
-        U = _nest(U, n, report, lambda U, k: _phased_product(U, base),
+        one_row = _Plan(base[None], [])  # nested stacks are not their own adjoint
+        U = _nest(U, n, report, lambda U, k: _phased_product(U, one_row),
                   lambda U: float(np.abs(U[:, 0, 0] - np.sign(pts)).max()))
         vals, distance = U[:, 0, 0].copy(), None
-        if n:  # reflection_upper_left's checks, less the scan of a list built from checked phases
-            _require_signal_points(pts)
+        if n:  # reflection_upper_left less its checks: points above, phases tabulated
             distance = float(np.abs(plan_chain(_sign_plan(l, n), pts) - vals).max())
             if distance > _IDENTITY_TOL:
                 raise NumericError(f"nested and flattened products differ by {distance:.3e} "
@@ -452,5 +447,5 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             return qet_recursive_step(be, base)
     else:  # every level from be0, so the U passed in goes unused
         def step(be, k):
-            return BlockEncoding(_phased_product(be0.unitary, None, _sign_plan(l, k)))
+            return BlockEncoding(_phased_product(be0.unitary, _sign_plan(l, k)))
     return _nest(be0, n, report, step, lambda be: operator_norm(extract(be) - target)), report

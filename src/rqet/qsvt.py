@@ -26,11 +26,9 @@ from .qet import _check_gap, _nest, _run_setup, IterationReport, qet_recursive_s
 _STEP_TOL = 1e-10
 
 
-def _gram_update(X: np.ndarray, l: int) -> tuple[np.ndarray, np.ndarray]:
-    """The iteration polynomial applied through either Gram factor."""
-    p = pade(l)
-    # odd polynomial p(x) = x g(x^2); both orderings must agree exactly
-    g_coeffs = p.coeffs[1::2]
+def _gram_update(X: np.ndarray, g_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The odd iteration polynomial p(x) = x g(x^2), g's coefficients lowest
+    first, applied through either Gram factor; both orderings must agree exactly."""
     d = X.shape[0]
 
     def g_of(G: np.ndarray) -> np.ndarray:  # Horner in the Gram factor G
@@ -58,13 +56,14 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     _check_gap(sigma, delta, "singular values outside [delta, 1]")
     unitary_factor, _ = polar_oracle(A)
     n, base, report = _run_setup(delta, eps, l, levels)
+    g_coeffs = pade(l).coeffs[1::2]  # p_l(x) = x g(x^2), derived once per run
     X_prev = A if n else None  # level 0 has no step to check
 
     def error_of(enc) -> float:
         nonlocal X_prev
         X = extract(enc)
         if X_prev is not None:
-            via_right, via_left = _gram_update(X_prev, l)
+            via_right, via_left = _gram_update(X_prev, g_coeffs)
             dev = max(float(np.abs(X - via_right).max()), float(np.abs(X - via_left).max()))
             if dev > _STEP_TOL:
                 raise NumericError(f"transform step disagrees with the Gram closed forms by {dev:.3e}")

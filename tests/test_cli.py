@@ -440,3 +440,34 @@ def test_conditions_refuses_a_wrong_parity_as_input(tmp_path, capsys, doc, messa
     path.write_text(doc)
     assert main(["conditions", str(path)]) == 2
     assert capsys.readouterr().err == f"input error: {message}\n"
+
+
+@pytest.mark.parametrize("command", [
+    ["sign-run", "--mode", "recursive"], ["sign-run", "--mode", "flattened"],
+    ["sign-run", "--mode", "scalar"], ["sign-run", "--mode", "scalar", "--iters", "0"],
+    ["polar-run"],
+], ids=["recursive", "flattened", "scalar", "scalar-n0", "polar"])
+def test_out_of_range_eigenvalue_exits_3_in_every_mode(command, tmp_path, capsys):
+    # 1 + 5e-10 passes the gap check (1 + 1e-9) but not the dilations' or the
+    # scalar points' bound (1 + 1e-12); scalar mode refuses it at n = 0 too
+    path = tmp_path / "m.json"
+    save_matrix(str(path), hermitian_with_spectrum(1, [1 + 5e-10, -0.5, 0.7, -0.3])[0])
+    assert main(command + ["--matrix", str(path), "--gap", "0.3"]) == 3
+    assert capsys.readouterr().err.startswith("domain error: ")
+
+
+# ROADMAP item 2's targets (unitarity restored after every level, the cap
+# split): each fails today, so the change that lands item 2 must flip them
+@pytest.mark.xfail(strict=True, reason="ROADMAP item 2: rounding floor and phase cap")
+@pytest.mark.parametrize("args", [
+    "sign-run --seed 1 --dim 64 --gap 0.1 --epsilon 1e-10",  # exit 4 at 1.00e-9
+    "sign-run --seed 1 --dim 2 --mode scalar --gap 0.1 --epsilon 1e-13",  # exit 4 at 2.29e-11
+    "sign-run --seed 1 --dim 2 --mode scalar --gap 1e-3 --epsilon 1e-10",  # 5^16 over the cap
+    "sign-run --seed 1 --dim 64 --gap 1e-3 --epsilon 1e-10",  # 5^16 over the cap
+    "polar-run --seed 1 --dim 8 --iters 12",  # 5^12 over the cap
+], ids=["d64-eps1e-10", "scalar-eps1e-13", "scalar-gap1e-3", "d64-gap1e-3", "polar-iters12"])
+def test_roadmap_item_2_targets_finish(args, capsys):
+    t0 = time.perf_counter()
+    assert main(args.split()) == 0
+    if "--mode scalar --gap 1e-3" in args:  # n = 16
+        assert time.perf_counter() - t0 < 1.0

@@ -578,7 +578,7 @@ def test_phased_product_on_a_stack_of_points():
     U = np.empty((len(xs), 2, 2), dtype=np.complex128)
     U[:, 0, 0], U[:, 1, 1], U[:, 0, 1], U[:, 1, 0] = xs, -xs, w, w
     base = pade_phases(2)
-    stacked = _phased_product(U, base)
+    stacked = _phased_product(U, _plan(base))
     for x, P in zip(xs, stacked):
         per_point = qet_assemble(dilate_hermitian(np.array([[x]], dtype=complex)), base)
         assert np.abs(P - per_point).max() < 1e-15
@@ -624,7 +624,7 @@ def test_phased_product_matches_dense_factors(n, kind, stack):
     else:
         phases = np.random.default_rng(q).uniform(-np.pi, np.pi, q)
     U = dilation_stack(q + stack, 2, stack)
-    fast = _phased_product(U, phases)
+    fast = _phased_product(U, _plan(phases))
     assert fast.shape == U.shape
     for got, oracle in zip(fast.reshape((-1,) + U.shape[-2:]), U.reshape((-1,) + U.shape[-2:])):
         assert np.abs(got - dense_slot_product(oracle, phases)).max() < 1e-13
@@ -672,7 +672,7 @@ def slot_loop_extended(U, phases):
 def test_phased_product_matches_slot_loop(q, d, stack, subs, kinds, seed):
     phases = two_level_tiled(np.random.default_rng(seed), q, subs, kinds)
     U = dilation_stack(seed % 1000, d, stack)
-    fast, ref = _phased_product(U, phases), slot_loop(U, phases)
+    fast, ref = _phased_product(U, _plan(phases)), slot_loop(U, phases)
     assert fast.shape == ref.shape
     c = _block_length(q)
     if c == q or _distinct_rows(phases.reshape(-1, c), q // c // 2) is None:
@@ -694,21 +694,23 @@ def test_products_round_within_q_units(q, d, stack, subs, kinds, seed):
     phases = two_level_tiled(np.random.default_rng(seed), q, subs, kinds)
     U = dilation_stack(seed % 1000, d, stack)
     exact = slot_loop_extended(U, phases)
-    for product in (_phased_product(U, phases), slot_loop(U, phases)):
+    for product in (_phased_product(U, _plan(phases)), slot_loop(U, phases)):
         assert np.abs(product - exact).max() < q * _U
 
 
 @pytest.mark.parametrize("q", [625, 1296])
 def test_phased_product_never_merges_blocks_of_a_general_dilation(q):
     # the blocks of these lists repeat, but this oracle is not its own
-    # adjoint, so a block's product depends on its daggers: the slot loop
-    # runs, opening on the adjoint when q is even
+    # adjoint, so a block's product depends on its daggers: qet_assemble runs
+    # the slot loop, opening on the adjoint when q is even
     A = np.random.default_rng(4).standard_normal((3, 3)) * 0.2 + 0j
-    U = dilate_general(A).unitary
+    be = dilate_general(A)
+    U = be.unitary
     assert not np.array_equal(U, U.conj().T)
     rng = np.random.default_rng(q)
     phases = flatten_sign_phases(2, 4) if q == 625 else two_level_tiled(rng, q, 2, 2)
-    assert np.array_equal(_phased_product(U, phases).view(np.uint64),
+    assert _plan(phases).folds
+    assert np.array_equal(qet_assemble(be, phases).view(np.uint64),
                           slot_loop(U, phases).view(np.uint64))
 
 
@@ -719,14 +721,15 @@ def test_phased_product_on_reflections_matches_phase_chain(l, n):
     U = np.empty((len(xs), 2, 2), dtype=np.complex128)
     U[:, 0, 0], U[:, 1, 1], U[:, 0, 1], U[:, 1, 0] = xs, -xs, w, w
     flat = flatten_sign_phases(l, n)
-    assert np.abs(_phased_product(U, flat)[:, 0, 0] - reflection_upper_left(flat, xs)).max() < 1e-13
+    got = _phased_product(U, _plan(flat))[:, 0, 0]
+    assert np.abs(got - reflection_upper_left(flat, xs)).max() < 1e-13
 
 
 @pytest.mark.parametrize("q", [16, 17, 125, 625])
 def test_phased_product_without_repeats_is_the_slot_loop(q):
     phases = np.random.default_rng(q).uniform(-np.pi, np.pi, q)
     U = dilation_stack(q, 4, 0)
-    assert np.array_equal(_phased_product(U, phases).view(np.uint64),
+    assert np.array_equal(_phased_product(U, _plan(phases)).view(np.uint64),
                           slot_loop(U, phases).view(np.uint64))
 
 
@@ -750,7 +753,7 @@ def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
     monkeypatch.setattr(rqet.qet, "_execute", recording)
     flat = flatten_sign_phases(2, 4)
     U = dilation_stack(7, 8, 0)
-    assert np.abs(_phased_product(U, flat) - slot_loop(U, flat)).max() < 1e-13
+    assert np.abs(_phased_product(U, _plan(flat)) - slot_loop(U, flat)).max() < 1e-13
     # the 625-slot list is folded from 5-slot blocks in 17 steps, not 625
     assert leaves == [5]
     assert sum(leaves) + len(products) == 17
@@ -813,10 +816,43 @@ def test_plan_charges_the_work_it_does(monkeypatch, source):
         phases = flatten_sign_phases(*source)
     runs = _counting_execute(monkeypatch)
     _kernels.plan_chain(_plan(phases), scalar_grid(0.1))
-    _phased_product(dilation_stack(1, 2, 0), phases)
+    _phased_product(dilation_stack(1, 2, 0), _plan(phases))
     assert len(runs) == 2
     assert all(products == work for products, work in runs)
     assert runs[0] == runs[1]
+
+
+def test_qet_assemble_runs_the_plan_over_a_hermitian_dilation(monkeypatch):
+    # the dilation equals its own adjoint, so the 625-slot sign list runs by
+    # its plan, which does the work it charges (over a general dilation the
+    # same list is the slot loop: test_phased_product_never_merges_...)
+    flat = flatten_sign_phases(2, 4)
+    plan = _plan(flat)
+    be = dilate_hermitian(hermitian_with_spectrum(3, [-0.9, -0.4, 0.5, 0.8])[0])
+    runs = _counting_execute(monkeypatch)
+    got = qet_assemble(be, flat)
+    assert runs == [(plan.products, plan.products)] and plan.products < len(flat)
+    assert np.abs(got - slot_loop(be.unitary, flat)).max() < 1e-13
+
+
+def test_warm_runs_plan_nothing(monkeypatch, capsys, cold_sign_plans):
+    # after one warm-up, scalar and flattened runs and perturb run only plans
+    # they own: the base list's one-row plan and the cached sign-list plans
+    A, _ = hermitian_with_spectrum(7, [-0.9, -0.3, 0.35, 0.8])
+
+    def runs():
+        run_sign(A, 0.3, 1e-8, mode="scalar", levels=4)
+        run_sign(A, 0.3, 1e-8, mode="flattened", levels=4)
+        assert rqet.cli.main(["perturb", "--seed", "1", "--dim", "4", "--iters", "3",
+                              "--delta-grid", "1e-6:1e-3:2", "--out", os.devnull]) == 0
+
+    def refuse(*_):
+        raise AssertionError("a warm run planned a list")
+
+    runs()
+    for module in (_kernels, rqet.qet, rqet.qsp):
+        monkeypatch.setattr(module, "_plan", refuse)
+    runs()
 
 
 def test_each_list_is_planned_once(monkeypatch, cold_sign_plans):
@@ -836,13 +872,14 @@ def test_each_list_is_planned_once(monkeypatch, cold_sign_plans):
     planned.clear()
     run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)  # every level's plan is cached
     assert planned == []
-    # the nested levels plan the base list, and the one flattened chain is
-    # planned on the first run at (l, n) only
+    # the nested levels run the base list's one-row plan, which is not
+    # planned, and the one flattened chain is planned on the first run at
+    # (l, n) only
     run_sign(A, 0.4, 1e-8, mode="scalar", levels=6)
-    assert planned == [5] * 6 + [5 ** 6]
+    assert planned == [5 ** 6]
     planned.clear()
     run_sign(A, 0.4, 1e-8, mode="scalar", levels=6)
-    assert planned == [5] * 6
+    assert planned == []
 
 
 def test_phased_product_memory_stays_small():
@@ -852,7 +889,7 @@ def test_phased_product_memory_stays_small():
     U = dilation_stack(3, 8, 0)
     tracemalloc.start()
     try:
-        _phased_product(U, phases)
+        _phased_product(U, _plan(phases))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -897,7 +934,7 @@ def test_nested_qubitized_levels_match_full_products_and_the_spectrum():
     R[:, 0, 1] = R[:, 1, 0] = np.sqrt(1.0 - w * w)
     for n in range(1, 7):
         top, full = qet_recursive_step(top, base), qet_recursive_step(full, base)
-        R = _phased_product(R, base)
+        R = _phased_product(R, _plan(base))
         reduced = np.block([[(V * R[:, a, b]) @ V.conj().T for b in (0, 1)] for a in (0, 1)])
         sign_n = (V * [scalar_sign_iterate(x, 2, n) for x in w]) @ V.conj().T
         bound = 16 * 5 ** n * _U  # rounding grows x5 per level: measured up to 3.6 x 5^n u
@@ -936,9 +973,9 @@ def test_runs_off_the_top_row_form_keep_their_products(monkeypatch, run, d):
     # block rows, the one each formed before the top-row form existed
     calls, product = [], rqet.qet._phased_product
 
-    def checked(U, phases, plan=None, qubitized=False):
-        out = product(U, phases, plan, qubitized)
-        calls.append(np.array_equal(out.view(np.uint64), product(U, phases, plan).view(np.uint64)))
+    def checked(U, plan, qubitized=False):
+        out = product(U, plan, qubitized)
+        calls.append(np.array_equal(out.view(np.uint64), product(U, plan).view(np.uint64)))
         return out
 
     monkeypatch.setattr(rqet.qet, "_phased_product", checked)
@@ -975,6 +1012,18 @@ def test_scalar_run_refuses_an_eigenvalue_just_past_one():
     # the gap check admits 1 + 1e-9; the chain's points stop at 1 + 1e-12
     with pytest.raises(DomainError, match="signal points"):
         run_sign(np.diag([1 + 5e-10, -0.5]).astype(complex), 0.1, 1e-6, mode="scalar")
+
+
+@pytest.mark.parametrize("levels", [0, None])
+def test_scalar_run_checks_its_points_before_any_level(monkeypatch, levels):
+    # the same refusal at n = 0 and at the derived n, before any product
+    def refuse(*_):
+        raise AssertionError("a product was formed before the points were checked")
+
+    monkeypatch.setattr(rqet.qet, "_phased_product", refuse)
+    A, _ = hermitian_with_spectrum(1, [1 + 5e-10, -0.5, 0.7, -0.3])
+    with pytest.raises(DomainError, match="signal points"):
+        run_sign(A, 0.3, 1e-10, mode="scalar", levels=levels)
 
 
 def test_scalar_run_rejects_a_corrupted_flattened_list(monkeypatch, cold_sign_plans):

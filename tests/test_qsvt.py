@@ -84,9 +84,9 @@ def test_run_polar_checks_every_level_against_the_gram_forms(monkeypatch):
     A = random_with_singulars(9, [0.6, 0.9])
     calls, gram_update = [], rqet.qsvt._gram_update
 
-    def counted(X, l):
+    def counted(X, g_coeffs):
         calls.append(X.copy())
-        return gram_update(X, l)
+        return gram_update(X, g_coeffs)
 
     monkeypatch.setattr(rqet.qsvt, "_gram_update", counted)
     enc, _ = run_polar(A, 0.5, 1e-12, levels=3)
@@ -95,13 +95,22 @@ def test_run_polar_checks_every_level_against_the_gram_forms(monkeypatch):
     run_polar(A, 0.5, 1e-12, levels=0)
     assert not calls  # level 0 has no step to check
 
-    def perturbed(X, l):
-        right, left = gram_update(X, l)
+    def perturbed(X, g_coeffs):
+        right, left = gram_update(X, g_coeffs)
         return right, left + 1e-8
 
     monkeypatch.setattr(rqet.qsvt, "_gram_update", perturbed)
     with pytest.raises(NumericError, match="disagrees with the Gram closed forms"):
         run_polar(A, 0.5, 1e-12, levels=2)
+
+
+def test_run_polar_derives_the_polynomial_once(monkeypatch):
+    # every level's Gram check reads the same coefficients of p_l
+    A = random_with_singulars(9, [0.6, 0.9])
+    calls, pade = [], rqet.qsvt.pade
+    monkeypatch.setattr(rqet.qsvt, "pade", lambda l: calls.append(l) or pade(l))
+    _, rep = run_polar(A, 0.5, 1e-12, levels=4)
+    assert calls == [2] and len(rep.rows) == 4
 
 
 @pytest.mark.parametrize("run", ["recursive", "flattened", "scalar", "polar"])
