@@ -4,7 +4,7 @@ dense block-encoding drivers and independent cross-checks."""
 from .blockenc import BlockEncoding, dilate_general, dilate_hermitian, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import (hermitian_eig, hermitian_eigvals, load_matrix,
-                     matrix_function_hermitian, matrix_sign, operator_norm,
+                     matrix_function_hermitian, operator_norm,
                      polar_oracle, save_matrix)
 from .poly import (ComplexPolynomial, check_qet_conditions, load_poly, pade,
                    poly_eval, polynomial, save_poly)

@@ -5,8 +5,8 @@ quantity downstream (sign oracle, polar factors, operator norms) comes
 from it.  hermitian_eig reaches it through numpy.linalg.eigh, and
 hermitian_eigvals, for callers that would discard the eigenvectors,
 through numpy.linalg.eigvalsh, which runs the same driver without
-computing them.  Both share one input check.  Dimensions stay capped at
-desk scale.
+computing them.  Both share one input check; operator_norm's eigensolve
+skips its Hermitian part, as _gram is exactly Hermitian by construction.
 """
 
 from __future__ import annotations
@@ -20,6 +20,7 @@ from .errors import DomainError, InputError, NumericError, decode_pairs, read_js
 
 MAX_DIM = 64
 HERMITICITY_TOL = 1e-12
+NORM_SLACK = 1e-12       # the one upper bound on eigenvalue, singular value and point magnitudes
 _SIGN_ZERO_TOL = 1e-12   # eigenvalues this close to zero, relative to the norm, have no sign
 _RESIDUAL_TOL = 1e-10    # unitarity and polar-factorization residuals
 
@@ -51,17 +52,24 @@ def require_hermitian(M: np.ndarray) -> np.ndarray:
     return M
 
 
+def require_unit_norm(values, what: str = "operator norm") -> None:
+    """Refuse magnitudes past 1 + NORM_SLACK, or a NaN, naming the largest."""
+    top = float(np.max(np.abs(values), initial=0.0))
+    if not top <= 1.0 + NORM_SLACK:
+        raise DomainError(f"{what} {top:.12f} exceeds 1")
+
+
 def require_dim(n: int) -> None:
     """Refuse a dimension over MAX_DIM with a domain error."""
     if n > MAX_DIM:
         raise DomainError(f"dimension {n} exceeds the supported maximum {MAX_DIM}")
 
 
-def _hermitian_solve(solver: Callable, M: np.ndarray):
-    """Run a LAPACK Hermitian solver on M after the checks every caller
-    shares: Hermitian within HERMITICITY_TOL, at most MAX_DIM rows.  A
-    failure to converge is reported as a numeric error."""
-    M = require_hermitian(M)
+def _hermitian_solve(solver: Callable, M: np.ndarray, check: Callable = require_hermitian):
+    """Run a LAPACK Hermitian solver on M after `check` (by default: finite,
+    Hermitian within HERMITICITY_TOL) and at most MAX_DIM rows.  A failure
+    to converge is reported as a numeric error."""
+    M = check(M)
     require_dim(M.shape[0])
     try:
         return solver(M)
@@ -96,27 +104,24 @@ def matrix_function_hermitian(M: np.ndarray, f: Callable) -> np.ndarray:
 
 
 def _gram(M: np.ndarray) -> np.ndarray:
-    """The Gram matrix M^dag M, symmetrized as (G + G^dag)/2."""
+    """M^dag M as (G + G^dag)/2: entry (j, i) is bit for bit entry (i, j)'s conjugate."""
     G = M.conj().T @ M
     return (G + G.conj().T) / 2
 
 
 def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value, from the spectrum of the Gram matrix."""
+    """Largest singular value, from the spectrum of the Gram matrix, which is
+    exactly Hermitian (_gram): the eigensolve checks only finiteness and size."""
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2:
         raise DomainError(f"expected a matrix, got ndim {M.ndim}")
-    w = hermitian_eigvals(_gram(M))
+    w = _hermitian_solve(np.linalg.eigvalsh, _gram(M), require_square)
     return math.sqrt(max(0.0, float(w[-1])))
 
 
-def matrix_sign(M: np.ndarray) -> np.ndarray:
-    """Spectral sign oracle; rejects eigenvalues within _SIGN_ZERO_TOL of zero."""
-    return _sign_of(hermitian_eig(M))
-
-
 def _sign_of(spectrum: Spectrum) -> np.ndarray:
-    """The sign oracle of an already solved spectrum."""
+    """The spectral sign oracle of a solved spectrum; rejects eigenvalues
+    within _SIGN_ZERO_TOL of zero."""
     w, V = spectrum
     scale = max(1.0, float(np.abs(w).max()))
     if np.any(np.abs(w) <= _SIGN_ZERO_TOL * scale):

@@ -21,13 +21,12 @@ import numpy as np
 from ._kernels import _execute, _Plan, _plan, plan_chain
 from .blockenc import BlockEncoding, _dilate_spectrum, _encoding, extract
 from .errors import DomainError, InputError, NumericError
-from .linalg import _sign_of, hermitian_eig, operator_norm, require_hermitian
-from .qsp import (_IDENTITY_TOL, _require_finite, _require_signal_points, canonicalize_angles,
-                  pade_phases)
+from .linalg import _sign_of, hermitian_eig, operator_norm, require_unit_norm
+from .qsp import _IDENTITY_TOL, _require_finite, canonicalize_angles, pade_phases
 
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
-_PLUS_MINUS_I = np.array([1j, -1j])[:, None, None]
+_PLUS_MINUS_I = np.array([[1j], [-1j]])
 _DENSE_FLOOR = 32  # dilation size 2d below which a product costs about its Python overhead
 DENSE_BUDGET = 2 ** 32  # products x max(2d, _DENSE_FLOOR)^3: under 1 s of d = 64 ones, one core
 
@@ -44,11 +43,13 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
     alternate back from it.  The first position is a row scaling: diag(g)
     times the oracle is the oracle with row i multiplied by g_i, so it
     takes a broadcast multiply and no matmul; every later position scales
-    the running product's columns and multiplies it by the oracle.  The
-    loop holds the row products and the rotation diagonals of as many
-    positions as fit in one oracle.  A qubitized oracle under the one-row
-    plan at 2d >= _DENSE_FLOOR keeps only the top d rows, bit for bit the
-    slot loop's, and writes the bottom block row from them: k slots give
+    the running product's columns and multiplies it by the oracle.  Every
+    position's factors exp(+-i phi) are formed once and scale a (..., 2, d)
+    view.  The factor stays left of the oracle and right of the running
+    product, as in the slot loop: numpy's complex multiply is not bitwise
+    commutative.  A qubitized oracle under the one-row plan at 2d >=
+    _DENSE_FLOOR keeps only the top d rows, bit for bit the slot loop's, and
+    writes the bottom block row from them: k slots give
     [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(k+1).
     """
     d = U.shape[-1] // 2
@@ -56,21 +57,16 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
     top = qubitized and not plan.folds and 2 * d >= _DENSE_FLOOR
 
     def slots(rows: np.ndarray) -> np.ndarray:
-        shape = (len(rows),) + (1,) * U.ndim
-        ep, em = np.exp(_PLUS_MINUS_I * rows.T)  # exp(+-i phi) of every position, in one call
+        # e[j]: exp(+-i phi) of position j in every row, shaped to scale a (..., 2, d) view
+        e = np.exp(rows.T.reshape(rows.shape[::-1] + (1,) * (U.ndim + 1)) * _PLUS_MINUS_I)
         first = 1 - rows.shape[1] % 2  # pair[first] opens the row, so the last slot is plain
-        opener = pair[first][..., :d, :] if top else pair[first]  # top: (d x 2d)(2d x 2d) products
-        chunk = max(1, U.size // (len(rows) * 2 * d))  # positions whose diagonals fit in one oracle
-        diag = np.empty((chunk,) + shape[:-1] + (2 * d,), dtype=np.complex128)
-        for j0 in range(0, len(ep), chunk):
-            c = min(chunk, len(ep) - j0)
-            diag[:c, ..., :d] = ep[j0 : j0 + c].reshape((c,) + shape)
-            diag[:c, ..., d:] = em[j0 : j0 + c].reshape((c,) + shape)
-            for j, g in enumerate(diag[:c], j0):
-                if j == 0:  # diag(g) times the oracle: its rows scaled by g (the top d by ep[0])
-                    M = (ep[0].reshape(shape) if top else np.swapaxes(g, -1, -2)) * opener
-                else:
-                    M = np.matmul(M * g, pair[(j + first) % 2])
+        kept = 1 if top else 2  # block rows formed; top: (d x 2d)(2d x 2d) products
+        opener = pair[first].reshape(U.shape[:-2] + (2, d, 2 * d))[..., :kept, :, :]
+        M = e[0, ..., 0, :kept, :, None] * opener  # diag(g) times the oracle: its rows scaled by g
+        M = M.reshape((len(rows),) + U.shape[:-2] + (kept * d, 2 * d))
+        for j in range(1, len(e)):
+            M = np.matmul((M.reshape(M.shape[:-1] + (2, d)) * e[j]).reshape(M.shape),
+                          pair[(j + first) % 2])
         if top:  # T[..., i, b, j]: row i of block b; the bottom block row is [s Q^dag, -s P^dag]
             T = M.reshape(M.shape[:-1] + (2, d))
             bottom = np.swapaxes(T[..., ::-1, :], -1, -3).conj().reshape(M.shape)
@@ -367,8 +363,9 @@ def scalar_grid(delta: float) -> np.ndarray:
 
 
 def _check_gap(w: np.ndarray, delta: float, what: str) -> None:
-    """Refuse values whose magnitude is outside [delta, 1], listing them after `what`."""
-    bad = (np.abs(w) < delta - 1e-9) | (np.abs(w) > 1.0 + 1e-9)
+    """Refuse values past 1 (require_unit_norm), then list those under delta after `what`."""
+    require_unit_norm(w)
+    bad = np.abs(w) < delta - 1e-9
     if bad.any():
         raise DomainError(f"{what}: " + ", ".join(f"{v:.6g}" for v in w[bad]))
 
@@ -416,16 +413,15 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     """
     if mode not in ("recursive", "flattened", "scalar"):
         raise InputError(f"unknown mode {mode!r}")
-    A = require_hermitian(A)
-    spectrum = hermitian_eig(A)  # shared by the gap check, the target and the dilation
+    spectrum = hermitian_eig(A)  # checks A; shared by the gap check, the target and the dilation
+    A = np.asarray(A, dtype=np.complex128)
     w = spectrum.eigenvalues
     _check_gap(w, delta, "eigenvalues outside +-[delta, 1]")
     n, base, report = _run_setup(delta, eps, l, levels)
     if mode == "flattened":  # every level's plan, made and charged before any product
         _check_dense_cost(sum(_sign_plan(l, k).products for k in range(1, n + 1)), A.shape[0])
     if mode == "scalar":
-        pts = np.unique(np.concatenate((scalar_grid(delta), w)))
-        _require_signal_points(pts)  # at every n, before any level
+        pts = np.unique(np.concatenate((scalar_grid(delta), w)))  # in [-1, 1] by _check_gap
         U = np.empty((len(pts), 2, 2), dtype=np.complex128)
         U[:, 0, 0], U[:, 1, 1] = pts, -pts
         U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))

@@ -17,6 +17,7 @@ import numpy as np
 
 from ._kernels import _plan, plan_chain
 from .errors import DomainError, InputError, NumericError, read_json, write_json
+from .linalg import require_unit_norm
 
 _IDENTITY_TOL = 1e-9
 
@@ -43,11 +44,6 @@ def _require_finite(phases: np.ndarray) -> None:
         raise InputError("phase angles must be finite")
 
 
-def _require_signal_points(xs: np.ndarray) -> None:
-    if not (np.abs(xs) <= 1.0 + 1e-12).all():  # a positive test, so NaN fails it
-        raise DomainError("signal points must lie in [-1, 1]")
-
-
 def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     """Realized polynomial values f(xs) for a reflection sequence (kernel path).
 
@@ -58,7 +54,7 @@ def reflection_upper_left(phases: np.ndarray, xs: np.ndarray) -> np.ndarray:
     if phases.ndim != 1 or xs.ndim != 1:
         raise InputError("phases and points must be 1-d arrays")
     _require_finite(phases)
-    _require_signal_points(xs)
+    require_unit_norm(xs, "signal point magnitude")
     return plan_chain(_plan(np.ascontiguousarray(phases)), xs)
 
 

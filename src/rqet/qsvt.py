@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import dilate_general, extract
+from .blockenc import _blocks, dilate_general, extract
 from .errors import DomainError, NumericError
-from .linalg import (_gram, hermitian_eigvals, operator_norm, polar_oracle,
-                     require_hermitian, require_square)
+from .linalg import (_gram, hermitian_eigvals, operator_norm, polar_oracle, require_square,
+                     require_unit_norm)
 from .poly import pade
 from .qet import _check_gap, _nest, _run_setup, IterationReport, qet_recursive_step, run_sign
 
@@ -89,15 +89,14 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> F
     top block is (identity + sign)/2.  A sign run that ends above eps
     raises NumericError.  An idempotency guard catches a wrong rotation
     pairing, which flips the block to (identity - X)/2 only when the
-    iterate is far from a true sign.
+    iterate is far from a true sign.  run_sign checks A.
     """
-    A = require_hermitian(A)
     be, report = run_sign(A, delta, eps, l, mode="recursive")
     if not report.converged:
         raise NumericError(f"sign run ended at {report.final_error:.3e}, above eps = {eps:.3e}")
     eye = np.eye(be.total_dim)
     plus, minus = (eye + be.unitary) / 2, (eye - be.unitary) / 2
-    full = np.block([[plus, minus], [minus, plus]])
+    full = _blocks(plus, minus, minus, plus)
     d = be.system_dim
     P = full[:d, :d]
     dev = float(np.abs(P @ P - P).max())
@@ -122,17 +121,16 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -
     the positive eigenspace of both shifts.  The shifted matrices have
     gap delta/(2 + delta), and each filter gets half the error budget.
     """
-    A = require_hermitian(A)
+    w = hermitian_eigvals(A)  # checks A before the gap is checked
+    A = np.asarray(A, dtype=np.complex128)
     if not (0.0 < delta < 1.0):
         raise DomainError("spectral gap must lie strictly between 0 and 1")
-    w = hermitian_eigvals(A)
     inner = np.abs(w) < delta - 1e-9
     if int(inner.sum()) != 1:
         raise DomainError(f"need exactly one eigenvalue inside +-{delta:.3g}, found {int(inner.sum())}")
     if abs(float(w[inner][0])) > 1e-9:
         raise DomainError(f"the isolated eigenvalue {w[inner][0]:.3e} is not zero")
-    if float(np.abs(w).max()) > 1.0 + 1e-9:
-        raise DomainError("eigenvalues must lie in [-1, 1]")
+    require_unit_norm(w)
     scale, eff_gap, eps_each = 1.0 + delta / 2.0, delta / (2.0 + delta), eps / 2.0
     shift = (delta / 2.0) * np.eye(A.shape[0])
     f_plus = filtering_operator((A + shift) / scale, eff_gap, eps_each, l)

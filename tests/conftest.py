@@ -7,6 +7,7 @@ import pytest
 import rqet.qet
 from rqet import DomainError, InputError, canonicalize_angles, pade, poly_eval
 from rqet._kernels import _block_length
+from rqet.linalg import _sign_of, hermitian_eig
 from rqet.qet import _ANGLE_TOL
 
 # list lengths N, with blocks of k = _block_length(N) phases made of sub-blocks
@@ -22,6 +23,11 @@ def cold_sign_plans():
     rqet.qet._sign_plan.cache_clear()
     yield
     rqet.qet._sign_plan.cache_clear()
+
+
+def matrix_sign(M: np.ndarray) -> np.ndarray:
+    """The spectral sign oracle of a Hermitian matrix (rqet.linalg._sign_of)."""
+    return _sign_of(hermitian_eig(M))
 
 
 def hermitian_with_spectrum(seed: int, eigenvalues) -> tuple[np.ndarray, np.ndarray]:

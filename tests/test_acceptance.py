@@ -11,11 +11,11 @@ import numpy as np
 
 from rqet import (canonicalize_angles, check_qet_conditions, coherent_perturb,
                   dilate_hermitian, distinct_nonzero_angles, extract, filtering_operator,
-                  flatten_sign_phases, matrix_sign, operator_norm, pade, pade_phases,
+                  flatten_sign_phases, operator_norm, pade, pade_phases,
                   poly_eval, polar_oracle, polynomial, preparation_projector, qet_assemble,
                   query_count, reflection_upper_left, run_polar, run_sign)
 from conftest import (check_flattened_structure, chebyshev_reflection_phases,
-                      hermitian_with_spectrum, recovery_cost)
+                      hermitian_with_spectrum, matrix_sign, recovery_cost)
 
 
 def verdict(k: int, ok: bool, detail: str) -> None:

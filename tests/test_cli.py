@@ -448,12 +448,12 @@ def test_conditions_refuses_a_wrong_parity_as_input(tmp_path, capsys, doc, messa
     ["polar-run"],
 ], ids=["recursive", "flattened", "scalar", "scalar-n0", "polar"])
 def test_out_of_range_eigenvalue_exits_3_in_every_mode(command, tmp_path, capsys):
-    # 1 + 5e-10 passes the gap check (1 + 1e-9) but not the dilations' or the
-    # scalar points' bound (1 + 1e-12); scalar mode refuses it at n = 0 too
+    # every check has the one upper bound, 1 + 1e-12, and its one message;
+    # scalar mode refuses at n = 0 too
     path = tmp_path / "m.json"
     save_matrix(str(path), hermitian_with_spectrum(1, [1 + 5e-10, -0.5, 0.7, -0.3])[0])
     assert main(command + ["--matrix", str(path), "--gap", "0.3"]) == 3
-    assert capsys.readouterr().err.startswith("domain error: ")
+    assert capsys.readouterr().err == "domain error: operator norm 1.000000000500 exceeds 1\n"
 
 
 # ROADMAP item 2's targets (unitarity restored after every level, the cap

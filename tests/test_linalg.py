@@ -4,13 +4,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from rqet import (DomainError, InputError, NumericError, hermitian_eig,
-                  hermitian_eigvals, load_matrix, matrix_function_hermitian, matrix_sign,
-                  operator_norm, polar_oracle, run_polar, run_sign,
+from rqet import (DomainError, InputError, NumericError, filtering_operator, hermitian_eig,
+                  hermitian_eigvals, load_matrix, matrix_function_hermitian,
+                  operator_norm, polar_oracle, preparation_projector, run_polar, run_sign,
                   save_matrix)
 import rqet.linalg
-from rqet.linalg import _unitarity_deviation, require_square
-from conftest import hermitian_with_spectrum
+from rqet.linalg import _gram, _unitarity_deviation, require_square
+from conftest import hermitian_with_spectrum, matrix_sign
 
 
 def random_hermitian(seed, d):
@@ -142,11 +142,32 @@ def test_hermitian_eigvals_match_hermitian_eig(kind, seed, d, scale):
     np.eye(65, dtype=complex),  # over MAX_DIM
 ], ids=["non-hermitian", "nan", "d65"])
 def test_hermitian_eigvals_rejects_what_hermitian_eig_rejects(M):
+    # so do the drivers, which leave their matrix check to these two
     with pytest.raises(DomainError) as full:
         hermitian_eig(M)
-    with pytest.raises(DomainError) as values:
-        hermitian_eigvals(M)
-    assert str(values.value) == str(full.value)
+    calls = [lambda: hermitian_eigvals(M), lambda: filtering_operator(M, 0.5, 1e-6),
+             lambda: preparation_projector(M, 0.5, 1e-6)]
+    calls += [lambda mode=mode: run_sign(M, 0.5, 1e-6, mode=mode)
+              for mode in ("recursive", "flattened", "scalar")]
+    for call in calls:
+        with pytest.raises(DomainError) as refused:
+            call()
+        assert str(refused.value) == str(full.value)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_KINDS, st.integers(0, 2 ** 32 - 1), st.integers(1, 64), _SCALES)
+def test_gram_is_exactly_hermitian(kind, seed, d, scale):
+    # why operator_norm's eigensolve needs no Hermitian check
+    G = _gram(shaped_matrix(kind, seed, d, scale))
+    assert np.array_equal(G, G.conj().T)
+
+
+@pytest.mark.parametrize("M", [np.array([[0.5, np.nan], [0.0, 0.5]]), np.full((3, 3), 1e200 + 0j)],
+                         ids=["nan", "gram-overflow"])
+def test_operator_norm_refuses_a_non_finite_gram(M):
+    with pytest.raises(DomainError, match=r"^matrix has a NaN or infinite entry$"):
+        operator_norm(M)
 
 
 def test_values_only_eigensolver_failure_is_numeric_error(monkeypatch):

@@ -1009,8 +1009,8 @@ def test_scalar_run_evaluates_one_chain(monkeypatch, cold_sign_plans):
 
 
 def test_scalar_run_refuses_an_eigenvalue_just_past_one():
-    # the gap check admits 1 + 1e-9; the chain's points stop at 1 + 1e-12
-    with pytest.raises(DomainError, match="signal points"):
+    # every check has the one upper bound, 1 + NORM_SLACK = 1 + 1e-12
+    with pytest.raises(DomainError, match=r"^operator norm 1\.000000000500 exceeds 1$"):
         run_sign(np.diag([1 + 5e-10, -0.5]).astype(complex), 0.1, 1e-6, mode="scalar")
 
 
@@ -1022,7 +1022,7 @@ def test_scalar_run_checks_its_points_before_any_level(monkeypatch, levels):
 
     monkeypatch.setattr(rqet.qet, "_phased_product", refuse)
     A, _ = hermitian_with_spectrum(1, [1 + 5e-10, -0.5, 0.7, -0.3])
-    with pytest.raises(DomainError, match="signal points"):
+    with pytest.raises(DomainError, match=r"^operator norm 1\.000000000500 exceeds 1$"):
         run_sign(A, 0.3, 1e-10, mode="scalar", levels=levels)
 
 

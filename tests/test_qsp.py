@@ -59,9 +59,11 @@ def test_canonicalize_range():
 
 
 def test_signal_rejects_out_of_range():
-    for x in (1.5, np.nan):
-        with pytest.raises(DomainError):
-            reflection_upper_left(pade_phases(2), [x])
+    # the one upper bound, 1 + 1e-12, and its message naming the value
+    for x, shown in ((1.5, "1.500000000000"), (np.nan, "nan"), (-1 - 2e-12, "1.000000000002")):
+        with pytest.raises(DomainError, match=rf"^signal point magnitude {shown} exceeds 1$"):
+            reflection_upper_left(pade_phases(2), [0.5, x])
+    assert np.isfinite(reflection_upper_left(pade_phases(2), [-1 - 1e-12, 1 + 1e-12])).all()
 
 
 def test_analytic_pade_phases_multiset():
