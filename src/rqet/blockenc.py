@@ -18,8 +18,7 @@ import numpy as np
 
 from .errors import InputError, NumericError
 from .linalg import (Spectrum, _gram, _unitarity_deviation, hermitian_eig,
-                     matrix_function_hermitian, operator_norm,
-                     require_square, require_unit_norm)
+                     matrix_function_hermitian, require_square, require_unit_norm)
 
 _UNITARITY_TOL = 1e-12
 
@@ -71,12 +70,6 @@ def _blocks(a, b, c, e) -> np.ndarray:
     return U
 
 
-def _check_unitary(U: np.ndarray, what: str) -> None:
-    dev = _unitarity_deviation(U)
-    if dev > _UNITARITY_TOL:
-        raise NumericError(f"{what} failed the unitarity check by {dev:.3e}")
-
-
 def dilate_hermitian(A: np.ndarray) -> BlockEncoding:
     """Hermitian dilation [[A, B], [B, -A]] with B = sqrt(I - A^2)."""
     spectrum = hermitian_eig(A)  # checks A
@@ -86,25 +79,34 @@ def dilate_hermitian(A: np.ndarray) -> BlockEncoding:
 def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
     """dilate_hermitian for a Hermitian A whose spectrum is already solved.
 
-    A enters as its Hermitian part (A + A^dag)/2, which is A itself when A
-    is exactly Hermitian, so the dilation equals its own adjoint even for
-    an A that is Hermitian only within HERMITICITY_TOL."""
+    A enters as its Hermitian part (A + A^dag)/2 (A itself when A is exactly
+    Hermitian), so the dilation U equals its own adjoint and U^dag U - I =
+    [[A^2 + B^2 - I, AB - BA], [BA - AB, A^2 + B^2 - I]] takes four d x d products."""
     w, V = spectrum
     require_unit_norm(w)
     A = (A + A.conj().T) / 2
     B = (V * np.sqrt(np.maximum(0.0, 1.0 - w * w))) @ V.conj().T
     B = (B + B.conj().T) / 2
-    U = _blocks(A, B, B, -A)
-    _check_unitary(U, "Hermitian dilation")
-    return _encoding(U, qubitized=True)
+    dev = max(np.abs(A @ A + B @ B - np.eye(len(A))).max(), np.abs(A @ B - B @ A).max())
+    if dev > _UNITARITY_TOL:
+        raise NumericError(f"Hermitian dilation failed the unitarity check by {dev:.3e}")
+    return _encoding(_blocks(A, B, B, -A), qubitized=True)
 
 
 def dilate_general(A: np.ndarray) -> BlockEncoding:
     """General dilation [[A, sqrt(I - A A^dag)], [sqrt(I - A^dag A), -A^dag]]."""
     A = require_square(np.asarray(A, dtype=np.complex128))
-    require_unit_norm(operator_norm(A))
-    right = matrix_function_hermitian(_gram(A), lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
+    return _dilate_gram(A, hermitian_eig(_gram(A)))
+
+
+def _dilate_gram(A: np.ndarray, gram: Spectrum) -> BlockEncoding:
+    """dilate_general for a square A whose Gram spectrum (A^dag A) is solved."""
+    w, V = gram
+    require_unit_norm(np.sqrt(np.maximum(0.0, w)))
+    right = (V * np.sqrt(np.maximum(0.0, 1.0 - w))) @ V.conj().T
     left = matrix_function_hermitian(_gram(A.conj().T), lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
     U = _blocks(A, left, right, -A.conj().T)
-    _check_unitary(U, "general dilation")
+    dev = _unitarity_deviation(U)
+    if dev > _UNITARITY_TOL:
+        raise NumericError(f"general dilation failed the unitarity check by {dev:.3e}")
     return BlockEncoding(U)

@@ -11,12 +11,11 @@ skips its Hermitian part, as _gram is exactly Hermitian by construction.
 
 from __future__ import annotations
 
-import math
 from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .errors import DomainError, InputError, NumericError, decode_pairs, read_json, write_json
+from .errors import DomainError, InputError, NumericError, decode_pairs, read_json
 
 MAX_DIM = 64
 HERMITICITY_TOL = 1e-12
@@ -34,6 +33,10 @@ def require_square(M: np.ndarray) -> np.ndarray:
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim != 2 or M.shape[0] != M.shape[1]:
         raise DomainError(f"expected a square matrix, got shape {M.shape}")
+    return _require_finite(M)
+
+
+def _require_finite(M: np.ndarray) -> np.ndarray:
     if not np.isfinite(M).all():
         raise DomainError("matrix has a NaN or infinite entry")
     return M
@@ -66,11 +69,11 @@ def require_dim(n: int) -> None:
 
 
 def _hermitian_solve(solver: Callable, M: np.ndarray, check: Callable = require_hermitian):
-    """Run a LAPACK Hermitian solver on M after `check` (by default: finite,
-    Hermitian within HERMITICITY_TOL) and at most MAX_DIM rows.  A failure
-    to converge is reported as a numeric error."""
+    """Run a LAPACK Hermitian solver on M, or a (..., n, n) stack of them,
+    after `check` (by default: finite, Hermitian within HERMITICITY_TOL) and
+    at most MAX_DIM rows.  A failure to converge is reported as a numeric error."""
     M = check(M)
-    require_dim(M.shape[0])
+    require_dim(M.shape[-1])
     try:
         return solver(M)
     except np.linalg.LinAlgError as exc:
@@ -104,19 +107,23 @@ def matrix_function_hermitian(M: np.ndarray, f: Callable) -> np.ndarray:
 
 
 def _gram(M: np.ndarray) -> np.ndarray:
-    """M^dag M as (G + G^dag)/2: entry (j, i) is bit for bit entry (i, j)'s conjugate."""
-    G = M.conj().T @ M
-    return (G + G.conj().T) / 2
+    """M^dag M, per matrix, as (G + G^dag)/2, summed and halved in place:
+    entry (j, i) is exactly entry (i, j)'s conjugate."""
+    G = np.swapaxes(M.conj(), -1, -2) @ M
+    G += np.swapaxes(G.conj(), -1, -2)
+    return np.divide(G, 2, out=G)
 
 
-def operator_norm(M: np.ndarray) -> float:
-    """Largest singular value, from the spectrum of the Gram matrix, which is
-    exactly Hermitian (_gram): the eigensolve checks only finiteness and size."""
+def operator_norm(M: np.ndarray) -> float | np.ndarray:
+    """Largest singular value of a matrix, or of each in a (..., m, n) stack
+    (an array, bit for bit the 2-d calls), from the Gram spectrum; _gram is
+    exactly Hermitian, so the one eigensolve checks only finiteness and size."""
     M = np.asarray(M, dtype=np.complex128)
-    if M.ndim != 2:
+    if M.ndim < 2:
         raise DomainError(f"expected a matrix, got ndim {M.ndim}")
-    w = _hermitian_solve(np.linalg.eigvalsh, _gram(M), require_square)
-    return math.sqrt(max(0.0, float(w[-1])))
+    w = _hermitian_solve(np.linalg.eigvalsh, _gram(M), _require_finite)
+    top = np.sqrt(np.maximum(0.0, w[..., -1])) + 0.0  # + 0.0: no sqrt(-0.0) = -0.0
+    return float(top) if M.ndim == 2 else top
 
 
 def _sign_of(spectrum: Spectrum) -> np.ndarray:
@@ -130,12 +137,15 @@ def _sign_of(spectrum: Spectrum) -> np.ndarray:
 
 
 def polar_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Polar factors (U, P) with M = U P, from the Gram spectrum.
-
-    P is the Hermitian positive square root of M^dag M and U = M P^{-1}.
-    """
+    """Polar factors (U, P) with M = U P, from the Gram spectrum: P is the
+    Hermitian positive square root of M^dag M and U = M P^{-1}."""
     M = require_square(M)
-    w, V = hermitian_eig(_gram(M))
+    return _polar_factors(M, hermitian_eig(_gram(M)))
+
+
+def _polar_factors(M: np.ndarray, gram: Spectrum) -> tuple[np.ndarray, np.ndarray]:
+    """polar_oracle for a square M whose Gram spectrum (M^dag M) is solved."""
+    w, V = gram
     sigma = np.sqrt(np.maximum(0.0, w))
     if sigma[0] < 1e-8:
         raise DomainError(f"polar factor is ill-conditioned: smallest singular value {sigma[0]:.3e}")
@@ -163,13 +173,3 @@ def load_matrix(path: str) -> np.ndarray:
     if not isinstance(entries, list) or len(entries) != rows * cols:
         raise InputError(f"expected {rows * cols} entries, got {len(entries) if isinstance(entries, list) else type(entries).__name__}")
     return np.array(decode_pairs(entries, "entry"), dtype=np.complex128).reshape(rows, cols)
-
-
-def save_matrix(path: str, M: np.ndarray) -> None:
-    M = np.asarray(M, dtype=np.complex128)
-    if M.ndim != 2:
-        raise InputError(f"expected a matrix, got ndim {M.ndim}")
-    if not np.all(np.isfinite(M)):
-        raise InputError("refusing to write non-finite entries")
-    write_json(path, {"rows": int(M.shape[0]), "cols": int(M.shape[1]),
-                      "entries": [[float(v.real), float(v.imag)] for v in M.ravel()]})

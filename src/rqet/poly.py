@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.polynomial import polynomial as P
 
-from .errors import DomainError, InputError, decode_pairs, read_json, write_json
+from .errors import DomainError, InputError, decode_pairs, read_json
 
 TRIM_TOL = 1e-14
 PARITY_TOL = 1e-12
@@ -154,8 +154,3 @@ def load_poly(path: str) -> ComplexPolynomial:
         return polynomial(coeffs, parity)
     except DomainError as exc:
         raise InputError(str(exc)) from exc
-
-
-def save_poly(path: str, p: ComplexPolynomial) -> None:
-    write_json(path, {"coeffs": [[float(v.real), float(v.imag)] for v in p.coeffs],
-                      "parity": p.parity})

@@ -39,17 +39,17 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
 
     The slot loop, the plan's leaf, multiplies out rows of slots one
     position at a time, all rows together as a (rows, ..., 2d, 2d) stack;
-    the last slot of a row takes the plain oracle and the daggers
-    alternate back from it.  The first position is a row scaling: diag(g)
-    times the oracle is the oracle with row i multiplied by g_i, so it
-    takes a broadcast multiply and no matmul; every later position scales
-    the running product's columns and multiplies it by the oracle.  Every
-    position's factors exp(+-i phi) are formed once and scale a (..., 2, d)
-    view.  The factor stays left of the oracle and right of the running
-    product, as in the slot loop: numpy's complex multiply is not bitwise
-    commutative.  A qubitized oracle under the one-row plan at 2d >=
-    _DENSE_FLOOR keeps only the top d rows, bit for bit the slot loop's, and
-    writes the bottom block row from them: k slots give
+    the last slot of a row takes the plain oracle and the daggers alternate
+    back from it.  The first position is a row scaling: diag(g) times the
+    oracle is the oracle with row i multiplied by g_i, so it takes a
+    broadcast multiply and no matmul; every later position scales the
+    running product's columns, by its factors exp(+-i phi) formed once per
+    call as a (..., 2d) row, and multiplies it by the oracle.  The factor
+    stays left of the oracle and right of the running product, as in the
+    slot loop: numpy's complex multiply is not bitwise commutative.  A
+    qubitized oracle under the one-row plan at 2d >= _DENSE_FLOOR keeps only
+    the top d rows, bit for bit the slot loop's, and writes the bottom block
+    row from them into one 2d x 2d array: k slots give
     [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(k+1).
     """
     d = U.shape[-1] // 2
@@ -59,18 +59,20 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
     def slots(rows: np.ndarray) -> np.ndarray:
         # e[j]: exp(+-i phi) of position j in every row, shaped to scale a (..., 2, d) view
         e = np.exp(rows.T.reshape(rows.shape[::-1] + (1,) * (U.ndim + 1)) * _PLUS_MINUS_I)
+        scale = np.repeat(e, d, axis=-1).reshape(e.shape[:-2] + (2 * d,))  # e as (..., 2d) rows
         first = 1 - rows.shape[1] % 2  # pair[first] opens the row, so the last slot is plain
         kept = 1 if top else 2  # block rows formed; top: (d x 2d)(2d x 2d) products
         opener = pair[first].reshape(U.shape[:-2] + (2, d, 2 * d))[..., :kept, :, :]
         M = e[0, ..., 0, :kept, :, None] * opener  # diag(g) times the oracle: its rows scaled by g
         M = M.reshape((len(rows),) + U.shape[:-2] + (kept * d, 2 * d))
         for j in range(1, len(e)):
-            M = np.matmul((M.reshape(M.shape[:-1] + (2, d)) * e[j]).reshape(M.shape),
-                          pair[(j + first) % 2])
-        if top:  # T[..., i, b, j]: row i of block b; the bottom block row is [s Q^dag, -s P^dag]
-            T = M.reshape(M.shape[:-1] + (2, d))
-            bottom = np.swapaxes(T[..., ::-1, :], -1, -3).conj().reshape(M.shape)
-            M = np.concatenate((M, bottom * np.repeat([1 - 2 * first, 2 * first - 1], d)), axis=-2)
+            M = np.matmul(M * scale[j], pair[(j + first) % 2])
+        if top:  # T[..., b, i, c, j]: entry (i, j) of block (b, c); bottom: [s Q^dag, -s P^dag]
+            T = np.empty(M.shape[:-2] + (2, d, 2, d), dtype=np.complex128)
+            T[..., 0, :, :, :] = M.reshape(M.shape[:-1] + (2, d))
+            B = np.conjugate(np.swapaxes(T[..., 0, :, ::-1, :], -1, -3), out=T[..., 1, :, :, :])
+            np.multiply(B, [[1 - 2 * first], [2 * first - 1]], out=B)
+            M = T.reshape(M.shape[:-2] + (2 * d, 2 * d))
         return M
 
     return _execute(plan, slots, np.matmul)[0]
@@ -370,18 +372,20 @@ def _check_gap(w: np.ndarray, delta: float, what: str) -> None:
         raise DomainError(f"{what}: " + ", ".join(f"{v:.6g}" for v in w[bad]))
 
 
-def _nest(U, n: int, report: IterationReport, step, error_of):
+def _nest(U, n: int, report: IterationReport, step, probe, errors_of):
     """The one nested-level loop of every run: U = step(U, k) for k = 1..n,
-    each adding the row (k, error_of(U), the step's time alone), or the one
-    row (0, error_of(U), 0 ms) when n = 0.  U is scalar mode's (points, 2, 2)
-    stack or an encoding; the last one is returned."""
-    if n == 0:
-        report.add(0, error_of(U), 0.0)
+    keeping probe(U) of each level (of U itself when n = 0).  After the last
+    step, one errors_of call on the (levels, ...) stack of probes gives the
+    rows (k, error, the step's time alone), or (0, error, 0 ms) when n = 0.
+    U is scalar mode's (points, 2, 2) stack or an encoding; the last is returned."""
+    kept, ms = ([probe(U)], [0.0]) if n == 0 else ([], [])
     for k in range(1, n + 1):
         t0 = time.perf_counter()
         U = step(U, k)
-        ms = (time.perf_counter() - t0) * 1e3
-        report.add(k, error_of(U), ms)
+        ms.append((time.perf_counter() - t0) * 1e3)
+        kept.append(probe(U))
+    for k, error, t in zip(range(1 if n else 0, n + 1), errors_of(np.stack(kept)), ms):
+        report.add(k, float(error), t)
     return U
 
 
@@ -426,8 +430,8 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         U[:, 0, 0], U[:, 1, 1] = pts, -pts
         U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
         one_row = _Plan(base[None], [])  # nested stacks are not their own adjoint
-        U = _nest(U, n, report, lambda U, k: _phased_product(U, one_row),
-                  lambda U: float(np.abs(U[:, 0, 0] - np.sign(pts)).max()))
+        U = _nest(U, n, report, lambda U, k: _phased_product(U, one_row), lambda U: U[:, 0, 0],
+                  lambda V: np.abs(V - np.sign(pts)).max(axis=-1))
         vals, distance = U[:, 0, 0].copy(), None
         if n:  # reflection_upper_left less its checks: points above, phases tabulated
             distance = float(np.abs(plan_chain(_sign_plan(l, n), pts) - vals).max())
@@ -444,4 +448,4 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     else:  # every level from be0, so the U passed in goes unused
         def step(be, k):
             return BlockEncoding(_phased_product(be0.unitary, _sign_plan(l, k)))
-    return _nest(be0, n, report, step, lambda be: operator_norm(extract(be) - target)), report
+    return _nest(be0, n, report, step, extract, lambda X: operator_norm(X - target)), report

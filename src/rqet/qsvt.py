@@ -16,10 +16,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .blockenc import _blocks, dilate_general, extract
+from .blockenc import _blocks, _dilate_gram, extract
 from .errors import DomainError, NumericError
-from .linalg import (_gram, hermitian_eigvals, operator_norm, polar_oracle, require_square,
-                     require_unit_norm)
+from .linalg import (_gram, _polar_factors, hermitian_eig, hermitian_eigvals, operator_norm,
+                     require_square, require_unit_norm)
 from .poly import pade
 from .qet import _check_gap, _nest, _run_setup, IterationReport, qet_recursive_step, run_sign
 
@@ -28,49 +28,49 @@ _STEP_TOL = 1e-10
 
 def _gram_update(X: np.ndarray, g_coeffs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The odd iteration polynomial p(x) = x g(x^2), g's coefficients lowest
-    first, applied through either Gram factor; both orderings must agree exactly."""
-    d = X.shape[0]
+    first, applied through either Gram factor to each matrix of a (..., d, d)
+    stack; both orderings must agree exactly."""
+    d, Xh = X.shape[-1], np.swapaxes(X.conj(), -1, -2)
 
     def g_of(G: np.ndarray) -> np.ndarray:  # Horner in the Gram factor G
-        out = np.zeros((d, d), dtype=np.complex128)
+        out = np.zeros(G.shape, dtype=np.complex128)
         for c in g_coeffs[::-1]:
             out = out @ G + np.real(c) * np.eye(d)
         return out
-    return X @ g_of(X.conj().T @ X), g_of(X @ X.conj().T) @ X
+    return X @ g_of(Xh @ X), g_of(X @ Xh) @ X
 
 
 def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
               levels: int | None = None):
     """Iterate the singular-value sign transform toward the polar factor.
 
-    Requires all singular values in [delta, 1].  Levels run in qet._nest,
-    so a row's wall_time_ms covers only its level's step.  Each level's
-    block is checked against both Gram-side closed forms of the iteration
-    polynomial on the previous level's block; the reported error is
-    against an independently computed polar factor.  Returns (encoding,
-    report); extract(encoding) is the final iterate.
+    Requires all singular values in [delta, 1]; one eigensolve of A^dag A
+    serves that check, the polar factor and the dilation.  Levels run in
+    qet._nest: a row's wall_time_ms covers only its level's step, and after
+    the last step one stacked call checks every level's block against both
+    Gram-side closed forms of p_l on the previous block, so a failing check
+    raises after all n steps, at the first level that fails.  The reported
+    error is against an independently computed polar factor.  Returns
+    (encoding, report); extract(encoding) is the final iterate.
     """
     A = require_square(np.asarray(A, dtype=np.complex128))
-    w = hermitian_eigvals(_gram(A))
-    sigma = np.sqrt(np.maximum(0.0, w))
+    gram = hermitian_eig(_gram(A))
+    sigma = np.sqrt(np.maximum(0.0, gram.eigenvalues))
     _check_gap(sigma, delta, "singular values outside [delta, 1]")
-    unitary_factor, _ = polar_oracle(A)
+    unitary_factor, _ = _polar_factors(A, gram)
     n, base, report = _run_setup(delta, eps, l, levels)
     g_coeffs = pade(l).coeffs[1::2]  # p_l(x) = x g(x^2), derived once per run
-    X_prev = A if n else None  # level 0 has no step to check
 
-    def error_of(enc) -> float:
-        nonlocal X_prev
-        X = extract(enc)
-        if X_prev is not None:
-            via_right, via_left = _gram_update(X_prev, g_coeffs)
-            dev = max(float(np.abs(X - via_right).max()), float(np.abs(X - via_left).max()))
-            if dev > _STEP_TOL:
-                raise NumericError(f"transform step disagrees with the Gram closed forms by {dev:.3e}")
-        X_prev = X
+    def errors_of(X: np.ndarray) -> np.ndarray:
+        if n:  # level k against level k - 1, level 1 against A; level 0 has no step to check
+            via = np.stack(_gram_update(np.concatenate((A[None], X[:-1])), g_coeffs))
+            dev = np.abs(via - X).max(axis=(0, 2, 3))  # per level, over both orderings
+            if (dev > _STEP_TOL).any():
+                raise NumericError(f"transform step disagrees with the Gram closed forms by "
+                                   f"{dev[dev > _STEP_TOL][0]:.3e}")
         return operator_norm(X - unitary_factor)
-    return _nest(dilate_general(A), n, report, lambda enc, k: qet_recursive_step(enc, base),
-                 error_of), report
+    return _nest(_dilate_gram(A, gram), n, report, lambda enc, k: qet_recursive_step(enc, base),
+                 extract, errors_of), report
 
 
 @dataclass(frozen=True)

@@ -7,6 +7,7 @@ import pytest
 import rqet.qet
 from rqet import DomainError, InputError, canonicalize_angles, pade, poly_eval
 from rqet._kernels import _block_length
+from rqet.errors import write_json
 from rqet.linalg import _sign_of, hermitian_eig
 from rqet.qet import _ANGLE_TOL
 
@@ -28,6 +29,24 @@ def cold_sign_plans():
 def matrix_sign(M: np.ndarray) -> np.ndarray:
     """The spectral sign oracle of a Hermitian matrix (rqet.linalg._sign_of)."""
     return _sign_of(hermitian_eig(M))
+
+
+def save_matrix(path: str, M) -> None:
+    """Write a matrix in the JSON form rqet.load_matrix reads (rows, cols and
+    row-major [re, im] entries); refuses a non-matrix or a non-finite entry."""
+    M = np.asarray(M, dtype=np.complex128)
+    if M.ndim != 2:
+        raise InputError(f"expected a matrix, got ndim {M.ndim}")
+    if not np.all(np.isfinite(M)):
+        raise InputError("refusing to write non-finite entries")
+    write_json(path, {"rows": int(M.shape[0]), "cols": int(M.shape[1]),
+                      "entries": [[float(v.real), float(v.imag)] for v in M.ravel()]})
+
+
+def save_poly(path: str, p) -> None:
+    """Write a polynomial in the JSON form rqet.load_poly reads."""
+    write_json(path, {"coeffs": [[float(v.real), float(v.imag)] for v in p.coeffs],
+                      "parity": p.parity})
 
 
 def hermitian_with_spectrum(seed: int, eigenvalues) -> tuple[np.ndarray, np.ndarray]:

@@ -7,10 +7,10 @@ import warnings
 import numpy as np
 import pytest
 
-from rqet import _kernels, pade_phases, save_matrix
+from rqet import _kernels, pade_phases
 from rqet.cli import main
 from rqet.qet import MAX_PHASES
-from conftest import hermitian_with_spectrum
+from conftest import hermitian_with_spectrum, save_matrix, save_poly
 
 
 def run_cli(args):
@@ -163,7 +163,7 @@ def test_polar_run_seeded(tmp_path):
 
 
 def test_conditions_accepts_even(tmp_path):
-    from rqet import pade, save_poly
+    from rqet import pade
     ppath = tmp_path / "p2.json"
     save_poly(str(ppath), pade(2))
     r = run_cli(["conditions", str(ppath)])
@@ -172,7 +172,7 @@ def test_conditions_accepts_even(tmp_path):
 
 
 def test_conditions_rejects_odd(tmp_path):
-    from rqet import pade, save_poly
+    from rqet import pade
     ppath = tmp_path / "p1.json"
     save_poly(str(ppath), pade(1))
     r = run_cli(["conditions", str(ppath)])
@@ -183,7 +183,7 @@ def test_conditions_rejects_odd(tmp_path):
 
 
 def test_conditions_on_an_oversized_polynomial_fail_fast(tmp_path):
-    from rqet import polynomial, save_poly
+    from rqet import polynomial
     from rqet.poly import MAX_DEGREE
     over, at = tmp_path / "over.json", tmp_path / "at.json"
     save_poly(str(over), polynomial(np.ones(MAX_DEGREE + 2)))

@@ -6,11 +6,10 @@ from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, InputError, NumericError, filtering_operator, hermitian_eig,
                   hermitian_eigvals, load_matrix, matrix_function_hermitian,
-                  operator_norm, polar_oracle, preparation_projector, run_polar, run_sign,
-                  save_matrix)
+                  operator_norm, polar_oracle, preparation_projector, run_polar, run_sign)
 import rqet.linalg
 from rqet.linalg import _gram, _unitarity_deviation, require_square
-from conftest import hermitian_with_spectrum, matrix_sign
+from conftest import hermitian_with_spectrum, matrix_sign, save_matrix
 
 
 def random_hermitian(seed, d):
@@ -161,6 +160,34 @@ def test_gram_is_exactly_hermitian(kind, seed, d, scale):
     # why operator_norm's eigensolve needs no Hermitian check
     G = _gram(shaped_matrix(kind, seed, d, scale))
     assert np.array_equal(G, G.conj().T)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(_KINDS, st.integers(0, 2 ** 32 - 1), _SCALES), min_size=1, max_size=6),
+       st.integers(1, 64))
+def test_operator_norm_of_a_stack_matches_each_matrix_bit_for_bit(specs, d):
+    # a run's level errors are one stacked call; each must be the 2-d call's
+    stack = np.stack([shaped_matrix(kind, seed, d, scale) for kind, seed, scale in specs])
+    norms = operator_norm(stack)
+    assert norms.shape == (len(specs),)
+    assert norms.tobytes() == np.array([operator_norm(M) for M in stack]).tobytes()
+
+
+def test_operator_norm_of_a_stack_keeps_its_checks(monkeypatch):
+    eye = np.eye(2, dtype=complex)
+    with pytest.raises(DomainError, match=r"^matrix has a NaN or infinite entry$"):
+        operator_norm(np.stack((eye, np.array([[0.5, np.nan], [0.0, 0.5]]))))
+    with pytest.raises(DomainError, match=r"^dimension 65 exceeds the supported maximum 64$"):
+        operator_norm(np.zeros((2, 65, 65)))
+    with pytest.raises(DomainError, match=r"^expected a matrix, got ndim 1$"):
+        operator_norm(np.ones(3))
+
+    def fail(M):
+        raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+    monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+    with pytest.raises(NumericError, match="did not converge"):
+        operator_norm(np.stack((eye, eye)))
 
 
 @pytest.mark.parametrize("M", [np.array([[0.5, np.nan], [0.0, 0.5]]), np.full((3, 3), 1e200 + 0j)],

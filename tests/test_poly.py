@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from rqet import (DomainError, InputError, check_qet_conditions, load_poly, pade, poly_eval,
-                  polynomial, save_poly)
+                  polynomial)
 from rqet.poly import MAX_DEGREE
-from conftest import exact_pade_coeffs
+from conftest import exact_pade_coeffs, save_poly
 from pade_table import deflated_roots, exact_deflation, to_mp
 
 

@@ -6,11 +6,12 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import rqet
-from rqet import (DomainError, NumericError, dilate_general, dilate_hermitian,
+from rqet import (BlockEncoding, DomainError, NumericError, dilate_general, dilate_hermitian,
                   distinct_nonzero_angles,
-                  extract, filtering_operator, flatten_sign_phases,
+                  extract, filtering_operator, flatten_sign_phases, hermitian_eig,
                   operator_norm, pade_phases, polar_oracle, preparation_projector,
-                  qet_recursive_step, run_polar, run_sign)
+                  qet_assemble, qet_recursive_step, run_polar, run_sign)
+from rqet.qet import scalar_grid
 from rqet.cli import _random_hermitian
 from conftest import hermitian_with_spectrum, matrix_sign
 
@@ -86,6 +87,7 @@ def test_run_polar_depth_cap():
 
 
 def test_run_polar_checks_every_level_against_the_gram_forms(monkeypatch):
+    # one stacked call after the last step, on the blocks before each level
     A = random_with_singulars(9, [0.6, 0.9])
     calls, gram_update = [], rqet.qsvt._gram_update
 
@@ -95,18 +97,23 @@ def test_run_polar_checks_every_level_against_the_gram_forms(monkeypatch):
 
     monkeypatch.setattr(rqet.qsvt, "_gram_update", counted)
     enc, _ = run_polar(A, 0.5, 1e-12, levels=3)
-    assert len(calls) == 3 and np.array_equal(calls[0], A)  # level 1 against A itself
+    blocks, be = [A], dilate_general(A)  # level 1 against A, level k against level k - 1
+    for _ in range(2):
+        be = qet_recursive_step(be, pade_phases(2))
+        blocks.append(extract(be))
+    assert len(calls) == 1 and np.array_equal(calls[0], np.stack(blocks))
     calls.clear()
     run_polar(A, 0.5, 1e-12, levels=0)
     assert not calls  # level 0 has no step to check
 
-    def perturbed(X, g_coeffs):
+    def perturbed(X, g_coeffs):  # levels 2 and 3 off; the first failing level is named
         right, left = gram_update(X, g_coeffs)
-        return right, left + 1e-8
+        return right, left + np.array([0.0, 1e-8, 1e-7])[:, None, None]
 
     monkeypatch.setattr(rqet.qsvt, "_gram_update", perturbed)
-    with pytest.raises(NumericError, match="disagrees with the Gram closed forms"):
-        run_polar(A, 0.5, 1e-12, levels=2)
+    with pytest.raises(NumericError, match=r"^transform step disagrees with the Gram closed "
+                                           r"forms by 1\.000e-08$"):
+        run_polar(A, 0.5, 1e-12, levels=3)
 
 
 def test_run_polar_derives_the_polynomial_once(monkeypatch):
@@ -129,6 +136,42 @@ def test_nested_runs_report_one_row_per_level(run, n):
         _, rep = run_sign(np.diag([0.6, -0.9]).astype(complex), 0.5, 1e-8, mode=run, levels=n)
     assert [r.n for r in rep.rows] == (list(range(1, n + 1)) if n else [0])
     assert all((r.wall_time_ms > 0) == (n > 0) for r in rep.rows)
+
+
+@pytest.mark.parametrize("run", ["recursive", "flattened", "scalar", "polar"])
+@pytest.mark.parametrize("n", [0, 1, 3])
+def test_row_errors_equal_a_per_level_recomputation(run, n):
+    # a run takes every level's error in one stacked call after its last step;
+    # each row must be bit for bit the error of its level taken on its own
+    base = pade_phases(2)
+    if run == "polar":
+        A = random_with_singulars(9, [0.6, 0.9, 0.75])
+        _, rep = run_polar(A, 0.5, 1e-8, levels=n)
+        U, target = dilate_general(A).unitary, polar_oracle(A)[0]
+    else:
+        A, _ = hermitian_with_spectrum(4, [0.6, -0.9, 0.75])
+        _, rep = run_sign(A, 0.5, 1e-8, mode=run, levels=n)
+        U, target = dilate_hermitian(A).unitary, matrix_sign(A)
+    if run == "scalar":  # run_sign's (points, 2, 2) stack, one level at a time
+        pts = np.unique(np.concatenate((scalar_grid(0.5), hermitian_eig(A).eigenvalues)))
+        U = np.empty((len(pts), 2, 2), dtype=complex)
+        U[:, 0, 0], U[:, 1, 1] = pts, -pts
+        U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
+        step = lambda U, k: rqet.qet._phased_product(U, rqet.qet._Plan(base[None], []))
+        error = lambda U: float(np.abs(U[:, 0, 0] - np.sign(pts)).max())
+    else:
+        be0 = BlockEncoding(U)
+        if run == "flattened":
+            step = lambda U, k: qet_assemble(be0, flatten_sign_phases(2, k))
+        else:
+            step = lambda U, k: qet_assemble(BlockEncoding(U), base)
+        error = lambda U: operator_norm(U[:3, :3] - target)
+    errors = [error(U)] if n == 0 else []
+    for k in range(1, n + 1):
+        U = step(U, k)
+        errors.append(error(U))
+    assert [r.error for r in rep.rows] == errors
+    assert all(type(r.error) is float for r in rep.rows)
 
 
 def test_filtering_projects_positive_eigenspace():
@@ -279,12 +322,14 @@ _TRACED = ("hermitian_eig", "qet_assemble", "operator_norm", "dilate_general")
 
 
 @pytest.mark.parametrize("run, calls", [
-    ("sign", (1, 4, 4, 0)), ("polar", (3, 4, 5, 1)), ("filter", (1, 4, 4, 0)),
-    ("preparation", (2, 12, 12, 0)),
+    ("sign", (1, 4, 1, 0)), ("polar", (2, 4, 1, 0)), ("filter", (1, 4, 1, 0)),
+    ("preparation", (2, 12, 2, 0)),
 ], ids=["sign", "polar", "filter", "preparation"])
 def test_d8_drivers_keep_their_traced_calls(monkeypatch, run, calls):
     # every eigensolve and product of a d = 8 call goes through these public
-    # functions, where an outside tracer sees it, as many times as this pins
+    # functions, where an outside tracer sees it, as many times as this pins:
+    # one stacked operator_norm per run, and polar's one eigensolve of A^dag A
+    # serves its gap check, polar factor and dilation (the other is of A A^dag)
     counts = dict.fromkeys(_TRACED, 0)
     modules = [m for name, m in vars(rqet).items() if isinstance(m, type(rqet))] + [rqet]
     for name in _TRACED:
