@@ -17,8 +17,8 @@ from typing import ClassVar
 import numpy as np
 
 from .errors import InputError, NumericError
-from .linalg import (Spectrum, _gram, _unitarity_deviation, hermitian_eig,
-                     matrix_function_hermitian, require_square, require_unit_norm)
+from .linalg import (Spectrum, _gram, _unitarity_deviation, hermitian_eig, require_square,
+                     require_unit_norm)
 
 _UNITARITY_TOL = 1e-12
 
@@ -70,6 +70,11 @@ def _blocks(a, b, c, e) -> np.ndarray:
     return U
 
 
+def _complement(V: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """sqrt(I - V diag(t) V^dag), t clipped at 1: each dilation's complementary block."""
+    return (V * np.sqrt(np.maximum(0.0, 1.0 - t))) @ V.conj().T
+
+
 def dilate_hermitian(A: np.ndarray) -> BlockEncoding:
     """Hermitian dilation [[A, B], [B, -A]] with B = sqrt(I - A^2)."""
     spectrum = hermitian_eig(A)  # checks A
@@ -85,7 +90,7 @@ def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
     w, V = spectrum
     require_unit_norm(w)
     A = (A + A.conj().T) / 2
-    B = (V * np.sqrt(np.maximum(0.0, 1.0 - w * w))) @ V.conj().T
+    B = _complement(V, w * w)
     B = (B + B.conj().T) / 2
     dev = max(np.abs(A @ A + B @ B - np.eye(len(A))).max(), np.abs(A @ B - B @ A).max())
     if dev > _UNITARITY_TOL:
@@ -100,12 +105,12 @@ def dilate_general(A: np.ndarray) -> BlockEncoding:
 
 
 def _dilate_gram(A: np.ndarray, gram: Spectrum) -> BlockEncoding:
-    """dilate_general for a square A whose Gram spectrum (A^dag A) is solved."""
+    """dilate_general for a square A whose Gram spectrum (A^dag A) is solved: the
+    right block is _complement of it, the left of A A^dag's (hermitian_eig)."""
     w, V = gram
     require_unit_norm(np.sqrt(np.maximum(0.0, w)))
-    right = (V * np.sqrt(np.maximum(0.0, 1.0 - w))) @ V.conj().T
-    left = matrix_function_hermitian(_gram(A.conj().T), lambda t: np.sqrt(np.maximum(0.0, 1.0 - t)))
-    U = _blocks(A, left, right, -A.conj().T)
+    w_left, V_left = hermitian_eig(_gram(A.conj().T))
+    U = _blocks(A, _complement(V_left, w_left), _complement(V, w), -A.conj().T)
     dev = _unitarity_deviation(U)
     if dev > _UNITARITY_TOL:
         raise NumericError(f"general dilation failed the unitarity check by {dev:.3e}")

@@ -95,17 +95,6 @@ def hermitian_eigvals(M: np.ndarray) -> np.ndarray:
     return _hermitian_solve(np.linalg.eigvalsh, M)
 
 
-def matrix_function_hermitian(M: np.ndarray, f: Callable) -> np.ndarray:
-    """Apply a vectorized scalar function to a Hermitian matrix through its spectrum."""
-    w, V = hermitian_eig(M)
-    with np.errstate(all="ignore"):
-        fw = np.asarray(f(w), dtype=np.complex128)
-    if not np.all(np.isfinite(fw)):
-        bad = w[~np.isfinite(fw)][0]
-        raise DomainError(f"function is undefined at eigenvalue {bad!r}")
-    return (V * fw) @ V.conj().T
-
-
 def _gram(M: np.ndarray) -> np.ndarray:
     """M^dag M, per matrix, as (G + G^dag)/2, summed and halved in place:
     entry (j, i) is exactly entry (i, j)'s conjugate."""

@@ -26,7 +26,7 @@ from .qsp import _IDENTITY_TOL, _require_finite, canonicalize_angles, pade_phase
 
 _ANGLE_TOL = 1e-9
 MAX_PHASES = 5 ** 10  # most queries of any run; longest list built: 78 MB of float64
-_PLUS_MINUS_I = np.array([[1j], [-1j]])
+_PLUS_MINUS_I = np.array([1j, -1j])
 _DENSE_FLOOR = 32  # dilation size 2d below which a product costs about its Python overhead
 DENSE_BUDGET = 2 ** 32  # products x max(2d, _DENSE_FLOOR)^3: under 1 s of d = 64 ones, one core
 
@@ -40,13 +40,13 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
     The slot loop, the plan's leaf, multiplies out rows of slots one
     position at a time, all rows together as a (rows, ..., 2d, 2d) stack;
     the last slot of a row takes the plain oracle and the daggers alternate
-    back from it.  The first position is a row scaling: diag(g) times the
-    oracle is the oracle with row i multiplied by g_i, so it takes a
-    broadcast multiply and no matmul; every later position scales the
-    running product's columns, by its factors exp(+-i phi) formed once per
-    call as a (..., 2d) row, and multiplies it by the oracle.  The factor
-    stays left of the oracle and right of the running product, as in the
-    slot loop: numpy's complex multiply is not bitwise commutative.  A
+    back from it.  Each position's factors exp(+-i phi) are formed once per
+    call as one (rows, 1..., 2d) row.  The first position reads it as a
+    column: diag(g) times the oracle is the oracle with row i multiplied by
+    g_i, a broadcast multiply and no matmul.  Every later one scales the
+    running product's columns by its row and then multiplies by the oracle,
+    the factor left of the oracle and right of the running product, as in
+    the slot loop: numpy's complex multiply is not bitwise commutative.  A
     qubitized oracle under the one-row plan at 2d >= _DENSE_FLOOR keeps only
     the top d rows, bit for bit the slot loop's, and writes the bottom block
     row from them into one 2d x 2d array: k slots give
@@ -57,16 +57,13 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
     top = qubitized and not plan.folds and 2 * d >= _DENSE_FLOOR
 
     def slots(rows: np.ndarray) -> np.ndarray:
-        # e[j]: exp(+-i phi) of position j in every row, shaped to scale a (..., 2, d) view
-        e = np.exp(rows.T.reshape(rows.shape[::-1] + (1,) * (U.ndim + 1)) * _PLUS_MINUS_I)
-        scale = np.repeat(e, d, axis=-1).reshape(e.shape[:-2] + (2 * d,))  # e as (..., 2d) rows
+        phi = rows.T.reshape(rows.shape[::-1] + (1,) * U.ndim)  # (positions, rows, 1..., 1)
+        f = np.repeat(np.exp(phi * _PLUS_MINUS_I), d, axis=-1)  # f[j]: position j's factor row
         first = 1 - rows.shape[1] % 2  # pair[first] opens the row, so the last slot is plain
-        kept = 1 if top else 2  # block rows formed; top: (d x 2d)(2d x 2d) products
-        opener = pair[first].reshape(U.shape[:-2] + (2, d, 2 * d))[..., :kept, :, :]
-        M = e[0, ..., 0, :kept, :, None] * opener  # diag(g) times the oracle: its rows scaled by g
-        M = M.reshape((len(rows),) + U.shape[:-2] + (kept * d, 2 * d))
-        for j in range(1, len(e)):
-            M = np.matmul(M * scale[j], pair[(j + first) % 2])
+        n = d if top else 2 * d  # rows formed; top: (d x 2d)(2d x 2d) products
+        M = f[0, ..., 0, :n, None] * pair[first][..., :n, :]  # the opener's rows scaled by g
+        for j in range(1, len(f)):
+            M = np.matmul(M * f[j], pair[(j + first) % 2])
         if top:  # T[..., b, i, c, j]: entry (i, j) of block (b, c); bottom: [s Q^dag, -s P^dag]
             T = np.empty(M.shape[:-2] + (2, d, 2, d), dtype=np.complex128)
             T[..., 0, :, :, :] = M.reshape(M.shape[:-1] + (2, d))
@@ -375,9 +372,9 @@ def _check_gap(w: np.ndarray, delta: float, what: str) -> None:
 def _nest(U, n: int, report: IterationReport, step, probe, errors_of):
     """The one nested-level loop of every run: U = step(U, k) for k = 1..n,
     keeping probe(U) of each level (of U itself when n = 0).  After the last
-    step, one errors_of call on the (levels, ...) stack of probes gives the
-    rows (k, error, the step's time alone), or (0, error, 0 ms) when n = 0.
-    U is scalar mode's (points, 2, 2) stack or an encoding; the last is returned."""
+    step, one errors_of call on a new stack of the probes, free to overwrite,
+    gives the rows (k, error, the step's time alone), or (0, error, 0 ms) when
+    n = 0.  U is scalar mode's (points, 2, 2) stack or an encoding; the last is returned."""
     kept, ms = ([probe(U)], [0.0]) if n == 0 else ([], [])
     for k in range(1, n + 1):
         t0 = time.perf_counter()
@@ -442,10 +439,10 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
 
     target = _sign_of(spectrum)
     be0 = _dilate_spectrum(A, spectrum)
-    if mode == "recursive":
-        def step(be, k):
+
+    def step(be, k):  # flattened: every level from be0, so the be passed in goes unused
+        if mode == "recursive":
             return qet_recursive_step(be, base)
-    else:  # every level from be0, so the U passed in goes unused
-        def step(be, k):
-            return BlockEncoding(_phased_product(be0.unitary, _sign_plan(l, k)))
-    return _nest(be0, n, report, step, extract, lambda X: operator_norm(X - target)), report
+        return BlockEncoding(_phased_product(be0.unitary, _sign_plan(l, k)))
+    return _nest(be0, n, report, step, extract,
+                 lambda X: operator_norm(np.subtract(X, target, out=X))), report

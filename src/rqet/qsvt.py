@@ -68,7 +68,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
             if (dev > _STEP_TOL).any():
                 raise NumericError(f"transform step disagrees with the Gram closed forms by "
                                    f"{dev[dev > _STEP_TOL][0]:.3e}")
-        return operator_norm(X - unitary_factor)
+        return operator_norm(np.subtract(X, unitary_factor, out=X))
     return _nest(_dilate_gram(A, gram), n, report, lambda enc, k: qet_recursive_step(enc, base),
                  extract, errors_of), report
 

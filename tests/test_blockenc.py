@@ -52,6 +52,15 @@ def test_extract_is_a_copy():
     assert np.array_equal(be.unitary, before)
 
 
+def test_complement_squares_to_identity_minus_h():
+    # every dilation's complementary block sqrt(I - H), over a spectrum reaching both ends of [-1, 1]
+    t = np.array([-1.0, -0.6, 0.0, 0.25, 0.81, 1.0])
+    H, Q = hermitian_with_spectrum(7, t)
+    R = rqet.blockenc._complement(Q, t)
+    assert np.abs(R @ R - (np.eye(6) - H)).max() < 1e-12
+    assert np.abs(R - R.conj().T).max() < 1e-12
+
+
 def test_dilate_rejects_large_norm():
     with pytest.raises(DomainError):
         dilate_hermitian(1.5 * np.eye(2, dtype=complex))

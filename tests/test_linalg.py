@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from rqet import (DomainError, InputError, NumericError, filtering_operator, hermitian_eig,
-                  hermitian_eigvals, load_matrix, matrix_function_hermitian,
-                  operator_norm, polar_oracle, preparation_projector, run_polar, run_sign)
+                  hermitian_eigvals, load_matrix, operator_norm, polar_oracle,
+                  preparation_projector, run_polar, run_sign)
 import rqet.linalg
 from rqet.linalg import _gram, _unitarity_deviation, require_square
 from conftest import hermitian_with_spectrum, matrix_sign, save_matrix
@@ -79,18 +79,6 @@ def test_rejects_non_hermitian():
 def test_rejects_oversized():
     with pytest.raises(DomainError):
         hermitian_eig(np.eye(65, dtype=complex))
-
-
-def test_matrix_function_square_root():
-    A, _ = hermitian_with_spectrum(7, [0.25, 0.49, 0.81])
-    R = matrix_function_hermitian(A, np.sqrt)
-    assert np.abs(R @ R - A).max() < 1e-12
-
-
-def test_matrix_function_rejects_nonfinite_value():
-    A = np.diag([1.0, -1.0]).astype(complex)
-    with pytest.raises(DomainError):
-        matrix_function_hermitian(A, np.log)
 
 
 def test_operator_norm_matches_svd():

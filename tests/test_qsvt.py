@@ -259,16 +259,26 @@ def test_preparation_refusals_name_their_reason(vals, delta, message):
 
 
 
-def test_filtering_raises_when_sign_run_misses_eps():
-    # n = 10 at gap 0.02 ends near 9e-9, above the requested 1e-10
-    A = _random_hermitian(1, 8, 0.02)
-    with pytest.raises(NumericError, match="above eps"):
-        filtering_operator(A, 0.02, 1e-10)
-    # each shifted filter ends near 2e-9, above its half of eps = 1e-10
-    vals = [0.0] + list(np.linspace(0.1, 1.0, 7) * np.resize([1.0, -1.0], 7))
+def test_filtering_raises_when_sign_run_misses_eps(monkeypatch):
+    # the miss is made, not met: every sign run converges, and its report is
+    # then set to end at 2 eps, so no rounding drift decides either refusal
+    sign = rqet.qsvt.run_sign
+
+    def missing(A, delta, eps, *args, **kwargs):
+        be, report = sign(A, delta, eps, *args, **kwargs)
+        assert report.converged
+        report.rows[-1] = dataclasses.replace(report.rows[-1], error=2 * eps)
+        return be, report
+
+    monkeypatch.setattr(rqet.qsvt, "run_sign", missing)
+    A, _ = hermitian_with_spectrum(5, [0.6, -0.7, 0.8, -0.9])
+    with pytest.raises(NumericError, match=r"^sign run ended at 2\.000e-08, above eps = 1\.000e-08$"):
+        filtering_operator(A, 0.5, 1e-8)
+    # each shifted filter gets half of eps
+    vals = [0.0] + list(np.linspace(0.5, 1.0, 7) * np.resize([1.0, -1.0], 7))
     C, _ = hermitian_with_spectrum(3, vals)
-    with pytest.raises(NumericError, match="above eps"):
-        preparation_projector(C, 0.1, 1e-10)
+    with pytest.raises(NumericError, match=r"^sign run ended at 1\.000e-08, above eps = 5\.000e-09$"):
+        preparation_projector(C, 0.5, 1e-8)
 
 
 def test_filtering_refuses_a_block_that_is_no_projector(monkeypatch):
