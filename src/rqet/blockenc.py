@@ -25,7 +25,8 @@ _UNITARITY_TOL = 1e-12
 
 @dataclass(frozen=True)
 class BlockEncoding:
-    """qubitized: the unitary is [[P, Q], [Q^dag, -P^dag]], P and Q commuting normal
+    """One matrix's encoding, or a (k, 2d, 2d) stack of k (a stacked sign run), sized per member.
+    qubitized: the unitary is [[P, Q], [Q^dag, -P^dag]], P and Q commuting normal
     blocks; set only through _encoding, by the Hermitian dilation and odd recursive steps."""
     unitary: np.ndarray
     qubitized: bool = field(default=False, init=False)
@@ -35,18 +36,18 @@ class BlockEncoding:
 
     def __post_init__(self):
         U = np.asarray(self.unitary)
-        if U.ndim != 2 or U.shape[0] != U.shape[1] or U.shape[0] % 2 or not U.size:
+        if U.ndim not in (2, 3) or U.shape[-1] != U.shape[-2] or U.shape[-1] % 2 or not U.size:
             raise InputError(f"a block encoding needs a square unitary of even, positive size, "
                              f"got shape {U.shape}")
         object.__setattr__(self, "unitary", U)
 
     @property
     def system_dim(self) -> int:
-        return self.unitary.shape[0] // self.ancilla_dim
+        return self.unitary.shape[-1] // self.ancilla_dim
 
     @property
     def total_dim(self) -> int:
-        return self.unitary.shape[0]
+        return self.unitary.shape[-1]
 
 
 def _encoding(U: np.ndarray, qubitized: bool) -> BlockEncoding:
@@ -57,44 +58,45 @@ def _encoding(U: np.ndarray, qubitized: bool) -> BlockEncoding:
 
 
 def extract(be: BlockEncoding) -> np.ndarray:
-    """The encoded matrix: a copy of the top-left block of the unitary."""
+    """The encoded matrix: a copy of the top-left block of the unitary (of each, for a stack)."""
     d = be.system_dim
-    return be.unitary[:d, :d].copy()
+    return be.unitary[..., :d, :d].copy()
 
 
 def _blocks(a, b, c, e) -> np.ndarray:
-    """[[a, b], [c, e]] of four d x d blocks, written into one array."""
-    d = len(a)
-    U = np.empty((2 * d, 2 * d), dtype=np.complex128)
-    U[:d, :d], U[:d, d:], U[d:, :d], U[d:, d:] = a, b, c, e
+    """[[a, b], [c, e]] of four d x d blocks, or of four stacks of them, written into one array."""
+    d = a.shape[-1]
+    U = np.empty(a.shape[:-2] + (2 * d, 2 * d), dtype=np.complex128)
+    U[..., :d, :d], U[..., :d, d:], U[..., d:, :d], U[..., d:, d:] = a, b, c, e
     return U
 
 
 def _complement(V: np.ndarray, t: np.ndarray) -> np.ndarray:
-    """sqrt(I - V diag(t) V^dag), t clipped at 1: each dilation's complementary block."""
-    return (V * np.sqrt(np.maximum(0.0, 1.0 - t))) @ V.conj().T
+    """sqrt(I - V diag(t) V^dag), t clipped at 1, per spectrum of a stack: each dilation's B."""
+    return (V * np.sqrt(np.maximum(0.0, 1.0 - t))[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def dilate_hermitian(A: np.ndarray) -> BlockEncoding:
     """Hermitian dilation [[A, B], [B, -A]] with B = sqrt(I - A^2)."""
     spectrum = hermitian_eig(A)  # checks A
+    require_unit_norm(spectrum.eigenvalues)
     return _dilate_spectrum(np.asarray(A, dtype=np.complex128), spectrum)
 
 
 def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
-    """dilate_hermitian for a Hermitian A whose spectrum is already solved.
+    """dilate_hermitian for a Hermitian A (or stack) of norm at most 1, its spectrum solved.
 
     A enters as its Hermitian part (A + A^dag)/2 (A itself when A is exactly
     Hermitian), so the dilation U equals its own adjoint and U^dag U - I =
     [[A^2 + B^2 - I, AB - BA], [BA - AB, A^2 + B^2 - I]] takes four d x d products."""
     w, V = spectrum
-    require_unit_norm(w)
-    A = (A + A.conj().T) / 2
+    A = (A + np.swapaxes(A.conj(), -1, -2)) / 2
     B = _complement(V, w * w)
-    B = (B + B.conj().T) / 2
-    dev = max(np.abs(A @ A + B @ B - np.eye(len(A))).max(), np.abs(A @ B - B @ A).max())
-    if dev > _UNITARITY_TOL:
-        raise NumericError(f"Hermitian dilation failed the unitarity check by {dev:.3e}")
+    B = (B + np.swapaxes(B.conj(), -1, -2)) / 2
+    dev = np.maximum(np.abs(A @ A + B @ B - np.eye(A.shape[-1])), np.abs(A @ B - B @ A))
+    for worst in dev.max(axis=(-2, -1)).ravel():  # each member's, in order
+        if worst > _UNITARITY_TOL:
+            raise NumericError(f"Hermitian dilation failed the unitarity check by {worst:.3e}")
     return _encoding(_blocks(A, B, B, -A), qubitized=True)
 
 

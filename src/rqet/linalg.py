@@ -44,14 +44,15 @@ def _require_finite(M: np.ndarray) -> np.ndarray:
 
 def require_hermitian(M: np.ndarray) -> np.ndarray:
     """Square and Hermitian within HERMITICITY_TOL, else a domain error naming the entry."""
-    M = require_square(M)
-    dev = np.abs(M - M.conj().T)
-    worst = np.unravel_index(np.argmax(dev), dev.shape)
-    if dev[worst] > HERMITICITY_TOL:
-        i, j = int(worst[0]), int(worst[1])
-        raise DomainError(
-            f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {dev[worst]:.3e}"
-        )
+    M = np.asarray(M, dtype=np.complex128)
+    for m in M if M.ndim == 3 else [M]:  # a (k, n, n) stack matrix by matrix
+        dev = np.abs(require_square(m) - m.conj().T)
+        worst = np.unravel_index(np.argmax(dev), dev.shape)
+        if dev[worst] > HERMITICITY_TOL:
+            i, j = int(worst[0]), int(worst[1])
+            raise DomainError(
+                f"matrix is not Hermitian: |M[{i},{j}] - conj(M[{j},{i}])| = {dev[worst]:.3e}"
+            )
     return M
 
 
@@ -110,19 +111,20 @@ def operator_norm(M: np.ndarray) -> float | np.ndarray:
     M = np.asarray(M, dtype=np.complex128)
     if M.ndim < 2:
         raise DomainError(f"expected a matrix, got ndim {M.ndim}")
-    w = _hermitian_solve(np.linalg.eigvalsh, _gram(M), _require_finite)
+    with np.errstate(over="ignore", invalid="ignore"):  # a Gram matrix that overflows is refused
+        w = _hermitian_solve(np.linalg.eigvalsh, _gram(_require_finite(M)), _require_finite)
     top = np.sqrt(np.maximum(0.0, w[..., -1])) + 0.0  # + 0.0: no sqrt(-0.0) = -0.0
     return float(top) if M.ndim == 2 else top
 
 
 def _sign_of(spectrum: Spectrum) -> np.ndarray:
-    """The spectral sign oracle of a solved spectrum; rejects eigenvalues
-    within _SIGN_ZERO_TOL of zero."""
+    """The spectral sign oracle of a solved spectrum, or of each of a stack's;
+    rejects eigenvalues within _SIGN_ZERO_TOL of zero, relative to their matrix's."""
     w, V = spectrum
-    scale = max(1.0, float(np.abs(w).max()))
+    scale = np.maximum(1.0, np.abs(w).max(axis=-1, keepdims=True))
     if np.any(np.abs(w) <= _SIGN_ZERO_TOL * scale):
         raise DomainError("sign is undefined: an eigenvalue sits at zero within tolerance")
-    return (V * np.sign(w)) @ V.conj().T
+    return (V * np.sign(w)[..., None, :]) @ np.swapaxes(V.conj(), -1, -2)
 
 
 def polar_oracle(M: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

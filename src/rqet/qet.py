@@ -21,7 +21,7 @@ import numpy as np
 from ._kernels import _execute, _Plan, _plan, plan_chain
 from .blockenc import BlockEncoding, _dilate_spectrum, _encoding, extract
 from .errors import DomainError, InputError, NumericError
-from .linalg import _sign_of, hermitian_eig, operator_norm, require_unit_norm
+from .linalg import _sign_of, hermitian_eig, operator_norm, require_square, require_unit_norm
 from .qsp import _IDENTITY_TOL, _require_finite, canonicalize_angles, pade_phases
 
 _ANGLE_TOL = 1e-9
@@ -87,22 +87,29 @@ def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
     product then does not depend on its dagger, so each distinct block is
     multiplied once.  Any other oracle, and a list whose blocks do not
     repeat, gets the one-row plan: the slot loop, over a qubitized encoding
-    by its top block row (_phased_product).
+    by its top block row (_phased_product).  A stack's k products are each bit
+    for bit its own call's, folded only when every oracle is its own adjoint.
     """
+    return _assemble(be, phases)
+
+
+def _assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:
+    """qet_assemble, for qet_recursive_step's stacks: perfbench's tracer reads its results as 2-d."""
     phases = np.asarray(phases, dtype=np.float64)
     if phases.ndim != 1 or len(phases) == 0:
         raise InputError("phase list must be a nonempty 1-d array")
     _require_finite(phases)
     plan, U = _plan(phases), be.unitary
-    if plan.folds and not np.array_equal(U, U.conj().T):
+    if plan.folds and not np.array_equal(U, np.swapaxes(U.conj(), -1, -2)):
         plan = _Plan(phases[None], [])
     return _phased_product(U, plan, be.qubitized)
 
 
 def qet_recursive_step(be: BlockEncoding, phases: np.ndarray) -> BlockEncoding:
-    """One nesting level: the assembled unitary becomes the next oracle, qubitized
-    if this one is and the list is odd (even: [[P, Q], [-Q^dag, P^dag]])."""
-    return _encoding(qet_assemble(be, phases), be.qubitized and len(phases) % 2 == 1)
+    """One nesting level, of an encoding or a stack: the assembled unitary becomes the next
+    oracle, qubitized if this one is and the list is odd (even: [[P, Q], [-Q^dag, P^dag]])."""
+    U = (qet_assemble if be.unitary.ndim == 2 else _assemble)(be, phases)
+    return _encoding(U, be.qubitized and len(phases) % 2 == 1)
 
 
 def compose_phases(outer: np.ndarray, inner: np.ndarray) -> np.ndarray:
@@ -267,14 +274,14 @@ def sign_iterations(delta: float, eps: float, l: int = 2) -> int:
     return max(0, math.ceil((math.log(-math.log(eps)) - 2.0 * math.log(delta)) / math.log(l + 1)))
 
 
-def _run_setup(delta: float, eps: float, l: int, levels: int | None):
+def _run_setup(delta: float, eps: float, l: int, levels: int | None, runs: int = 1):
     """A run's level count (`levels`, else the derived one, refused by
-    _check_phase_count if negative or over MAX_PHASES), base phases and report."""
+    _check_phase_count if negative or over MAX_PHASES), base phases and `runs` reports."""
     n = sign_iterations(delta, eps, l)  # validates delta and eps even when levels overrides n
     if levels is not None:
         n = levels
     _check_phase_count(n, l)
-    return n, pade_phases(l), IterationReport(delta, eps, l)
+    return n, pade_phases(l), [IterationReport(delta, eps, l) for _ in range(runs)]
 
 
 def query_count(levels: int, l: int = 2) -> int:
@@ -362,27 +369,29 @@ def scalar_grid(delta: float) -> np.ndarray:
 
 
 def _check_gap(w: np.ndarray, delta: float, what: str) -> None:
-    """Refuse values past 1 (require_unit_norm), then list those under delta after `what`."""
-    require_unit_norm(w)
-    bad = np.abs(w) < delta - 1e-9
-    if bad.any():
-        raise DomainError(f"{what}: " + ", ".join(f"{v:.6g}" for v in w[bad]))
+    """Refuse values past 1 (require_unit_norm), then list those under delta after `what`, by row."""
+    for v in np.atleast_2d(w):
+        require_unit_norm(v)
+        if (bad := np.abs(v) < delta - 1e-9).any():
+            raise DomainError(f"{what}: " + ", ".join(f"{x:.6g}" for x in v[bad]))
 
 
-def _nest(U, n: int, report: IterationReport, step, probe, errors_of):
-    """The one nested-level loop of every run: U = step(U, k) for k = 1..n,
-    keeping probe(U) of each level (of U itself when n = 0).  After the last
-    step, one errors_of call on a new stack of the probes, free to overwrite,
-    gives the rows (k, error, the step's time alone), or (0, error, 0 ms) when
-    n = 0.  U is scalar mode's (points, 2, 2) stack or an encoding; the last is returned."""
+def _nest(U, n: int, reports: list[IterationReport], step, probe, errors_of):
+    """The one nested-level loop of every run: U = step(U, k) for k = 1..n, keeping probe(U)
+    of each level (of U itself when n = 0).  After the last step, one errors_of call on a new
+    stack of the probes, free to overwrite, gives each report its rows (k, error, the step's
+    time alone), or (0, error, 0 ms) when n = 0.  U is scalar mode's (points, 2, 2) stack or
+    an encoding, with a report per member of a stack (same times); the last U is returned."""
     kept, ms = ([probe(U)], [0.0]) if n == 0 else ([], [])
     for k in range(1, n + 1):
         t0 = time.perf_counter()
         U = step(U, k)
         ms.append((time.perf_counter() - t0) * 1e3)
         kept.append(probe(U))
-    for k, error, t in zip(range(1 if n else 0, n + 1), errors_of(np.stack(kept)), ms):
-        report.add(k, float(error), t)
+    errors = np.reshape(errors_of(np.stack(kept)), (len(kept), len(reports)))
+    for k, row, t in zip(range(1 if n else 0, n + 1), errors, ms):
+        for report, error in zip(reports, row):
+            report.add(k, float(error), t)
     return U
 
 
@@ -410,24 +419,27 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     so after the first run at (l, n) neither builds nor plans a list.
 
     Returns (result, report): the result is a BlockEncoding of the final
-    iterate for matrix modes and a ScalarSignTable for scalar mode.
+    iterate for matrix modes and a ScalarSignTable for scalar mode.  A matrix mode
+    runs a (k, d, d) stack as one, each member bit for bit its own run and checked
+    in turn: the result encodes the stack, and the report is a list of k.
     """
     if mode not in ("recursive", "flattened", "scalar"):
         raise InputError(f"unknown mode {mode!r}")
-    spectrum = hermitian_eig(A)  # checks A; shared by the gap check, the target and the dilation
+    spectrum = hermitian_eig(require_square(A) if mode == "scalar" else A)  # checks A; shared
     A = np.asarray(A, dtype=np.complex128)
     w = spectrum.eigenvalues
     _check_gap(w, delta, "eigenvalues outside +-[delta, 1]")
-    n, base, report = _run_setup(delta, eps, l, levels)
-    if mode == "flattened":  # every level's plan, made and charged before any product
-        _check_dense_cost(sum(_sign_plan(l, k).products for k in range(1, n + 1)), A.shape[0])
+    n, base, reports = _run_setup(delta, eps, l, levels, len(np.atleast_2d(w)))
+    if mode == "flattened":  # every level's plan, made and charged before any product, per member
+        products = sum(_sign_plan(l, k).products for k in range(1, n + 1))
+        _check_dense_cost(len(reports) * products, A.shape[-1])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))  # in [-1, 1] by _check_gap
         U = np.empty((len(pts), 2, 2), dtype=np.complex128)
         U[:, 0, 0], U[:, 1, 1] = pts, -pts
         U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
         one_row = _Plan(base[None], [])  # nested stacks are not their own adjoint
-        U = _nest(U, n, report, lambda U, k: _phased_product(U, one_row), lambda U: U[:, 0, 0],
+        U = _nest(U, n, reports, lambda U, k: _phased_product(U, one_row), lambda U: U[:, 0, 0],
                   lambda V: np.abs(V - np.sign(pts)).max(axis=-1))
         vals, distance = U[:, 0, 0].copy(), None
         if n:  # reflection_upper_left less its checks: points above, phases tabulated
@@ -435,7 +447,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
             if distance > _IDENTITY_TOL:
                 raise NumericError(f"nested and flattened products differ by {distance:.3e} "
                                    f"at n = {n}, over {_IDENTITY_TOL:.0e}")
-        return ScalarSignTable(pts, vals, distance), report
+        return ScalarSignTable(pts, vals, distance), reports[0]
 
     target = _sign_of(spectrum)
     be0 = _dilate_spectrum(A, spectrum)
@@ -444,5 +456,5 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         if mode == "recursive":
             return qet_recursive_step(be, base)
         return BlockEncoding(_phased_product(be0.unitary, _sign_plan(l, k)))
-    return _nest(be0, n, report, step, extract,
-                 lambda X: operator_norm(np.subtract(X, target, out=X))), report
+    U = _nest(be0, n, reports, step, extract, lambda X: operator_norm(np.subtract(X, target, out=X)))
+    return U, reports if A.ndim == 3 else reports[0]

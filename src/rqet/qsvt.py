@@ -7,7 +7,8 @@ one ancilla rotation serves every slot and nothing alternates between
 left and right projectors.  With the sign-iteration phases the product
 converges to the unitary polar factor.  Conditioning the sign unitary on
 an extra ancilla between a pair of quarter Y rotations turns it into a
-projector onto a chosen eigenspace, which is the preparation primitive.
+projector onto a chosen eigenspace, which is the preparation primitive;
+preparation's two shifted filters are one stacked sign run of a (2, d, d) stack.
 """
 
 from __future__ import annotations
@@ -58,7 +59,7 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     sigma = np.sqrt(np.maximum(0.0, gram.eigenvalues))
     _check_gap(sigma, delta, "singular values outside [delta, 1]")
     unitary_factor, _ = _polar_factors(A, gram)
-    n, base, report = _run_setup(delta, eps, l, levels)
+    n, base, reports = _run_setup(delta, eps, l, levels)
     g_coeffs = pade(l).coeffs[1::2]  # p_l(x) = x g(x^2), derived once per run
 
     def errors_of(X: np.ndarray) -> np.ndarray:
@@ -69,8 +70,8 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
                 raise NumericError(f"transform step disagrees with the Gram closed forms by "
                                    f"{dev[dev > _STEP_TOL][0]:.3e}")
         return operator_norm(np.subtract(X, unitary_factor, out=X))
-    return _nest(_dilate_gram(A, gram), n, report, lambda enc, k: qet_recursive_step(enc, base),
-                 extract, errors_of), report
+    return _nest(_dilate_gram(A, gram), n, reports, lambda enc, k: qet_recursive_step(enc, base),
+                 extract, errors_of), reports[0]
 
 
 @dataclass(frozen=True)
@@ -80,7 +81,7 @@ class FilterResult:
     report: IterationReport
 
 
-def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> FilterResult:
+def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> FilterResult | list:
     """Approximate projector onto the positive eigenspace of A.
 
     Runs the sign iteration, conditions its unitary U on a fresh ancilla,
@@ -89,20 +90,23 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> F
     top block is (identity + sign)/2.  A sign run that ends above eps
     raises NumericError.  An idempotency guard catches a wrong rotation
     pairing, which flips the block to (identity - X)/2 only when the
-    iterate is far from a true sign.  run_sign checks A.
+    iterate is far from a true sign.  run_sign checks A.  A (k, d, d) stack
+    gives a list of k results of one stacked run, checked member by member.
     """
-    be, report = run_sign(A, delta, eps, l, mode="recursive")
-    if not report.converged:
-        raise NumericError(f"sign run ended at {report.final_error:.3e}, above eps = {eps:.3e}")
+    be, reports = run_sign(A, delta, eps, l, mode="recursive")
     eye = np.eye(be.total_dim)
     plus, minus = (eye + be.unitary) / 2, (eye - be.unitary) / 2
     full = _blocks(plus, minus, minus, plus)
-    d = be.system_dim
-    P = full[:d, :d]
-    dev = float(np.abs(P @ P - P).max())
-    if dev > 3.0 * eps + 1e-9:
-        raise NumericError(f"filter block violates idempotency by {dev:.3e}")
-    return FilterResult(P, full, report)
+    d, results, stacked = be.system_dim, [], full.ndim == 3
+    for report, F in zip(reports if stacked else [reports], full if stacked else [full]):
+        if not report.converged:
+            raise NumericError(f"sign run ended at {report.final_error:.3e}, above eps = {eps:.3e}")
+        P = F[:d, :d]
+        dev = float(np.abs(P @ P - P).max())
+        if dev > 3.0 * eps + 1e-9:
+            raise NumericError(f"filter block violates idempotency by {dev:.3e}")
+        results.append(FilterResult(P, F, report))
+    return results if stacked else results[0]
 
 
 @dataclass(frozen=True)
@@ -133,8 +137,8 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -
     require_unit_norm(w)
     scale, eff_gap, eps_each = 1.0 + delta / 2.0, delta / (2.0 + delta), eps / 2.0
     shift = (delta / 2.0) * np.eye(A.shape[0])
-    f_plus = filtering_operator((A + shift) / scale, eff_gap, eps_each, l)
-    f_minus = filtering_operator(-(A - shift) / scale, eff_gap, eps_each, l)
+    f_plus, f_minus = filtering_operator(np.stack(((A + shift) / scale, -(A - shift) / scale)),
+                                         eff_gap, eps_each, l)
     P0 = f_plus.projector @ f_minus.projector
     return PreparationResult(P0, eff_gap, eps_each, f_plus.report, f_minus.report)
 

@@ -3,7 +3,7 @@ import pytest
 
 import rqet.blockenc
 from rqet import (BlockEncoding, DomainError, InputError, NumericError, dilate_general,
-                  dilate_hermitian, extract)
+                  dilate_hermitian, extract, hermitian_eig)
 from rqet.linalg import _unitarity_deviation
 from conftest import hermitian_with_spectrum
 
@@ -104,7 +104,7 @@ def test_ancilla_rotation_pi_gives_global_minus():
 
 
 @pytest.mark.parametrize("U", [np.eye(3), np.ones((2, 4)), np.zeros((0, 0)), np.ones(4),
-                               np.ones((2, 2, 2)), [[1.0]]],
+                               np.ones((2, 2, 3)), [[1.0]]],
                          ids=["odd", "rectangle", "empty", "1-d", "3-d", "1x1-list"])
 def test_encoding_refuses_what_is_not_a_square_even_unitary(U):
     with pytest.raises(InputError, match="^a block encoding needs a square unitary of even, "
@@ -127,3 +127,24 @@ def test_dilations_refuse_a_failed_unitarity_check(monkeypatch):
         dilate_hermitian(A)
     with pytest.raises(NumericError, match=r"^general dilation failed the unitarity check by \d"):
         dilate_general(A)
+
+
+def test_a_stacked_dilation_names_its_first_failing_member(monkeypatch):
+    # a stack of Hermitian dilations is each member's, and a failed check names
+    # the first member's deviation, as separate dilations one after another would
+    mats = [hermitian_with_spectrum(s, v)[0] for s, v in ((3, [0.9, -0.5, 0.2]), (4, [0.7, -0.99, 0.3]))]
+    stack = np.stack(mats)
+    be = rqet.blockenc._dilate_spectrum(stack, hermitian_eig(stack))
+    assert be.qubitized and be.system_dim == 3 and be.unitary.shape == (2, 6, 6)
+    for M, U in zip(mats, be.unitary):
+        assert U.tobytes() == dilate_hermitian(M).unitary.tobytes()
+    monkeypatch.setattr(rqet.blockenc, "_UNITARITY_TOL", 0.0)
+    messages = []
+    for M in mats:
+        with pytest.raises(NumericError) as exc:
+            dilate_hermitian(M)
+        messages.append(str(exc.value))
+    assert messages[0] != messages[1]
+    with pytest.raises(NumericError) as exc:
+        rqet.blockenc._dilate_spectrum(stack, hermitian_eig(stack))
+    assert str(exc.value) == messages[0]

@@ -1,4 +1,5 @@
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -183,6 +184,17 @@ def test_operator_norm_of_a_stack_keeps_its_checks(monkeypatch):
 def test_operator_norm_refuses_a_non_finite_gram(M):
     with pytest.raises(DomainError, match=r"^matrix has a NaN or infinite entry$"):
         operator_norm(M)
+
+
+@pytest.mark.parametrize("M", [np.array([[np.inf, 0.0], [0.0, 1.0]]), np.full((3, 3), 1e200 + 0j),
+                               np.stack((np.eye(2), np.full((2, 2), np.nan)))],
+                         ids=["inf", "gram-overflow", "stack"])
+def test_operator_norm_refuses_without_a_runtime_warning(M):
+    # the refusal is the one signal: no numpy warning is printed before it
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(DomainError, match=r"^matrix has a NaN or infinite entry$"):
+            operator_norm(M)
 
 
 def test_values_only_eigensolver_failure_is_numeric_error(monkeypatch):

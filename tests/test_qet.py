@@ -1201,3 +1201,59 @@ def test_run_sign_modes_agree_on_random_spectra(eigenvalues, levels, l, seed):
     via_scalar = (V * table.values[at][None, :]) @ V.conj().T
     assert operator_norm(extract(flat) - extract(rec)) < 1e-10
     assert operator_norm(via_scalar - extract(rec)) < 1e-10
+
+
+def _rows_without_time(report):
+    return [(r.n, r.error, r.bound, r.queries, r.distinct_angles) for r in report.rows]
+
+
+def _check_stack_runs_as_its_members(stack, mode, levels):
+    # one stacked run: each member's encoding and report rows (but for the
+    # shared wall_time_ms) bit for bit its own run's
+    be, reports = run_sign(stack, 0.3, 1e-8, mode=mode, levels=levels)
+    d = stack.shape[-1]
+    assert be.unitary.shape == (len(stack), 2 * d, 2 * d) and len(reports) == len(stack)
+    for M, U, report in zip(stack, be.unitary, reports):
+        one, single = run_sign(M, 0.3, 1e-8, mode=mode, levels=levels)
+        assert U.tobytes() == one.unitary.tobytes()
+        assert be.qubitized == one.qubitized
+        assert _rows_without_time(report) == _rows_without_time(single)
+    assert [r.wall_time_ms for r in reports[0].rows] == [r.wall_time_ms for r in reports[-1].rows]
+
+
+def _gapped_stack(seed, k, d):
+    rng = np.random.default_rng(seed)
+    return np.stack([hermitian_with_spectrum(seed + i, rng.uniform(0.3, 1.0, d)
+                                             * rng.choice([-1.0, 1.0], d))[0] for i in range(k)])
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 3), st.integers(1, 16), st.sampled_from(["recursive", "flattened"]),
+       st.sampled_from([0, 1, 3]), st.integers(0, 2 ** 16))
+def test_a_stack_runs_as_its_members_bit_for_bit(k, d, mode, levels, seed):
+    _check_stack_runs_as_its_members(_gapped_stack(seed, k, d), mode, levels)
+
+
+@pytest.mark.parametrize("mode", ["recursive", "flattened"])
+def test_a_d64_stack_runs_as_its_members_bit_for_bit(mode):
+    _check_stack_runs_as_its_members(_gapped_stack(64, 2, 64), mode, 3)
+
+
+def test_a_stack_is_refused_in_scalar_mode_and_checked_member_by_member():
+    A, _ = hermitian_with_spectrum(7, [0.5, -0.6, 0.9])
+    B, _ = hermitian_with_spectrum(8, [0.5, -0.6, 0.1])
+    with pytest.raises(DomainError, match=r"^expected a square matrix, got shape \(2, 3, 3\)$"):
+        run_sign(np.stack((A, A)), 0.3, 1e-8, mode="scalar")
+    # the second member's gap fails, as it would in its own run after the first's
+    # passed; when both fail, the first is named
+    with pytest.raises(DomainError, match=r"^eigenvalues outside \+-\[delta, 1\]: 0\.1$"):
+        run_sign(np.stack((A, B)), 0.3, 1e-8)
+    with pytest.raises(DomainError, match=r"^eigenvalues outside \+-\[delta, 1\]: 0\.2$"):
+        run_sign(np.stack((hermitian_with_spectrum(9, [0.5, -0.6, 0.2])[0], B)), 0.3, 1e-8)
+    C, D = A.copy(), A.copy()
+    C[0, 1] += 1e-6
+    D[1, 2] += 1e-5
+    with pytest.raises(DomainError, match=r"^matrix is not Hermitian: \|M\[0,1\] - conj"):
+        run_sign(np.stack((A, C)), 0.3, 1e-8)
+    with pytest.raises(DomainError, match=r"^matrix is not Hermitian: \|M\[0,1\] - conj\(M\[1,0\]\)\| = 1\.000e-06$"):
+        run_sign(np.stack((C, D)), 0.3, 1e-8)

@@ -259,24 +259,36 @@ def test_preparation_refusals_name_their_reason(vals, delta, message):
 
 
 
-def test_filtering_raises_when_sign_run_misses_eps(monkeypatch):
-    # the miss is made, not met: every sign run converges, and its report is
-    # then set to end at 2 eps, so no rounding drift decides either refusal
+def _patched_sign(monkeypatch, change):
+    # run_sign as the filters call it; change(member, report, be) edits each member's outcome
     sign = rqet.qsvt.run_sign
 
-    def missing(A, delta, eps, *args, **kwargs):
-        be, report = sign(A, delta, eps, *args, **kwargs)
-        assert report.converged
-        report.rows[-1] = dataclasses.replace(report.rows[-1], error=2 * eps)
-        return be, report
+    def patched(A, delta, eps, *args, **kwargs):
+        be, reports = sign(A, delta, eps, *args, **kwargs)
+        for member, report in enumerate(reports if isinstance(reports, list) else [reports]):
+            assert report.converged
+            be = change(member, report, be) or be
+        return be, reports
 
-    monkeypatch.setattr(rqet.qsvt, "run_sign", missing)
+    monkeypatch.setattr(rqet.qsvt, "run_sign", patched)
+
+
+def _end_at(report, error):
+    report.rows[-1] = dataclasses.replace(report.rows[-1], error=error)
+
+
+_PREP_VALS = [0.0] + list(np.linspace(0.5, 1.0, 7) * np.resize([1.0, -1.0], 7))
+
+
+def test_filtering_raises_when_sign_run_misses_eps(monkeypatch):
+    # the miss is made, not met: every sign run converges, and its reports are
+    # then set to end at 2 eps, so no rounding drift decides either refusal
+    _patched_sign(monkeypatch, lambda member, report, be: _end_at(report, 2 * report.eps))
     A, _ = hermitian_with_spectrum(5, [0.6, -0.7, 0.8, -0.9])
     with pytest.raises(NumericError, match=r"^sign run ended at 2\.000e-08, above eps = 1\.000e-08$"):
         filtering_operator(A, 0.5, 1e-8)
     # each shifted filter gets half of eps
-    vals = [0.0] + list(np.linspace(0.5, 1.0, 7) * np.resize([1.0, -1.0], 7))
-    C, _ = hermitian_with_spectrum(3, vals)
+    C, _ = hermitian_with_spectrum(3, _PREP_VALS)
     with pytest.raises(NumericError, match=r"^sign run ended at 1\.000e-08, above eps = 5\.000e-09$"):
         preparation_projector(C, 0.5, 1e-8)
 
@@ -289,6 +301,45 @@ def test_filtering_refuses_a_block_that_is_no_projector(monkeypatch):
     monkeypatch.setattr(rqet.qsvt, "run_sign", lambda *args, **kw: (dilate_hermitian(A), report))
     with pytest.raises(NumericError, match=r"^filter block violates idempotency by \d"):
         filtering_operator(A, 0.5, 1e-8)
+
+
+def _idempotency_message(U):
+    # the filter's guard on an iterate U, as one filter run states it
+    d = U.shape[-1] // 2
+    P = ((np.eye(2 * d) + U) / 2)[:d, :d]
+    return f"filter block violates idempotency by {float(np.abs(P @ P - P).max()):.3e}"
+
+
+@pytest.mark.parametrize("misses, named", [((1,), 1), ((0, 1), 0)], ids=["minus", "both"])
+def test_preparation_names_the_first_member_to_miss_eps(monkeypatch, misses, named):
+    # a stacked run checks the plus shift first: the message is the one the two
+    # filters, run one after the other, gave
+    errors = {0: 2e-8, 1: 3e-8}
+    _patched_sign(monkeypatch, lambda member, report, be:
+                  _end_at(report, errors[member]) if member in misses else None)
+    C, _ = hermitian_with_spectrum(3, _PREP_VALS)
+    with pytest.raises(NumericError) as exc:
+        preparation_projector(C, 0.5, 1e-8)
+    assert str(exc.value) == f"sign run ended at {errors[named]:.3e}, above eps = 5.000e-09"
+
+
+@pytest.mark.parametrize("fails, named", [((1,), 1), ((0, 1), 0)], ids=["minus", "both"])
+def test_preparation_names_the_first_member_that_is_no_projector(monkeypatch, fails, named):
+    C, _ = hermitian_with_spectrum(3, _PREP_VALS)
+    scale, shift = 1.25, 0.25 * np.eye(len(C))
+    shifted = [(C + shift) / scale, -(C - shift) / scale]
+    starts = [dilate_hermitian(M).unitary for M in shifted]
+
+    def change(member, report, be):
+        if member in fails:
+            U = be.unitary.copy()
+            U[member] = starts[member]
+            return BlockEncoding(U)
+
+    _patched_sign(monkeypatch, change)
+    with pytest.raises(NumericError) as exc:
+        preparation_projector(C, 0.5, 1e-8)
+    assert str(exc.value) == _idempotency_message(starts[named])
 
 
 def _rows(report):
@@ -328,21 +379,24 @@ def test_every_exported_dataclass_has_resolvable_annotations():
         assert {f.name for f in dataclasses.fields(cls)} <= set(hints), cls.__name__
 
 
-_TRACED = ("hermitian_eig", "qet_assemble", "operator_norm", "dilate_general")
+_TRACED = ("hermitian_eig", "qet_recursive_step", "operator_norm", "dilate_general")
 
 
 @pytest.mark.parametrize("run, calls", [
     ("sign", (1, 4, 1, 0)), ("polar", (2, 4, 1, 0)), ("filter", (1, 4, 1, 0)),
-    ("preparation", (2, 12, 2, 0)),
+    ("preparation", (1, 6, 1, 0)),
 ], ids=["sign", "polar", "filter", "preparation"])
 def test_d8_drivers_keep_their_traced_calls(monkeypatch, run, calls):
     # every eigensolve and product of a d = 8 call goes through these public
     # functions, where an outside tracer sees it, as many times as this pins:
     # one stacked operator_norm per run, and polar's one eigensolve of A^dag A
-    # serves its gap check, polar factor and dilation (the other is of A A^dag)
-    counts = dict.fromkeys(_TRACED, 0)
+    # serves its gap check, polar factor and dilation (the other is of A A^dag).
+    # Preparation's two shifted runs are one stacked run, whose six levels each
+    # take one step; a stack's product skips qet_assemble, which perfbench's
+    # tracer reads as one 2-d unitary, and every other level's goes through it
+    counts = dict.fromkeys(_TRACED + ("qet_assemble",), 0)
     modules = [m for name, m in vars(rqet).items() if isinstance(m, type(rqet))] + [rqet]
-    for name in _TRACED:
+    for name in counts:
         fn = getattr(rqet, name)
 
         def counted(*args, _fn=fn, _name=name, **kwargs):
@@ -363,3 +417,19 @@ def test_d8_drivers_keep_their_traced_calls(monkeypatch, run, calls):
         vals = [0.0] + list(np.linspace(0.5, 1.0, 7) * np.resize([1.0, -1.0], 7))
         preparation_projector(hermitian_with_spectrum(2, vals)[0], 0.5, 1e-8)
     assert tuple(counts[name] for name in _TRACED) == calls
+    assert counts["qet_assemble"] == (0 if run == "preparation" else calls[1])
+
+
+@settings(max_examples=25, deadline=None)
+@given(st.integers(2, 16), st.integers(0, 2 ** 16))
+def test_preparation_equals_two_filter_runs_on_the_shifted_matrices(d, seed):
+    rng = np.random.default_rng(seed)
+    vals = np.concatenate(([0.0], rng.uniform(0.5, 1.0, d - 1) * rng.choice([-1.0, 1.0], d - 1)))
+    C, _ = hermitian_with_spectrum(seed, vals)
+    res = preparation_projector(C, 0.5, 1e-8)
+    shift = 0.25 * np.eye(d)
+    plus = filtering_operator((C + shift) / 1.25, 0.2, 5e-9)
+    minus = filtering_operator(-(C - shift) / 1.25, 0.2, 5e-9)
+    assert res.projector.tobytes() == (plus.projector @ minus.projector).tobytes()
+    assert _rows(res.plus_report) == _rows(plus.report)
+    assert _rows(res.minus_report) == _rows(minus.report)
