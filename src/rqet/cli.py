@@ -226,12 +226,13 @@ def _add_matrix_args(sp, default_gap: float) -> None:
                     help="spectral gap / smallest singular value")
     sp.add_argument("--normalize", action="store_true",
                     help="rescale by the operator norm when it exceeds 1")
+    sp.add_argument("--pade-l", type=int, default=2, dest="pade_l")
+    sp.add_argument("--out", help="CSV path (stdout if omitted)")
 
 
 def _add_run_args(sp) -> None:
     _add_matrix_args(sp, 0.5)
     sp.add_argument("--epsilon", type=float, default=1e-8)
-    sp.add_argument("--pade-l", type=int, default=2, dest="pade_l")
     sp.add_argument("--iters", type=int, help="override the derived level count")
 
 
@@ -254,21 +255,17 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("sign-run", help="matrix sign iteration with a CSV report")
     _add_run_args(p)
     p.add_argument("--mode", choices=("recursive", "flattened", "scalar"), default="recursive")
-    p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_sign_run)
 
     p = sub.add_parser("polar-run", help="polar-factor iteration with a CSV report")
     _add_run_args(p)
-    p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_polar_run)
 
     p = sub.add_parser("perturb", help="coherent phase-noise sweep")
     _add_matrix_args(p, 0.5)
-    p.add_argument("--pade-l", type=int, default=2, dest="pade_l")
     p.add_argument("--iters", type=int, default=1)
     p.add_argument("--delta-grid", default="1e-6:1e-2:9", dest="delta_grid",
                    help="log-spaced relative perturbations, lo:hi:count")
-    p.add_argument("--out", help="CSV path (stdout if omitted)")
     p.set_defaults(func=_cmd_perturb)
 
     return ap

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from ._kernels import _execute, _Plan, _plan, plan_chain
-from .blockenc import BlockEncoding, _dilate_spectrum, _encoding, extract
+from .blockenc import BlockEncoding, _blocks, _dilate_spectrum, _encoding, extract
 from .errors import DomainError, InputError, NumericError
 from .linalg import _sign_of, hermitian_eig, operator_norm, require_square, require_unit_norm
 from .qsp import _IDENTITY_TOL, _require_finite, canonicalize_angles, pade_phases
@@ -48,8 +48,8 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
     the factor left of the oracle and right of the running product, as in
     the slot loop: numpy's complex multiply is not bitwise commutative.  A
     qubitized oracle under the one-row plan at 2d >= _DENSE_FLOOR keeps only
-    the top d rows, bit for bit the slot loop's, and writes the bottom block
-    row from them into one 2d x 2d array: k slots give
+    the top d rows [P, Q], bit for bit the slot loop's, and _blocks writes
+    the whole product from those two blocks: k slots give
     [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(k+1).
     """
     d = U.shape[-1] // 2
@@ -64,12 +64,9 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
         M = f[0, ..., 0, :n, None] * pair[first][..., :n, :]  # the opener's rows scaled by g
         for j in range(1, len(f)):
             M = np.matmul(M * f[j], pair[(j + first) % 2])
-        if top:  # T[..., b, i, c, j]: entry (i, j) of block (b, c); bottom: [s Q^dag, -s P^dag]
-            T = np.empty(M.shape[:-2] + (2, d, 2, d), dtype=np.complex128)
-            T[..., 0, :, :, :] = M.reshape(M.shape[:-1] + (2, d))
-            B = np.conjugate(np.swapaxes(T[..., 0, :, ::-1, :], -1, -3), out=T[..., 1, :, :, :])
-            np.multiply(B, [[1 - 2 * first], [2 * first - 1]], out=B)
-            M = T.reshape(M.shape[:-2] + (2 * d, 2 * d))
+        if top:  # the top row's blocks P, Q write the bottom row [s Q^dag, -s P^dag]
+            P, Q, s = M[..., :d], M[..., d:], 1 - 2 * first
+            M = _blocks(P, Q, s * np.swapaxes(Q.conj(), -1, -2), -s * np.swapaxes(P.conj(), -1, -2))
         return M
 
     return _execute(plan, slots, np.matmul)[0]
@@ -401,7 +398,7 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
 
     mode "recursive" nests block encodings, "flattened" rebuilds each
     level from one composed phase list, "scalar" nests the 2x2 dilations
-    [[x, w], [w, -x]], w = sqrt(1 - x^2), of the eigenvalues plus a
+    [[x, c], [c, -x]], c = sqrt(1 - x^2), of the eigenvalues plus a
     21-point grid, then, if n > 0, evaluates the flattened product of all
     n levels once at the same points.  A nested-flattened distance over
     _IDENTITY_TOL raises NumericError; the table keeps the nested values.
@@ -435,9 +432,8 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         _check_dense_cost(len(reports) * products, A.shape[-1])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))  # in [-1, 1] by _check_gap
-        U = np.empty((len(pts), 2, 2), dtype=np.complex128)
-        U[:, 0, 0], U[:, 1, 1] = pts, -pts
-        U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
+        x, c = pts[:, None, None], np.sqrt(np.maximum(0.0, 1.0 - pts * pts))[:, None, None]
+        U = _blocks(x, c, c, -x)  # (points, 1, 1) blocks: each point's 2x2 [[x, c], [c, -x]]
         one_row = _Plan(base[None], [])  # nested stacks are not their own adjoint
         U = _nest(U, n, reports, lambda U, k: _phased_product(U, one_row), lambda U: U[:, 0, 0],
                   lambda V: np.abs(V - np.sign(pts)).max(axis=-1))

@@ -19,6 +19,7 @@ import rqet.cli
 import rqet.qet
 from rqet import _kernels
 from rqet._kernels import _block_length, _distinct_rows, _plan
+from rqet.blockenc import _encoding
 from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _phased_product,
                       scalar_grid)
 from conftest import (TWO_LEVEL_LENGTHS, check_flattened_structure, chebyshev_reflection_phases,
@@ -914,11 +915,33 @@ def test_qubitized_product_carries_the_top_block_row(d, q):
     assert np.array_equal(got[:d].view(np.uint64), ref[:d].view(np.uint64))
     # the two bottom rows round independently: measured up to 3.8 q u
     assert np.abs(got[d:] - ref[d:]).max() < 16 * q * _U
-    # q slots give [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(q+1): the bottom
-    # block row is exactly that of the product's own top row
+    _assert_bottom_row_from_top(got, q)
+
+
+def _assert_bottom_row_from_top(got, q):
+    """q slots give [[P, Q], [s Q^dag, -s P^dag]], s = (-1)^(q+1): the bottom
+    block row of `got` is exactly that of its own top row."""
+    d = len(got) // 2
     P, Q, s = got[:d, :d], got[:d, d:], (-1) ** (q + 1)
     bottom = np.concatenate((Q.conj().T, P.conj().T), axis=1) * np.repeat([s, -s], d)
     assert np.array_equal(_bits(got[d:]), _bits(bottom))
+
+
+@pytest.mark.parametrize("d", [16, 32])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("q", [1, 2, 5, 16, 17, 125])
+def test_stacked_qubitized_product_carries_each_members_top_block_row(d, k, q):
+    # preparation's and the filters' (k, 2d, 2d) stacks take the top-row form
+    # too: each member's top rows are its own slot loop's, bit for bit, and its
+    # bottom block row is written from them
+    U = dilation_stack(q, d, k)
+    phases = np.random.default_rng(q).uniform(-np.pi, np.pi, q)
+    got = qet_assemble(_encoding(U, True), phases)
+    assert got.shape == (k, 2 * d, 2 * d)
+    for member, got_member in zip(U, got):
+        ref = slot_loop(member, phases)
+        assert np.array_equal(_bits(got_member[:d]), _bits(ref[:d]))
+        _assert_bottom_row_from_top(got_member, q)
 
 
 def test_nested_qubitized_levels_match_full_products_and_the_spectrum():
