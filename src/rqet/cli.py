@@ -218,11 +218,11 @@ def _cmd_perturb(args) -> int:
     return 0
 
 
-def _add_matrix_args(sp, default_gap: float) -> None:
+def _add_matrix_args(sp) -> None:
     sp.add_argument("--matrix", help="JSON matrix file")
     sp.add_argument("--seed", type=int, default=0, help="generator seed")
     sp.add_argument("--dim", type=int, help="generated matrix dimension")
-    sp.add_argument("--gap", type=float, default=default_gap,
+    sp.add_argument("--gap", type=float, default=0.5,
                     help="spectral gap / smallest singular value")
     sp.add_argument("--normalize", action="store_true",
                     help="rescale by the operator norm when it exceeds 1")
@@ -231,7 +231,7 @@ def _add_matrix_args(sp, default_gap: float) -> None:
 
 
 def _add_run_args(sp) -> None:
-    _add_matrix_args(sp, 0.5)
+    _add_matrix_args(sp)
     sp.add_argument("--epsilon", type=float, default=1e-8)
     sp.add_argument("--iters", type=int, help="override the derived level count")
 
@@ -262,7 +262,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_polar_run)
 
     p = sub.add_parser("perturb", help="coherent phase-noise sweep")
-    _add_matrix_args(p, 0.5)
+    _add_matrix_args(p)
     p.add_argument("--iters", type=int, default=1)
     p.add_argument("--delta-grid", default="1e-6:1e-2:9", dest="delta_grid",
                    help="log-spaced relative perturbations, lo:hi:count")

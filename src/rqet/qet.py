@@ -349,7 +349,7 @@ class IterationReport:
 
 @dataclass(frozen=True)
 class ScalarSignTable:
-    """Sign-approximation values on a point grid, from nested 2x2 products.
+    """Sign-approximation values on a point grid, from nested 2x2 reflections.
 
     flattened_distance is the largest distance from the flattened product
     at the same points; None when no level ran.
@@ -377,8 +377,8 @@ def _nest(U, n: int, reports: list[IterationReport], step, probe, errors_of):
     """The one nested-level loop of every run: U = step(U, k) for k = 1..n, keeping probe(U)
     of each level (of U itself when n = 0).  After the last step, one errors_of call on a new
     stack of the probes, free to overwrite, gives each report its rows (k, error, the step's
-    time alone), or (0, error, 0 ms) when n = 0.  U is scalar mode's (points, 2, 2) stack or
-    an encoding, with a report per member of a stack (same times); the last U is returned."""
+    time alone), or (0, error, 0 ms) when n = 0.  U is scalar mode's points' top-left entries
+    or an encoding, with a report per member of a stack (same times); the last U is returned."""
     kept, ms = ([probe(U)], [0.0]) if n == 0 else ([], [])
     for k in range(1, n + 1):
         t0 = time.perf_counter()
@@ -397,10 +397,12 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     """Drive the sign iteration to tolerance and report per level.
 
     mode "recursive" nests block encodings, "flattened" rebuilds each
-    level from one composed phase list, "scalar" nests the 2x2 dilations
-    [[x, c], [c, -x]], c = sqrt(1 - x^2), of the eigenvalues plus a
-    21-point grid, then, if n > 0, evaluates the flattened product of all
-    n levels once at the same points.  A nested-flattened distance over
+    level from one composed phase list, "scalar" nests the eigenvalues
+    plus a 21-point grid, each level y <- plan_chain of the base list at
+    y (real part), then, if n > 0, evaluates the flattened product of all
+    n levels once at the same points.  Dropping Im y drops only rounding:
+    an oracle [[y, Q], [Q*, -y]] is D R(y) D^dag, D = diag(1, e^(-i arg Q)),
+    and D commutes with the Z-rotations.  A nested-flattened distance over
     _IDENTITY_TOL raises NumericError; the table keeps the nested values.
     Every mode refuses runs of more than MAX_PHASES queries.  Flattened
     mode charges every level's plan before any product is formed and
@@ -432,12 +434,10 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
         _check_dense_cost(len(reports) * products, A.shape[-1])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))  # in [-1, 1] by _check_gap
-        x, c = pts[:, None, None], np.sqrt(np.maximum(0.0, 1.0 - pts * pts))[:, None, None]
-        U = _blocks(x, c, c, -x)  # (points, 1, 1) blocks: each point's 2x2 [[x, c], [c, -x]]
-        one_row = _Plan(base[None], [])  # nested stacks are not their own adjoint
-        U = _nest(U, n, reports, lambda U, k: _phased_product(U, one_row), lambda U: U[:, 0, 0],
+        one_row = _Plan(base[None], [])
+        y = _nest(pts, n, reports, lambda y, k: plan_chain(one_row, y).real, lambda y: y,
                   lambda V: np.abs(V - np.sign(pts)).max(axis=-1))
-        vals, distance = U[:, 0, 0].copy(), None
+        vals, distance = y.copy(), None  # a copy: at n = 0 y is pts
         if n:  # reflection_upper_left less its checks: points above, phases tabulated
             distance = float(np.abs(plan_chain(_sign_plan(l, n), pts) - vals).max())
             if distance > _IDENTITY_TOL:

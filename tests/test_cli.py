@@ -1,5 +1,4 @@
 import json
-import re
 import subprocess
 import sys
 import time
@@ -300,18 +299,14 @@ def test_over_cap_runs_fail_before_composing(monkeypatch, capsys):
 def test_scalar_runs_at_the_phase_cap_are_admitted(l, capsys):
     # no scalar run is charged a budget: the deepest list under MAX_PHASES, at
     # 85 points (d = 64), plans to at most 8,241 products and takes well under
-    # a second; at l = 2, n = 10 the nested stack's drift is near the check's
-    # tolerance, so the exit must agree with the distance the run reports
+    # a second; at l = 2, n = 10 the distance is the flattened chain's own
+    # floor, 1.16e-10
     n = max(k for k in range(1, 11) if (2 * l + 1) ** k <= MAX_PHASES)
     code = main(["sign-run", "--seed", "1", "--dim", "64", "--mode", "scalar",
                  "--pade-l", str(l), "--iters", str(n)])
-    out, err = capsys.readouterr()
-    if (l, n) == (2, 10) and code == 4:
-        found = re.search(r"nested and flattened products differ by (\S+) at n = 10,", err)
-        assert found and float(found.group(1)) >= _IDENTITY_TOL  # printed to 4 digits
-    else:
-        assert code == 0
-        assert json.loads(out[out.index("{"):])["flattened_distance"] <= _IDENTITY_TOL
+    out = capsys.readouterr().out
+    assert code == 0
+    assert json.loads(out[out.index("{"):])["flattened_distance"] <= _IDENTITY_TOL
 
 
 def test_perturb_checks_grid_and_cost_before_assembling(monkeypatch, capsys):
@@ -461,16 +456,23 @@ def test_out_of_range_eigenvalue_exits_3_in_every_mode(command, tmp_path, capsys
     assert capsys.readouterr().err == "domain error: operator norm 1.000000000500 exceeds 1\n"
 
 
+def test_scalar_run_reaches_the_rounding_floor(capsys):
+    # formerly item 2's pin (exit 4 at 2.29e-11): each scalar level is one
+    # reflection chain rounded once, so n = 8 reaches sign(x) exactly
+    assert main("sign-run --seed 1 --dim 2 --mode scalar --gap 0.1 --epsilon 1e-13".split()) == 0
+    out = capsys.readouterr().out
+    assert json.loads(out[out.index("{"):])["final_error"] <= 1e-13
+
+
 # ROADMAP item 2's targets (unitarity restored after every level, the cap
 # split): each fails today, so the change that lands item 2 must flip them
 @pytest.mark.xfail(strict=True, reason="ROADMAP item 2: rounding floor and phase cap")
 @pytest.mark.parametrize("args", [
     "sign-run --seed 1 --dim 64 --gap 0.1 --epsilon 1e-10",  # exit 4 at 1.00e-9
-    "sign-run --seed 1 --dim 2 --mode scalar --gap 0.1 --epsilon 1e-13",  # exit 4 at 2.29e-11
     "sign-run --seed 1 --dim 2 --mode scalar --gap 1e-3 --epsilon 1e-10",  # 5^16 over the cap
     "sign-run --seed 1 --dim 64 --gap 1e-3 --epsilon 1e-10",  # 5^16 over the cap
     "polar-run --seed 1 --dim 8 --iters 12",  # 5^12 over the cap
-], ids=["d64-eps1e-10", "scalar-eps1e-13", "scalar-gap1e-3", "d64-gap1e-3", "polar-iters12"])
+], ids=["d64-eps1e-10", "scalar-gap1e-3", "d64-gap1e-3", "polar-iters12"])
 def test_roadmap_item_2_targets_finish(args, capsys):
     t0 = time.perf_counter()
     assert main(args.split()) == 0

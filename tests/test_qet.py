@@ -474,6 +474,7 @@ def test_zero_level_scalar_run_measures_the_grid(delta):
     assert [(r.n, r.error) for r in rep.rows] == [(0, 1 - delta)]
     assert not rep.converged
     assert np.array_equal(table.values, table.points) and table.flattened_distance is None
+    assert not np.shares_memory(table.values, table.points)
 
 
 def test_report_csv_format(gapped8):
@@ -507,18 +508,21 @@ def _mp_iterates(l, levels, x):
         return out
 
 
-@pytest.mark.parametrize("gap, eps, levels, bound", [(0.1, 1e-10, 8, 5e-11),
-                                                     (0.5, 1e-8, 4, 1e-13)])
-def test_scalar_rows_match_high_precision_iteration(gap, eps, levels, bound):
-    # measured: 2.9e-11 on the criterion-4 input, 4.7e-14 at gap 0.5
-    table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), gap, eps, mode="scalar")
-    assert rep.rows[-1].n == levels
-    ref = [_mp_iterates(2, levels, x) for x in table.points]
+@pytest.mark.parametrize("l, gap, eps, levels, n", [
+    (2, 0.1, 1e-10, None, 8), (2, 0.5, 1e-8, None, 4), (8, 0.05, 1e-10, None, 5),
+    (20, 0.5, 1e-8, 4, 4), (2, 0.1, 1e-10, 10, 10)])
+def test_scalar_rows_match_high_precision_iteration(l, gap, eps, levels, n):
+    # each level is one reflection chain, rounded once, so no rounding
+    # compounds: measured worst 2.2e-16 over these cases, final values exact
+    table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), gap, eps, l, mode="scalar",
+                          levels=levels)
+    assert rep.rows[-1].n == n
+    ref = [_mp_iterates(l, n, x) for x in table.points]
     final = np.array([float(r[-1]) for r in ref])
-    assert np.abs(table.values - final).max() <= bound
+    assert np.abs(table.values - final).max() <= 1e-15
     for row in rep.rows:
         exact = max(float(abs(r[row.n - 1] - np.sign(x))) for x, r in zip(table.points, ref))
-        assert abs(row.error - exact) <= bound, row.n
+        assert abs(row.error - exact) <= 1e-15, row.n
 
 
 # measured: 4.6e-12, 7.1e-13, 2.4e-13 and 1.1e-13, with the chain's top row
@@ -951,7 +955,7 @@ def test_nested_qubitized_levels_match_full_products_and_the_spectrum():
     A, V = hermitian_with_spectrum(11, w)
     top = dilate_hermitian(A)
     full = BlockEncoding(top.unitary)  # not qubitized: every slot a full product
-    # the 2x2 reduction: each eigenvalue's reflection, nested as scalar mode does
+    # the 2x2 reduction: each eigenvalue's reflection, nested with all four entries
     R = np.empty((d, 2, 2), dtype=np.complex128)
     R[:, 0, 0], R[:, 1, 1] = w, -w
     R[:, 0, 1] = R[:, 1, 0] = np.sqrt(1.0 - w * w)
@@ -990,7 +994,7 @@ def test_qubitized_flag_survives_odd_steps_only():
 
 
 @pytest.mark.parametrize("run, d", [("recursive", 8), ("recursive", 15), ("flattened", 16),
-                                    ("scalar", 16), ("polar", 16), ("perturb", 16)])
+                                    ("polar", 16), ("perturb", 16)])
 def test_runs_off_the_top_row_form_keep_their_products(monkeypatch, run, d):
     # every product these runs form is bit for bit the product with both
     # block rows, the one each formed before the top-row form existed
@@ -1015,7 +1019,7 @@ def test_runs_off_the_top_row_form_keep_their_products(monkeypatch, run, d):
 
 
 def test_scalar_run_evaluates_one_chain(monkeypatch, cold_sign_plans):
-    pade_phases(2)  # a cold derivation runs its own round-trip check through the chain
+    base = pade_phases(2)  # a cold derivation runs its own round-trip check through the chain
     calls, execute = [], _kernels.plan_chain
 
     def counted(plan, xs):
@@ -1024,11 +1028,27 @@ def test_scalar_run_evaluates_one_chain(monkeypatch, cold_sign_plans):
 
     monkeypatch.setattr(rqet.qsp, "plan_chain", counted)  # reflection_upper_left's executor
     monkeypatch.setattr(rqet.qet, "plan_chain", counted)
-    for _ in range(2):  # cold, then warm: one chain apiece, on the cached 5^8 plan
+    for _ in range(2):  # cold, then warm: one flattened chain apiece, on the cached 5^8 plan
+        calls.clear()
         table, rep = run_sign(np.diag([0.5, -0.5]).astype(complex), 0.1, 1e-10, mode="scalar")
         assert rep.rows[-1].n == 8
         assert table.flattened_distance <= 1e-10
-    assert len(calls) == 2 and all(c is rqet.qet._sign_plan(2, 8) for c in calls)
+        flat = rqet.qet._sign_plan(2, 8)
+        assert len(calls) == 9 and sum(c is flat for c in calls) == 1
+        # each of the 8 levels on the one-row base plan
+        assert all(not c.folds and np.array_equal(c.rows, base[None]) for c in calls if c is not flat)
+
+
+def test_scalar_run_forms_no_dense_product(monkeypatch):
+    # scalar levels run on plan_chain alone: no dense product and no 2x2 stack
+    def refuse(*_, **__):
+        raise AssertionError("scalar mode formed a dense product")
+
+    monkeypatch.setattr(rqet.qet, "_phased_product", refuse)
+    monkeypatch.setattr(rqet.qet, "_blocks", refuse)
+    A, _ = hermitian_with_spectrum(16, np.linspace(0.5, 0.95, 16) * (-1) ** np.arange(16))
+    table, rep = run_sign(A, 0.4, 1e-8, mode="scalar", levels=3)
+    assert [r.n for r in rep.rows] == [1, 2, 3] and table.values.dtype == np.float64
 
 
 def test_scalar_run_refuses_an_eigenvalue_just_past_one():
@@ -1043,7 +1063,7 @@ def test_scalar_run_checks_its_points_before_any_level(monkeypatch, levels):
     def refuse(*_):
         raise AssertionError("a product was formed before the points were checked")
 
-    monkeypatch.setattr(rqet.qet, "_phased_product", refuse)
+    monkeypatch.setattr(rqet.qet, "plan_chain", refuse)
     A, _ = hermitian_with_spectrum(1, [1 + 5e-10, -0.5, 0.7, -0.3])
     with pytest.raises(DomainError, match=r"^operator norm 1\.000000000500 exceeds 1$"):
         run_sign(A, 0.3, 1e-10, mode="scalar", levels=levels)

@@ -152,13 +152,10 @@ def test_row_errors_equal_a_per_level_recomputation(run, n):
         A, _ = hermitian_with_spectrum(4, [0.6, -0.9, 0.75])
         _, rep = run_sign(A, 0.5, 1e-8, mode=run, levels=n)
         U, target = dilate_hermitian(A).unitary, matrix_sign(A)
-    if run == "scalar":  # run_sign's (points, 2, 2) stack, one level at a time
-        pts = np.unique(np.concatenate((scalar_grid(0.5), hermitian_eig(A).eigenvalues)))
-        U = np.empty((len(pts), 2, 2), dtype=complex)
-        U[:, 0, 0], U[:, 1, 1] = pts, -pts
-        U[:, 0, 1] = U[:, 1, 0] = np.sqrt(np.maximum(0.0, 1.0 - pts * pts))
-        step = lambda U, k: rqet.qet._phased_product(U, rqet.qet._Plan(base[None], []))
-        error = lambda U: float(np.abs(U[:, 0, 0] - np.sign(pts)).max())
+    if run == "scalar":  # run_sign's points, each level one chain on the one-row plan
+        U = pts = np.unique(np.concatenate((scalar_grid(0.5), hermitian_eig(A).eigenvalues)))
+        step = lambda y, k: rqet.qet.plan_chain(rqet.qet._Plan(base[None], []), y).real
+        error = lambda y: float(np.abs(y - np.sign(pts)).max())
     else:
         be0 = BlockEncoding(U)
         if run == "flattened":
