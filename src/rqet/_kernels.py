@@ -4,18 +4,18 @@ A phase list of (2l+1)^n slots repeats itself at every scale: the
 5^8-phase sign list has 625 blocks of 625 phases but only 9 distinct
 ones, and they are made of 25-phase blocks that recur in the same way.
 _plan decides from the phases' bits alone how the product is taken, and
-_execute takes it with the caller's arithmetic, passed as two plain
-functions: a leaf that multiplies out rows of phases one step per
-position, vectorized across the rows, and the product of two stacks of
-results.  plan_chain passes the reflection-form 2x2 arithmetic, and
-qet's dense product passes its slot loop and np.matmul.
+_execute takes it with the caller's arithmetic: a leaf that multiplies
+out rows of phases one position at a time, vectorized across the rows;
+the product of running products and table entries; and complete(table,
+k), the entries a fold multiplies by, from a table of k-factor products.
+plan_chain passes top-row 2x2 arithmetic, and qet's dense product its
+slot loop, np.matmul and the identity.
 
 - Rows.  A row of k phases is cut into sub-rows of c = _block_length(k)
-  phases when c < k.  If the sub-rows repeat (at most half as many
-  distinct ones as sub-rows), each distinct sub-row's product is planned
-  once, the same way one level down, and each row is folded from them.
-  Otherwise the rows are the plan's leaf rows.  A list that does not
-  repeat is one leaf row, multiplied out one position at a time.
+  phases when c < k.  If at most half the sub-rows are distinct, each
+  distinct sub-row's product is planned once, the same way one level
+  down, and each row is folded from them.  Otherwise the rows are leaf
+  rows: a list that does not repeat is one, multiplied out in turn.
 - The fold.  Folding m table entries in order is itself a chain.  When
   c = _block_length(m) < m, the sequence is cut into rows of c, the
   distinct rows are folded side by side, and their m/c products are
@@ -26,31 +26,23 @@ the table the last one made.  Its products, leaf row-positions plus each
 fold's rows x (steps - 1), are the stacked products executing it forms,
 and what a dense run is charged (qet._check_dense_cost).  The 5^8 sign
 list plans to 249 products in 33 steps, instead of ~390,000.  No fold
-holds more rows than the top split has sub-rows.  The grouping differs
-from a left-to-right loop, so results agree with it to rounding, not bit
-for bit.
+holds more rows than the top split has sub-rows.  Results agree with a
+left-to-right loop to rounding only.  Rows merge only when bitwise equal
+(_distinct_rows keys a dictionary by each row's bytes): -0.0 never merges
+with 0.0, nor a NaN with anything but the same NaN.
 
-Rows, and rows of the fold, merge only when every entry has the same
-bit pattern: -0.0 never merges with 0.0, and a NaN never merges with
-anything but the same NaN, so merging never mixes blocks that differ,
-even in the last bit of one angle.  _distinct_rows keys a dictionary by
-each row's bytes.
-
-plan_chain's leaf multiplies out only the top row of each product: a
-product of k factors [[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]]
-with s = (-1)^(k+1), and the leaf reads the bottom row off the top one.
-Conjugation commutes with complex rounding, and u - v == -(v - u), so
-that row is bit for bit the row a full multiply gives, up to the sign of
-an exact zero (w = 0 at x = +-1), and the fold multiplies whole 2x2
-products.  The top row of a product of unitaries
-has norm 1, but every float factor is off unitary by about an ulp in the
-same direction, so the norm drifts as (1 + eta)^N; the result is the
-top-left entry divided by the top row's norm.
-
-plan_chain executes a given plan (qsp.reflection_upper_left plans its
-list first).  A sign list's plan depends only on (l, n) over the
-read-only phase table, so qet._sign_plan makes each once and caches it
-read-only for scalar mode's check, the flattened levels and perturb.
+plan_chain carries only top rows: a product of k factors
+[[e x, e w], [e* w, -e* x]] is [[P, Q], [s Q*, -s P*]], s = (-1)^(k+1)
+(Low and Chuang, arXiv:1610.06546).  The leaf holds (P, Q) as one
+(rows, 2, points) array, three numpy calls per position into buffers made
+once; a fold multiplies top rows by whole entries, whose bottom rows
+_complete writes from k's parity once per fold, so a plan with no folds
+writes none.  Conjugation commutes with complex rounding, and
+u + (-v) == u - v, so every entry is bit for bit what whole 2x2 products
+give, up to the sign of an exact zero (w = 0 at x = +-1).  Each float
+factor is off unitary by about an ulp in the same direction, so the top
+row's norm drifts from 1 as (1 + eta)^N; the result is the top-left entry
+over that norm.
 """
 
 from __future__ import annotations
@@ -118,46 +110,54 @@ def _plan(rows: np.ndarray, most: float = math.inf, leaf: bool = True) -> _Plan:
     return _Plan(rows, []) if leaf else _Plan(None, [rows])
 
 
-def _execute(plan: _Plan, leaf, times):
-    """Product of each row of the planned list: leaf on the plan's rows, then
-    each fold's rows gathered from the table so far and multiplied in order."""
-    table = leaf(plan.rows)
+def _execute(plan: _Plan, leaf, times, complete):
+    """Product of each row of the planned list: leaf on the plan's rows, then each fold's
+    rows gathered and multiplied in order by entries of complete(table so far, k)."""
+    table, k = leaf(plan.rows), plan.rows.shape[1]
     for index in plan.folds:
-        out = table[index[:, 0]]
+        whole = complete(table, k)
+        out = table.take(index[:, 0], 0)
         for g in index.T[1:]:
-            out = times(out, table[g])
-        table = out
+            out = times(out, whole.take(g, 0))
+        table, k = out, k * index.shape[1]
     return table
 
 
 def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """Each block's product of reflection factors at each point, shape
-    (blocks, 2, 2, points): the top row one step per position, the bottom
-    row read off it."""
-    # factor j of every block at once, in the order of operations of row
-    # (m00, m01) times [[ep x, ep w], [em w, -em x]]
-    m00 = np.ones((len(blocks), len(x)), dtype=np.complex128)
-    m01 = np.zeros_like(m00)
-    # one exp call per len(x) positions: the factors take no more memory than
-    # a row of products, however long the blocks are
-    c = max(1, len(x))
-    for j0 in range(0, blocks.shape[1], c):
-        ep = np.exp(1j * blocks[:, j0 : j0 + c].T)[:, :, None]
-        for e, em in zip(ep, ep.conj()):
-            a, b = m00 * e, m01 * em
-            m00, m01 = a * x + b * w, a * w - b * x
-    bottom = (m01.conj(), -m00.conj()) if blocks.shape[1] % 2 else (-m01.conj(), m00.conj())
-    return np.stack((m00, m01) + bottom, axis=1).reshape(len(blocks), 2, 2, len(x))
+    """Top row of each block's product of reflection factors at each point, shape
+    (blocks, 2, points): per position, (P, Q) scaled by (e, e*), then P [x, w] + Q [w, -x].
+    One exp call per len(x) positions: the factors take no more memory than a row."""
+    r = np.array([[x, w], [w, -x]], dtype=np.complex128)
+    col = np.zeros((len(blocks), 2, 1, len(x)), dtype=np.complex128)  # top, to broadcast on r
+    col[:, 0] = 1.0
+    m = np.empty((len(blocks), 2, 2, len(x)), dtype=np.complex128)
+    top, m0, m1 = col[:, :, 0], m[:, 0], m[:, 1]
+    for j0 in range(0, blocks.shape[1], c := max(1, len(x))):
+        e = np.exp(1j * blocks[:, j0 : j0 + c].T)
+        for f in np.array((e, e.conj())).transpose(1, 2, 0)[..., None]:  # (rows, 2, 1) each
+            np.multiply(top, f, out=top)
+            np.multiply(col, r, out=m)
+            np.add(m0, m1, out=top)
+    return top
 
 
-def _times(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Products of stacks of 2x2 matrices whose entries run over a last axis of points."""
-    return a[:, :, :1] * b[:, None, 0] + a[:, :, 1:] * b[:, None, 1]
+def _complete(top: np.ndarray, k: int) -> np.ndarray:
+    """Whole products (rows, 2, 2, points) of k reflection factors each from
+    their top rows [P, Q]: the bottom row is [s Q*, -s P*], s = (-1)^(k+1)."""
+    whole = np.concatenate((top[:, None], top[:, None, ::-1].conj()), axis=1)
+    np.negative(whole[:, 1, k % 2], out=whole[:, 1, k % 2])
+    return whole
+
+
+def _times(top: np.ndarray, whole: np.ndarray) -> np.ndarray:
+    """Top rows (rows, 2, points) times whole 2x2 products (rows, 2, 2, points), into top."""
+    m = top[:, :, None] * whole
+    return np.add(m[:, 0], m[:, 1], out=top)
 
 
 def plan_chain(plan: _Plan, xs: np.ndarray) -> np.ndarray:
     """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each of xs, phi the list `plan` is of."""
     x = np.ascontiguousarray(xs, dtype=np.float64)
     w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    r0, r1 = _execute(plan, lambda rows: _block_stage(rows, x, w), _times)[0, 0]
-    return r0 / np.sqrt(np.abs(r0) ** 2 + np.abs(r1) ** 2)
+    top = _execute(plan, lambda rows: _block_stage(rows, x, w), _times, _complete)[0]
+    return top[0] / np.sqrt(np.add(*np.abs(top) ** 2))

@@ -69,7 +69,7 @@ def _phased_product(U: np.ndarray, plan: _Plan, qubitized: bool = False) -> np.n
             M = _blocks(P, Q, s * np.swapaxes(Q.conj(), -1, -2), -s * np.swapaxes(P.conj(), -1, -2))
         return M
 
-    return _execute(plan, slots, np.matmul)[0]
+    return _execute(plan, slots, np.matmul, lambda table, k: table)[0]
 
 
 def qet_assemble(be: BlockEncoding, phases: np.ndarray) -> np.ndarray:

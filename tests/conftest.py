@@ -3,6 +3,7 @@ from math import comb
 
 import numpy as np
 import pytest
+from hypothesis import settings
 
 import rqet.qet
 from rqet import DomainError, InputError, canonicalize_angles, pade, poly_eval
@@ -15,6 +16,10 @@ from rqet.qet import _ANGLE_TOL
 # of c = _block_length(k): (k, c) = (4, 2), (9, 3), (12, 3), (16, 4), (18, 3),
 # (25, 5), (36, 6), (32, 4) and (49, 7)
 TWO_LEVEL_LENGTHS = [16, 81, 144, 256, 324, 625, 1296, 1024, 2401]
+
+# pytest --hypothesis-profile ci-deep: a deeper run of the properties that
+# take their example count from the profile
+settings.register_profile("ci-deep", max_examples=500)
 
 
 @pytest.fixture
@@ -121,6 +126,13 @@ def recovery_cost(k: int, c_phi: int = 8, q: int = 1) -> int:
     if k < 0 or c_phi < 1 or q < 1:
         raise InputError("levels must be nonnegative and the cost factors positive")
     return (2 ** k) * (c_phi ** (k * k)) * q
+
+
+def tiled_blocks(rng, length, block, kinds=3):
+    """`length` phases made of `kinds` random blocks of `block` phases, tiled
+    in random order and cut to length."""
+    pool = rng.uniform(-np.pi, np.pi, (kinds, block))
+    return pool[rng.integers(kinds, size=-(-length // block))].reshape(-1)[:length]
 
 
 def two_level_tiled(rng, length, subs, kinds):

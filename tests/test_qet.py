@@ -24,7 +24,7 @@ from rqet.qet import (MAX_PHASES, _check_dense_cost, _check_phase_count, _phased
                       scalar_grid)
 from conftest import (TWO_LEVEL_LENGTHS, check_flattened_structure, chebyshev_reflection_phases,
                       hermitian_with_spectrum, recovery_cost, scalar_sign_iterate,
-                      two_level_tiled)
+                      tiled_blocks, two_level_tiled)
 
 
 @pytest.fixture
@@ -563,17 +563,61 @@ def _full_stage(blocks, x, w):
     return np.array(M).transpose(2, 0, 1, 3)
 
 
-@pytest.mark.parametrize("k, points", [(1, 5), (2, 5), (5, 21), (8, 3), (13, 4)])
+@pytest.mark.parametrize("k, points", [(0, 3), (1, 5), (2, 5), (5, 21), (8, 3), (13, 4)])
 def test_block_stage_is_the_full_2x2_product_bit_for_bit(k, points):
-    # the leaf multiplies out the top row and reads the bottom one off it;
-    # rows longer than the points take several exp chunks.  At x = +-1 the
-    # bottom-left entry is an exact zero whose sign the two orders set
-    # differently, so zeros are compared after + 0.0 makes them all +0.0
+    # the leaf multiplies out the top row, and _complete writes the bottom
+    # one from the parity of k; rows longer than the points take several exp
+    # chunks.  The leaf's [w, -x] row and the parity's conjugates set the
+    # sign of an exact zero (w = 0 at x = +-1) differently from the full
+    # multiply, so zeros are compared after + 0.0 makes them all +0.0
     rng = np.random.default_rng(k)
     blocks = rng.uniform(-np.pi, np.pi, (3, k))
     x = np.concatenate(([-1.0, 1.0], rng.uniform(-1.0, 1.0, points - 2)))
     w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
-    got, ref = _kernels._block_stage(blocks, x, w), _full_stage(blocks, x, w)
+    top, ref = _kernels._block_stage(blocks, x, w), _full_stage(blocks, x, w)
+    assert np.array_equal(_bits(top + 0.0), _bits(ref[:, 0] + 0.0))
+    assert np.array_equal(_bits(_kernels._complete(top, k) + 0.0), _bits(ref + 0.0))
+
+
+def _reference_chain(plan, xs):
+    """plan_chain on whole 2x2 products throughout: the leaf is _full_stage,
+    and every step of a fold multiplies both rows of its running products."""
+    x = np.asarray(xs, dtype=np.float64)
+    table = _full_stage(plan.rows, x, np.sqrt(np.maximum(0.0, 1.0 - x * x)))
+    for index in plan.folds:
+        out = table[index[:, 0]]
+        for g in index.T[1:]:
+            out = out[:, :, :1] * table[g][:, None, 0] + out[:, :, 1:] * table[g][:, None, 1]
+        table = out
+    r0, r1 = table[0, 0]
+    return r0 / np.sqrt(np.abs(r0) ** 2 + np.abs(r1) ** 2)
+
+
+_SIGN_DEPTHS = {2: 8, 4: 5, 8: 4, 20: 3}  # deepest plan drawn per l: at most 5^8 phases
+
+
+@st.composite
+def _chain_plans(draw):
+    """A sign list's plan, or the plan of a tiled_blocks or two_level_tiled list."""
+    kind = draw(st.sampled_from(["sign", "tiled", "two-level"]))
+    if kind == "sign":
+        l = draw(st.sampled_from(list(_SIGN_DEPTHS)))
+        return rqet.qet._sign_plan(l, draw(st.integers(1, _SIGN_DEPTHS[l])))
+    rng = np.random.default_rng(draw(st.integers(0, 2 ** 32 - 1)))
+    if kind == "tiled":
+        return _plan(tiled_blocks(rng, draw(st.integers(1, 700)), draw(st.integers(1, 30)),
+                                  draw(st.integers(1, 3))))
+    return _plan(two_level_tiled(rng, draw(st.sampled_from(TWO_LEVEL_LENGTHS)),
+                                 draw(st.integers(1, 5)), draw(st.integers(1, 3))))
+
+
+@settings(deadline=None)  # example count from the profile: CI runs ci-deep's 500
+@given(_chain_plans(), st.integers(0, 30), st.integers(0, 2 ** 32 - 1))
+def test_plan_chain_is_the_whole_2x2_reference_bit_for_bit(plan, points, seed):
+    # top rows through the fold, bottom rows written from parity, give the
+    # reference's bits up to the sign of an exact zero
+    xs = np.concatenate(([-1.0, 0.0, 1.0], np.random.default_rng(seed).uniform(-1, 1, points)))
+    got, ref = _kernels.plan_chain(plan, xs), _reference_chain(plan, xs)
     assert np.array_equal(_bits(got + 0.0), _bits(ref + 0.0))
 
 
@@ -744,7 +788,7 @@ def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
     leaves, products = [], []
     execute = rqet.qet._execute
 
-    def recording(plan, leaf, times):
+    def recording(plan, leaf, times, complete):
         def counted_leaf(r):
             leaves.append(r.shape[1])
             return leaf(r)
@@ -753,7 +797,7 @@ def test_phased_product_multiplies_a_flattened_list_by_blocks(monkeypatch):
             products.append(len(a))
             return times(a, b)
 
-        return execute(plan, counted_leaf, counted_times)
+        return execute(plan, counted_leaf, counted_times, complete)
 
     monkeypatch.setattr(rqet.qet, "_execute", recording)
     flat = flatten_sign_phases(2, 4)
@@ -776,9 +820,9 @@ def test_flattened_run_merges_blocks_on_a_nearly_hermitian_matrix(monkeypatch):
     blocked = []
     execute = rqet.qet._execute
 
-    def recording(plan, leaf, times):
+    def recording(plan, leaf, times, complete):
         blocked.append(len(plan.folds) > 0)
-        return execute(plan, leaf, times)
+        return execute(plan, leaf, times, complete)
 
     monkeypatch.setattr(rqet.qet, "_execute", recording)
     be, _ = run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)
@@ -792,7 +836,7 @@ def _counting_execute(monkeypatch):
     row-positions plus the stacked entries of every product of a fold."""
     runs, execute = [], _kernels._execute
 
-    def counted(plan, leaf, times):
+    def counted(plan, leaf, times, complete):
         work = []
 
         def counted_leaf(rows):
@@ -803,7 +847,7 @@ def _counting_execute(monkeypatch):
             work.append(len(a))
             return times(a, b)
 
-        out = execute(plan, counted_leaf, counted_times)
+        out = execute(plan, counted_leaf, counted_times, complete)
         runs.append((plan.products, sum(work)))
         return out
 
@@ -899,6 +943,21 @@ def test_phased_product_memory_stays_small():
     finally:
         tracemalloc.stop()
     assert peak < 2 ** 21
+
+
+def test_reflection_chain_memory_stays_small():
+    # a random 5^8 list is one leaf row, and the leaf takes exp of len(xs)
+    # positions at a time: about 1.6 MB, mostly the plan's look for repeats,
+    # where the list's factors at once would take 12.5 MB
+    phases = np.random.default_rng(8).uniform(-np.pi, np.pi, 5 ** 8)
+    xs = np.linspace(-1.0, 1.0, 24)
+    tracemalloc.start()
+    try:
+        reflection_upper_left(phases, xs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4 * 2 ** 20
 
 
 def _hermitian_dilation(d, seed):

@@ -19,7 +19,7 @@ from rqet import (DomainError, InputError, NumericError,
 from rqet import _kernels
 from rqet._kernels import _block_length, _distinct_rows, _plan
 from conftest import (TWO_LEVEL_LENGTHS, chebyshev_reflection_phases, exact_pade_coeffs,
-                      two_level_tiled)
+                      tiled_blocks, two_level_tiled)
 import pade_table
 
 
@@ -308,13 +308,6 @@ def test_reflection_upper_left_rejects_non_finite_phases(bad):
 def test_reflection_upper_left_rejects_non_1d_input(phases, xs):
     with pytest.raises(InputError, match="1-d"):
         reflection_upper_left(phases, xs)
-
-
-def tiled_blocks(rng, length, block, kinds=3):
-    """`length` phases made of `kinds` random blocks of `block` phases, tiled
-    in random order and cut to length."""
-    pool = rng.uniform(-np.pi, np.pi, (kinds, block))
-    return pool[rng.integers(kinds, size=-(-length // block))].reshape(-1)[:length]
 
 
 # (length, kernel block length): random lists, then lists tiled from a few blocks
