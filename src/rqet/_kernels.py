@@ -132,7 +132,7 @@ def _block_stage(blocks: np.ndarray, x: np.ndarray, w: np.ndarray) -> np.ndarray
     col[:, 0] = 1.0
     m = np.empty((len(blocks), 2, 2, len(x)), dtype=np.complex128)
     top, m0, m1 = col[:, :, 0], m[:, 0], m[:, 1]
-    for j0 in range(0, blocks.shape[1], c := max(1, len(x))):
+    for j0 in range(0, blocks.shape[1], c := len(x)):
         e = np.exp(1j * blocks[:, j0 : j0 + c].T)
         for f in np.array((e, e.conj())).transpose(1, 2, 0)[..., None]:  # (rows, 2, 1) each
             np.multiply(top, f, out=top)
@@ -158,6 +158,8 @@ def _times(top: np.ndarray, whole: np.ndarray) -> np.ndarray:
 def plan_chain(plan: _Plan, xs: np.ndarray) -> np.ndarray:
     """Top-left entry of prod_i exp(i*phi_i*Z) R(x) at each of xs, phi the list `plan` is of."""
     x = np.ascontiguousarray(xs, dtype=np.float64)
+    if not len(x):  # no points: the list is not walked
+        return np.empty(0, dtype=np.complex128)
     w = np.sqrt(np.maximum(0.0, 1.0 - x * x))
     top = _execute(plan, lambda rows: _block_stage(rows, x, w), _times, _complete)[0]
     return top[0] / np.sqrt(np.add(*np.abs(top) ** 2))

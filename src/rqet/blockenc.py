@@ -30,7 +30,6 @@ class BlockEncoding:
     blocks; set only through _encoding, by the Hermitian dilation and odd recursive steps."""
     unitary: np.ndarray
     qubitized: bool = field(default=False, init=False)
-    ancilla_dim: ClassVar[int] = 2
     reference_index: ClassVar[int] = 0   # the encoded block is the top-left one
     alpha: ClassVar[float] = 1.0   # both read by perfbench/workloads.py's encoded_block
 
@@ -43,11 +42,7 @@ class BlockEncoding:
 
     @property
     def system_dim(self) -> int:
-        return self.unitary.shape[-1] // self.ancilla_dim
-
-    @property
-    def total_dim(self) -> int:
-        return self.unitary.shape[-1]
+        return self.unitary.shape[-1] // 2
 
 
 def _encoding(U: np.ndarray, qubitized: bool) -> BlockEncoding:
@@ -102,15 +97,16 @@ def _dilate_spectrum(A: np.ndarray, spectrum: Spectrum) -> BlockEncoding:
 
 def dilate_general(A: np.ndarray) -> BlockEncoding:
     """General dilation [[A, sqrt(I - A A^dag)], [sqrt(I - A^dag A), -A^dag]]."""
-    A = require_square(np.asarray(A, dtype=np.complex128))
-    return _dilate_gram(A, hermitian_eig(_gram(A)))
+    A = require_square(A)
+    gram = hermitian_eig(_gram(A))
+    require_unit_norm(np.sqrt(np.maximum(0.0, gram.eigenvalues)))
+    return _dilate_gram(A, gram)
 
 
 def _dilate_gram(A: np.ndarray, gram: Spectrum) -> BlockEncoding:
-    """dilate_general for a square A whose Gram spectrum (A^dag A) is solved: the
-    right block is _complement of it, the left of A A^dag's (hermitian_eig)."""
+    """dilate_general for a square A of norm at most 1 whose Gram spectrum (A^dag A) is
+    solved: the right block is _complement of it, the left of A A^dag's (hermitian_eig)."""
     w, V = gram
-    require_unit_norm(np.sqrt(np.maximum(0.0, w)))
     w_left, V_left = hermitian_eig(_gram(A.conj().T))
     U = _blocks(A, _complement(V_left, w_left), _complement(V, w), -A.conj().T)
     dev = _unitarity_deviation(U)

@@ -20,6 +20,7 @@ from .errors import DomainError, InputError, NumericError, decode_pairs, read_js
 MAX_DIM = 64
 HERMITICITY_TOL = 1e-12
 NORM_SLACK = 1e-12       # the one upper bound on eigenvalue, singular value and point magnitudes
+GAP_SLACK = 1e-9         # magnitudes down to delta - GAP_SLACK count as outside a gap delta
 _SIGN_ZERO_TOL = 1e-12   # eigenvalues this close to zero, relative to the norm, have no sign
 _RESIDUAL_TOL = 1e-10    # unitarity and polar-factorization residuals
 

@@ -21,7 +21,7 @@ import numpy as np
 from ._kernels import _execute, _Plan, _plan, plan_chain
 from .blockenc import BlockEncoding, _blocks, _dilate_spectrum, _encoding, extract
 from .errors import DomainError, InputError, NumericError
-from .linalg import _sign_of, hermitian_eig, operator_norm, require_square, require_unit_norm
+from .linalg import GAP_SLACK, _sign_of, hermitian_eig, operator_norm, require_square, require_unit_norm
 from .qsp import _IDENTITY_TOL, _require_finite, canonicalize_angles, pade_phases
 
 _ANGLE_TOL = 1e-9
@@ -366,10 +366,10 @@ def scalar_grid(delta: float) -> np.ndarray:
 
 
 def _check_gap(w: np.ndarray, delta: float, what: str) -> None:
-    """Refuse values past 1 (require_unit_norm), then list those under delta after `what`, by row."""
+    """Refuse values past 1 (require_unit_norm), then list those under delta - GAP_SLACK, by row."""
     for v in np.atleast_2d(w):
         require_unit_norm(v)
-        if (bad := np.abs(v) < delta - 1e-9).any():
+        if (bad := np.abs(v) < delta - GAP_SLACK).any():
             raise DomainError(f"{what}: " + ", ".join(f"{x:.6g}" for x in v[bad]))
 
 
@@ -398,9 +398,9 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
 
     mode "recursive" nests block encodings, "flattened" rebuilds each
     level from one composed phase list, "scalar" nests the eigenvalues
-    plus a 21-point grid, each level y <- plan_chain of the base list at
-    y (real part), then, if n > 0, evaluates the flattened product of all
-    n levels once at the same points.  Dropping Im y drops only rounding:
+    plus a 21-point grid, each level y <- plan_chain of the one-level plan
+    at y (real part), then, if n > 0, evaluates the n-level plan's product
+    once at the same points.  Dropping Im y drops only rounding:
     an oracle [[y, Q], [Q*, -y]] is D R(y) D^dag, D = diag(1, e^(-i arg Q)),
     and D commutes with the Z-rotations.  A nested-flattened distance over
     _IDENTITY_TOL raises NumericError; the table keeps the nested values.
@@ -413,9 +413,9 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     its plan, its error check nor scalar mode's final flattened check.
 
     Sign-list plans come from _sign_plan, made once per (l, n) and cached
-    read-only: flattened levels run them over the dilation, which equals
-    its own adjoint, and scalar mode's check runs one through plan_chain,
-    so after the first run at (l, n) neither builds nor plans a list.
+    read-only: flattened levels run them over the dilation, which equals its
+    own adjoint; scalar mode runs (l, 1) at each level and (l, n) in its check,
+    both on plan_chain, so after the first run at (l, n) neither builds nor plans a list.
 
     Returns (result, report): the result is a BlockEncoding of the final
     iterate for matrix modes and a ScalarSignTable for scalar mode.  A matrix mode
@@ -427,15 +427,15 @@ def run_sign(A: np.ndarray, delta: float, eps: float, l: int = 2,
     spectrum = hermitian_eig(require_square(A) if mode == "scalar" else A)  # checks A; shared
     A = np.asarray(A, dtype=np.complex128)
     w = spectrum.eigenvalues
-    _check_gap(w, delta, "eigenvalues outside +-[delta, 1]")
     n, base, reports = _run_setup(delta, eps, l, levels, len(np.atleast_2d(w)))
+    _check_gap(w, delta, "eigenvalues outside +-[delta, 1]")
     if mode == "flattened":  # every level's plan, made and charged before any product, per member
         products = sum(_sign_plan(l, k).products for k in range(1, n + 1))
         _check_dense_cost(len(reports) * products, A.shape[-1])
     if mode == "scalar":
         pts = np.unique(np.concatenate((scalar_grid(delta), w)))  # in [-1, 1] by _check_gap
-        one_row = _Plan(base[None], [])
-        y = _nest(pts, n, reports, lambda y, k: plan_chain(one_row, y).real, lambda y: y,
+        one_level = _sign_plan(l, 1)  # looked up before the levels, which _nest times
+        y = _nest(pts, n, reports, lambda y, k: plan_chain(one_level, y).real, lambda y: y,
                   lambda V: np.abs(V - np.sign(pts)).max(axis=-1))
         vals, distance = y.copy(), None  # a copy: at n = 0 y is pts
         if n:  # reflection_upper_left less its checks: points above, phases tabulated

@@ -19,8 +19,8 @@ import numpy as np
 
 from .blockenc import _blocks, _dilate_gram, extract
 from .errors import DomainError, NumericError
-from .linalg import (_gram, _polar_factors, hermitian_eig, hermitian_eigvals, operator_norm,
-                     require_square, require_unit_norm)
+from .linalg import (GAP_SLACK, _gram, _polar_factors, hermitian_eig, hermitian_eigvals,
+                     operator_norm, require_square, require_unit_norm)
 from .poly import pade
 from .qet import _check_gap, _nest, _run_setup, IterationReport, qet_recursive_step, run_sign
 
@@ -57,9 +57,9 @@ def run_polar(A: np.ndarray, delta: float, eps: float, l: int = 2,
     A = require_square(np.asarray(A, dtype=np.complex128))
     gram = hermitian_eig(_gram(A))
     sigma = np.sqrt(np.maximum(0.0, gram.eigenvalues))
+    n, base, reports = _run_setup(delta, eps, l, levels)
     _check_gap(sigma, delta, "singular values outside [delta, 1]")
     unitary_factor, _ = _polar_factors(A, gram)
-    n, base, reports = _run_setup(delta, eps, l, levels)
     g_coeffs = pade(l).coeffs[1::2]  # p_l(x) = x g(x^2), derived once per run
 
     def errors_of(X: np.ndarray) -> np.ndarray:
@@ -94,7 +94,7 @@ def filtering_operator(A: np.ndarray, delta: float, eps: float, l: int = 2) -> F
     gives a list of k results of one stacked run, checked member by member.
     """
     be, reports = run_sign(A, delta, eps, l, mode="recursive")
-    eye = np.eye(be.total_dim)
+    eye = np.eye(be.unitary.shape[-1])
     plus, minus = (eye + be.unitary) / 2, (eye - be.unitary) / 2
     full = _blocks(plus, minus, minus, plus)
     d, results, stacked = be.system_dim, [], full.ndim == 3
@@ -129,7 +129,7 @@ def preparation_projector(A: np.ndarray, delta: float, eps: float, l: int = 2) -
     A = np.asarray(A, dtype=np.complex128)
     if not (0.0 < delta < 1.0):
         raise DomainError("spectral gap must lie strictly between 0 and 1")
-    inner = np.abs(w) < delta - 1e-9
+    inner = np.abs(w) < delta - GAP_SLACK
     if int(inner.sum()) != 1:
         raise DomainError(f"need exactly one eigenvalue inside +-{delta:.3g}, found {int(inner.sum())}")
     if abs(float(w[inner][0])) > 1e-9:

@@ -25,7 +25,7 @@ def test_dilate_identity():
 def test_dilate_hermitian_random():
     A, _ = hermitian_with_spectrum(3, [0.9, -0.5, 0.2, -0.85])
     be = dilate_hermitian(A)
-    assert be.system_dim == 4 and be.ancilla_dim == 2
+    assert be.system_dim == 4 and be.unitary.shape == (8, 8)
     assert np.abs(extract(be) - A).max() < 1e-12
     assert _unitarity_deviation(be.unitary) <= 1e-10
     # Hermitian dilation squares to the identity
@@ -66,6 +66,17 @@ def test_dilate_rejects_large_norm():
         dilate_hermitian(1.5 * np.eye(2, dtype=complex))
 
 
+def test_dilate_general_checks_the_norm_before_dilating(monkeypatch):
+    # dilate_general refuses a singular value past 1 + NORM_SLACK itself;
+    # _dilate_gram takes a norm that its caller has checked
+    def refuse(*_):
+        raise AssertionError("dilated an unchecked matrix")
+
+    monkeypatch.setattr(rqet.blockenc, "_dilate_gram", refuse)
+    with pytest.raises(DomainError, match=r"^operator norm 1\.000000000500 exceeds 1$"):
+        dilate_general(np.diag([1 + 5e-10, 0.5]).astype(complex))
+
+
 def test_dilate_norm_one_edge():
     A = np.diag([1.0, -1.0]).astype(complex)
     be = dilate_hermitian(A)
@@ -100,7 +111,7 @@ def test_ancilla_rotation_pi_gives_global_minus():
     A, _ = hermitian_with_spectrum(6, [0.4, -0.4])
     be = dilate_hermitian(A)
     R = np.diag(np.repeat(np.exp([1j * np.pi, -1j * np.pi]), be.system_dim))
-    assert np.abs(R + np.eye(be.total_dim)).max() < 1e-12
+    assert np.abs(R + np.eye(2 * be.system_dim)).max() < 1e-12
 
 
 @pytest.mark.parametrize("U", [np.eye(3), np.ones((2, 4)), np.zeros((0, 0)), np.ones(4),
@@ -114,7 +125,8 @@ def test_encoding_refuses_what_is_not_a_square_even_unitary(U):
 
 def test_encoding_dimensions_come_from_the_unitary():
     be = BlockEncoding(np.eye(6))
-    assert (be.system_dim, be.total_dim) == (3, 6)
+    assert be.system_dim == 3  # half the unitary's size: an encoding stores no other size
+    assert not hasattr(be, "total_dim") and not hasattr(be, "ancilla_dim")
     assert np.array_equal(extract(be), np.eye(3))
     with pytest.raises(TypeError):  # the system dimension is no longer an argument
         BlockEncoding(np.eye(6), 2)

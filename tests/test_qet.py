@@ -140,6 +140,15 @@ def test_tabulated_bases_are_canonical():
         assert canonicalize_angles(base).tobytes() == base.tobytes(), l
 
 
+def test_the_one_level_sign_plan_is_the_base_row():
+    # scalar levels run the cached _sign_plan(l, 1): for every tabulated l,
+    # the one-row plan of the base list, with no folds
+    for l in range(2, 21, 2):
+        plan = rqet.qet._sign_plan(l, 1)
+        assert plan.folds == [] and plan.rows.shape == (1, 2 * l + 1), l
+        assert plan.rows.tobytes() == pade_phases(l)[None].tobytes(), l
+
+
 @pytest.mark.parametrize("l, levels", [(2, 6), (8, 3), (20, 2)])
 def test_flattened_lists_hold_only_the_bits_of_the_base(l, levels):
     # canonicalization leaves in-range angles alone, so the adjoint pattern is
@@ -886,7 +895,7 @@ def test_qet_assemble_runs_the_plan_over_a_hermitian_dilation(monkeypatch):
 
 def test_warm_runs_plan_nothing(monkeypatch, capsys, cold_sign_plans):
     # after one warm-up, scalar and flattened runs and perturb run only plans
-    # they own: the base list's one-row plan and the cached sign-list plans
+    # they own: the cached sign-list plans, the one-level plan among them
     A, _ = hermitian_with_spectrum(7, [-0.9, -0.3, 0.35, 0.8])
 
     def runs():
@@ -921,8 +930,8 @@ def test_each_list_is_planned_once(monkeypatch, cold_sign_plans):
     planned.clear()
     run_sign(A, 0.4, 1e-8, mode="flattened", levels=4)  # every level's plan is cached
     assert planned == []
-    # the nested levels run the base list's one-row plan, which is not
-    # planned, and the one flattened chain is planned on the first run at
+    # the nested levels run the one-level plan, cached by the flattened run
+    # above, and the one flattened chain is planned on the first run at
     # (l, n) only
     run_sign(A, 0.4, 1e-8, mode="scalar", levels=6)
     assert planned == [5 ** 6]
@@ -1094,8 +1103,10 @@ def test_scalar_run_evaluates_one_chain(monkeypatch, cold_sign_plans):
         assert table.flattened_distance <= 1e-10
         flat = rqet.qet._sign_plan(2, 8)
         assert len(calls) == 9 and sum(c is flat for c in calls) == 1
-        # each of the 8 levels on the one-row base plan
-        assert all(not c.folds and np.array_equal(c.rows, base[None]) for c in calls if c is not flat)
+        # each of the 8 levels on the cached one-level plan, the base list's one row
+        one_level = rqet.qet._sign_plan(2, 1)
+        assert all(c is one_level for c in calls if c is not flat)
+        assert not one_level.folds and np.array_equal(one_level.rows, base[None])
 
 
 def test_scalar_run_forms_no_dense_product(monkeypatch):

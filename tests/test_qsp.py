@@ -350,6 +350,18 @@ def test_phase_chain_on_two_level_tiled_lists(length, subs, kinds, seed):
     assert np.abs(reflection_upper_left(phases, xs) - direct_product(phases, xs)).max() < 1e-12
 
 
+def test_reflection_chain_at_no_points_walks_nothing(monkeypatch):
+    # no points give an empty result at once: the leaf, which would step
+    # through all 5^7 positions on empty arrays, is never called
+    def refuse(*_):
+        raise AssertionError("the chain was walked at no points")
+
+    monkeypatch.setattr(_kernels, "_block_stage", refuse)
+    phases = np.random.default_rng(7).uniform(-np.pi, np.pi, 5 ** 7)
+    out = reflection_upper_left(phases, np.array([]))
+    assert out.shape == (0,) and out.dtype == np.complex128
+
+
 def test_phase_chain_blocks_merge_only_when_bitwise_equal():
     rng = np.random.default_rng(5)
     a = rng.uniform(-np.pi, np.pi, 25)

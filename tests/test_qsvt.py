@@ -40,6 +40,50 @@ def test_window_errors_list_the_values_outside():
     assert str(exc.value) == "eigenvalues outside +-[delta, 1]: -0.2, 0.1"
 
 
+@pytest.mark.parametrize("delta", [1.0, 5.0])
+@pytest.mark.parametrize("run", ["recursive", "flattened", "scalar", "polar"])
+def test_a_gap_of_one_or_more_is_refused_as_a_gap(run, delta):
+    # the gap itself is checked before the values are held to it, so no
+    # value is listed as outside a window that does not exist
+    A = np.diag([0.5, -0.9]).astype(complex)
+    with pytest.raises(DomainError) as exc:
+        run_polar(A, delta, 1e-6) if run == "polar" else run_sign(A, delta, 1e-6, mode=run)
+    assert str(exc.value) == "spectral gap must lie strictly between 0 and 1"
+
+
+def test_the_gap_slack_is_one_constant():
+    # both runs' gap check and preparation's count of eigenvalues inside the
+    # gap share GAP_SLACK: half of it under the gap is outside for all three,
+    # twice it under is inside for all three
+    delta, slack = 0.5, rqet.linalg.GAP_SLACK
+    outside, inside = delta - slack / 2, delta - 2 * slack
+    assert run_sign(np.diag([outside, -0.9]).astype(complex), delta, 1e-6)[1].converged
+    assert run_polar(np.diag([outside, 0.9]).astype(complex), delta, 1e-6)[1].converged
+    preparation_projector(np.diag([0.0, outside, -0.9]).astype(complex), delta, 1e-6)
+    for run, message in ((run_sign, "eigenvalues outside +-[delta, 1]"),
+                         (run_polar, "singular values outside [delta, 1]")):
+        with pytest.raises(DomainError) as exc:
+            run(np.diag([inside, 0.9]).astype(complex), delta, 1e-6)
+        assert str(exc.value) == f"{message}: {inside:.6g}"
+    with pytest.raises(DomainError, match=r"^need exactly one eigenvalue inside \+-0.5, found 2$"):
+        preparation_projector(np.diag([0.0, inside, -0.9]).astype(complex), delta, 1e-6)
+
+
+def test_run_polar_checks_its_singular_values_once(monkeypatch):
+    # _check_gap checks them; the dilation takes them as checked
+    checked = []
+    check = rqet.linalg.require_unit_norm
+
+    def counting(values, *args):
+        checked.append(len(values))
+        return check(values, *args)
+
+    for module in (rqet.qet, rqet.blockenc, rqet.qsvt):
+        monkeypatch.setattr(module, "require_unit_norm", counting)
+    run_polar(random_with_singulars(9, [0.6, 0.9, 0.75]), 0.5, 1e-8, levels=2)
+    assert checked == [3]
+
+
 def test_encode_block_is_input():
     A = random_with_singulars(1, [0.6, 0.9])
     assert np.abs(extract(dilate_general(A)) - A).max() < 1e-12
